@@ -313,7 +313,9 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON file with default values for these flags")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (all randomness)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the integer path (never changes outputs)")
+                     help="workers over the integer path's row bands; BLAS already "
+                          "parallelizes each band's matrix multiply, so more than 1 "
+                          "rarely helps (never changes outputs)")
     sub.add_argument("--log", help="append JSONL log records here instead of stderr")
 
 

@@ -255,12 +255,17 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
+        if not data[start:pos].isdigit():
+            raise DataError(f"{path}: bad PGM header: expected width, height and maxval, "
+                            f"got {data[start:pos][:16]!r}")
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if min(fields) < 1:
+        raise DataError(f"{path}: bad PGM header: zero width, height or maxval")
     if maxval > 255:
         raise DataError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    pixels = np.frombuffer(data[pos:pos + width * height], dtype=np.uint8)
     if pixels.size != width * height:
         raise DataError(f"{path}: truncated pixel data")
     return pixels.reshape(height, width).copy()

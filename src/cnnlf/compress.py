@@ -20,7 +20,7 @@ quantization, so downstream stages see plain conv chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,8 @@ def prune_by_bn_scale(model: NetworkModel, threshold: float) -> tuple:
     shift) is folded into the following layer's bias, which is exact when
     the scale is exactly zero.  A layer is never emptied: if every scale
     falls under the threshold the largest-magnitude filter is kept and a
-    warning is recorded.  Returns ``(pruned_model, PruneReport)``.
+    warning is recorded.  The pruned model's config lists the kept widths.
+    Returns ``(pruned_model, PruneReport)``.
     """
     if threshold < 0:
         raise ConfigError(f"threshold must be nonnegative, got {threshold}")
@@ -118,7 +119,8 @@ def prune_by_bn_scale(model: NetworkModel, threshold: float) -> tuple:
             layer.bn.shift = layer.bn.shift[keep]
             layer.bn.running_mean = layer.bn.running_mean[keep]
             layer.bn.running_var = layer.bn.running_var[keep]
-    pruned = NetworkModel(model.config, model.layers)
+    pruned = NetworkModel(replace(model.config, per_layer_filters=tuple(kept_counts)),
+                          model.layers)
     report = PruneReport(
         threshold=threshold,
         kept_counts=kept_counts,
@@ -215,6 +217,7 @@ def decompose_model(model: NetworkModel, energy_keep: float = 0.95,
 
     Expects a BN-folded model.  A layer is left intact when the selected
     rank would not shrink it (always true for the final 1-channel layer).
+    The new model's config counts and sizes the layers it holds.
     Returns ``(model, per-layer info list)``.
     """
     if model.has_bn:
@@ -241,4 +244,7 @@ def decompose_model(model: NetworkModel, energy_keep: float = 0.95,
         info.append({"layer": i + 1, "rank": rank, "kept": False,
                      "singular_values": s,
                      "reconstruction_error": lr.reconstruction_error})
-    return NetworkModel(model.config, new_layers), info
+    config = replace(model.config, num_conv_layers=len(new_layers),
+                     per_layer_filters=tuple(layer.conv.out_channels
+                                             for layer in new_layers[:-1]))
+    return NetworkModel(config, new_layers), info

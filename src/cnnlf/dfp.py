@@ -1,4 +1,4 @@
-"""Dynamic fixed-point representation and the integer-only inference path.
+"""Dynamic fixed-point representation and the integer-exact inference path.
 
 A dynamic fixed-point value is an integer mantissa ``m`` in a two's
 complement range ``[-2^(B-1), 2^(B-1) - 1]`` together with a per-group
@@ -7,18 +7,24 @@ Weights use 8 bits, biases 32, layer inputs/outputs 16.  Each group in a
 layer shares one ``fl``, estimated from the largest magnitude the group
 has to carry.
 
-Inference runs entirely on integers: inputs become 16-bit mantissas at
-fl 15, each convolution accumulates 8x16-bit products in 64-bit signed
-arithmetic, biases are aligned by exact left shift, accumulators are
-requantized to 16 bits between layers (round half away from zero,
-saturating), the residual add saturates at 16 bits, and denormalization
-is an integer scale-and-shift.  Because integer addition is associative,
-results are bit-identical for any worker partitioning, which is the
-point: encoder and decoder agree across platforms by construction.
+Inference computes on integer mantissas only: inputs become 16-bit
+mantissas at fl 15, each convolution accumulates 8x16-bit products,
+biases are aligned by exact left shift, accumulators are requantized to
+16 bits between layers (round half away from zero, saturating), the
+residual add saturates at 16 bits, and denormalization is an integer
+scale-and-shift.
 
-A float-simulation mode mirrors the historical practice of emulating
-fixed point with floating point; every intermediate fits in 53 bits so
-it reproduces the integer mantissas exactly (asserted in tests).
+The mantissas are carried in float64, so each layer is one BLAS GEMM per
+band of output rows over the unfolded (im2col) input.  This is exact:
+every product is an integer of at most 2^22 in magnitude, and
+``DFPModel`` proves when it is built that every accumulator, bias and
+rounding offset included, stays below 2^53 (see
+``DFPModel.accumulator_bounds``).  Every partial sum a GEMM forms, in
+whatever order it adds the products, is bounded by the same figure, so
+it is an integer below 2^53 and float64 holds it without rounding.  The
+output is therefore bit-identical for any summation order, BLAS build,
+thread count or band split, which is the point: encoder and decoder
+agree across platforms by construction.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from __future__ import annotations
 import hashlib
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ModelFormatError, ShapeError, VerificationError
 from .network import NetworkConfig, NetworkModel, forward_network, normalize_inputs
@@ -39,6 +47,14 @@ BIAS_BITS = 32
 OUTPUT_BITS = 16
 INPUT_FL = 15
 HASH_NAME = "sha256"
+ACT_MIN = -(1 << (OUTPUT_BITS - 1))
+ACT_MAX = (1 << (OUTPUT_BITS - 1)) - 1
+# float64 holds every integer of smaller magnitude exactly
+EXACT_LIMIT = 2.0 ** 53
+# Size of one unfolded row band, the right operand of one GEMM: large enough
+# to keep BLAS efficient, small enough to stay in cache.  With 64 3x3 input
+# channels it holds 8 rows of a 208-pixel plane.
+BAND_BYTES = 8 << 20
 
 CONFORMANCE_MAGIC = b"CNFV"
 CONFORMANCE_VERSION = 1
@@ -228,6 +244,10 @@ class DFPModel:
     Mirrors a BN-folded NetworkModel layer for layer.  Every weight
     mantissa fits 8 bits, every bias mantissa 32 bits, activations run at
     16 bits with the fractional lengths recorded in ``fl_table``.
+
+    Construction proves the float64 inference exact (see
+    :meth:`accumulator_bounds`) and raises :class:`ConfigError` when it
+    cannot.  The mantissa arrays are not to be changed afterwards.
     """
 
     config: NetworkConfig
@@ -236,6 +256,9 @@ class DFPModel:
 
     def __post_init__(self):
         self.fl_table.check_complete(len(self.layers))
+        if self.config.bit_depth > OUTPUT_BITS:
+            raise ConfigError(f"bit depth {self.config.bit_depth} exceeds the "
+                              f"{OUTPUT_BITS}-bit integer path")
         wfmt_range = (-(1 << (WEIGHT_BITS - 1)), (1 << (WEIGHT_BITS - 1)) - 1)
         bfmt_range = (-(1 << (BIAS_BITS - 1)), (1 << (BIAS_BITS - 1)) - 1)
         for i, layer in enumerate(self.layers):
@@ -244,6 +267,57 @@ class DFPModel:
             if layer.bias_m.size and (layer.bias_m.min() < bfmt_range[0]
                                       or layer.bias_m.max() > bfmt_range[1]):
                 raise ConfigError(f"layer {i + 1} bias mantissas exceed {BIAS_BITS}-bit range")
+        for i, bound in enumerate(self.accumulator_bounds()):
+            if bound >= EXACT_LIMIT:
+                raise ConfigError(
+                    f"layer {i + 1} accumulator bound {bound:.4g} reaches 2^53; "
+                    f"float64 inference would not be exact")
+
+    def shifts(self) -> tuple:
+        """``([(bias shift, output shift) per layer], summation shift)``.
+
+        The bias is aligned to the accumulator fl ``fl_w + fl_in`` by a left
+        shift, the accumulator requantized to ``fl_o`` by a right shift, and
+        the last layer's output to the summation fl by a right shift, so
+        none of them may be negative.
+        """
+        shifts = []
+        fl_in = self.fl_table.fl_concat
+        for i, fl in enumerate(self.fl_table.layers):
+            fl_acc = fl.fl_w + fl_in
+            if fl.fl_b > fl_acc:
+                raise ConfigError(f"layer {i + 1} bias fl {fl.fl_b} exceeds accumulator "
+                                  f"fl {fl_acc}; table is inconsistent")
+            if fl.fl_o > fl_acc:
+                raise ConfigError(f"layer {i + 1} output fl {fl.fl_o} exceeds accumulator "
+                                  f"fl {fl_acc}")
+            shifts.append((fl_acc - fl.fl_b, fl_acc - fl.fl_o))
+            fl_in = fl.fl_o
+        if fl_in < self.fl_table.fl_sum:
+            raise ConfigError(f"final output fl {fl_in} below the summation fl "
+                              f"{self.fl_table.fl_sum}")
+        return shifts, fl_in - self.fl_table.fl_sum
+
+    def accumulator_bounds(self) -> list:
+        """Per layer, the largest magnitude its float64 accumulator can hold.
+
+        Layer inputs are 16-bit mantissas, ``|x| <= 2^15``, so output
+        channel ``c`` never exceeds ``sum|w_c|*2^15 + |b_c|*2^bshift`` plus
+        the offset ``2^(shift-1)`` that rounding adds before its shift.  Any
+        partial sum of the products is bounded by the same figure.  The
+        figure is computed in float64; its terms are integers times powers
+        of two and a sum that reaches 2^53 cannot round below it, so the
+        comparison with 2^53 is exact.
+        """
+        bounds = []
+        for layer, (bshift, shift) in zip(self.layers, self.shifts()[0]):
+            w_abs = np.abs(layer.weights_m).reshape(len(layer.weights_m), -1).sum(axis=1)
+            # exponents past 64 change no verdict: a nonzero bias is beyond 2^53 either way
+            channel = (np.ldexp(w_abs.astype(np.float64), OUTPUT_BITS - 1)
+                       + np.ldexp(np.abs(layer.bias_m).astype(np.float64), min(bshift, 64)))
+            offset = np.ldexp(1.0, min(shift, 64) - 1) if shift else 0.0
+            bounds.append(float(channel.max(initial=0.0)) + offset)
+        return bounds
 
     @property
     def num_layers(self) -> int:
@@ -274,39 +348,6 @@ def quantize_model(model: NetworkModel, fl_table: FLTable) -> DFPModel:
     return DFPModel(model.config, layers, fl_table)
 
 
-def _pad_edge_chw(x: np.ndarray, k: int) -> np.ndarray:
-    p = (k - 1) // 2
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (p, p), (p, p)), mode="edge")
-
-
-def _conv_rows(weights, xp, bias_aligned, row0, row1, width, shift_fn=None):
-    """Accumulate conv rows [row0, row1) from the padded input; int64 exact."""
-    k = weights.shape[2]
-    rows = row1 - row0
-    acc = None
-    for ky in range(k):
-        for kx in range(k):
-            part = np.tensordot(weights[:, :, ky, kx],
-                                xp[:, row0 + ky:row0 + ky + rows, kx:kx + width],
-                                axes=([1], [0]))
-            acc = part if acc is None else acc + part
-    return acc + bias_aligned[:, None, None]
-
-
-def _shift_round_half_away(v, shift: int, float_mode: bool):
-    """(|v| + 2^(shift-1)) >> shift with the sign restored; exact in both modes."""
-    if shift == 0:
-        return v
-    if float_mode:
-        mag = np.floor((np.abs(v) + 2.0 ** (shift - 1)) / 2.0 ** shift)
-        return np.where(v < 0, -mag, mag)
-    offset = np.int64(1) << np.int64(shift - 1)
-    mag = (np.abs(v) + offset) >> np.int64(shift)
-    return np.where(v < 0, -mag, mag)
-
-
 def input_mantissas(plane: np.ndarray, qp: int, config: NetworkConfig):
     """Integer-exact 16-bit mantissas (fl 15) of the normalized inputs."""
     plane = np.asarray(plane)
@@ -318,85 +359,83 @@ def input_mantissas(plane: np.ndarray, qp: int, config: NetworkConfig):
     if not (0 <= qp <= config.qp_max):
         raise DataError(f"qp {qp} outside [0, {config.qp_max}]")
     scale = 1 << (INPUT_FL + 1)
-    hi = (1 << (OUTPUT_BITS - 1)) - 1
     recon_m = (plane.astype(np.int64) * scale + pmax) // (2 * pmax)
-    recon_m = np.minimum(recon_m, hi)
-    qp_m = min((int(qp) * scale + config.qp_max) // (2 * config.qp_max), hi)
+    recon_m = np.minimum(recon_m, ACT_MAX)
+    qp_m = min((int(qp) * scale + config.qp_max) // (2 * config.qp_max), ACT_MAX)
     return recon_m, np.int64(qp_m)
 
 
-def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1,
-                simulate_float: bool = False, check_overflow: bool = False) -> np.ndarray:
-    """Integer-only filtering of one plane; bit-identical for any thread count.
+def _round_shift(a: np.ndarray, shift: int) -> np.ndarray:
+    """In place: integer-valued float64 ``a`` over ``2^shift``, rounded half away from zero.
 
-    ``simulate_float`` carries the very same integer mantissas in float64
-    (every intermediate fits 53 bits, so the results are identical); it
-    exists to demonstrate equivalence with float-emulated fixed point.
+    ``floor((|a| + 2^(shift-1)) * 2^-shift)`` with the sign restored.  Every
+    step is exact while ``|a| + 2^(shift-1) < 2^53``.
+    """
+    if shift:
+        negative = np.signbit(a)
+        np.abs(a, out=a)
+        a += 2.0 ** (shift - 1)
+        a *= 2.0 ** -shift
+        np.floor(a, out=a)
+        np.negative(a, out=a, where=negative)
+    return a
+
+
+def _conv_layer(x: np.ndarray, layer: DFPLayer, bshift: int, shift: int, run) -> np.ndarray:
+    """One conv layer on (Cin, H, W) mantissas: GEMM, bias, requantize, ReLU, per row band.
+
+    ``run`` maps the band function over the band start rows (``map`` or a pool's).
+    """
+    cin, h, w = x.shape
+    cout, _, k, _ = layer.weights_m.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)), mode="edge") if p else x
+    weights = layer.weights_m.reshape(cout, cin * k * k).astype(np.float64)
+    bias = np.ldexp(layer.bias_m.astype(np.float64), bshift)[:, None]
+    out = np.empty((cout, h, w))
+    rows = max(1, BAND_BYTES // weights.itemsize // weights.shape[1] // w)
+
+    def band(r0: int) -> None:
+        r1 = min(r0 + rows, h)
+        windows = sliding_window_view(xp[:, r0:r1 + 2 * p], (k, k), axis=(1, 2))
+        cols = windows.transpose(0, 3, 4, 1, 2).reshape(cin * k * k, (r1 - r0) * w)
+        acc = weights @ cols
+        acc += bias
+        if layer.relu:
+            # ReLU commutes with the monotone, sign-preserving requantization
+            np.maximum(acc, 0.0, out=acc)
+        _round_shift(acc, shift)
+        np.clip(acc, ACT_MIN, ACT_MAX, out=acc)
+        out[:, r0:r1] = acc.reshape(cout, r1 - r0, w)
+
+    list(run(band, range(0, h, rows)))  # map is lazy; a pool re-raises band errors here
+    return out
+
+
+def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
+    """Integer-exact filtering of one plane; bit-identical for any thread count.
+
+    ``threads`` spreads each layer's row bands over that many workers.
+    BLAS already runs each band's GEMM on its own threads, so more than
+    one worker rarely pays; the output never depends on either.
     """
     cfg = model.config
     recon_m, qp_m = input_mantissas(plane, qp, cfg)
     h, w = recon_m.shape
-    dtype = np.float64 if simulate_float else np.int64
-    x = np.empty((2, h, w), dtype=dtype)
+    x = np.empty((2, h, w))
     x[0] = recon_m
     x[1] = qp_m
-    fl_in = model.fl_table.fl_concat
-    out_fmt = DFPFormat(OUTPUT_BITS, 0)
-    for layer, fl in zip(model.layers, model.fl_table.layers):
-        weights = layer.weights_m.astype(dtype)
-        k = weights.shape[2]
-        fl_acc = fl.fl_w + fl_in
-        bshift = fl_acc - fl.fl_b
-        if bshift < 0:
-            raise ConfigError(
-                f"bias fl {fl.fl_b} exceeds accumulator fl {fl_acc}; table is inconsistent")
-        if simulate_float:
-            bias_aligned = layer.bias_m.astype(dtype) * 2.0 ** bshift
-        else:
-            bias_aligned = layer.bias_m.astype(np.int64) << np.int64(bshift)
-        xp = _pad_edge_chw(x, k)
-        cout = weights.shape[0]
-        acc = np.empty((cout, h, w), dtype=dtype)
-        if threads <= 1 or h < 2 * threads:
-            acc[:] = _conv_rows(weights, xp, bias_aligned, 0, h, w)
-        else:
-            bounds = np.linspace(0, h, threads + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_conv_rows, weights, xp, bias_aligned, int(r0), int(r1), w)
-                    for r0, r1 in zip(bounds[:-1], bounds[1:]) if r1 > r0
-                ]
-                row = 0
-                for fut in futures:
-                    part = fut.result()
-                    acc[:, row:row + part.shape[1]] = part
-                    row += part.shape[1]
-        if check_overflow and not simulate_float:
-            if np.abs(acc).max() > (1 << 62):
-                raise ArithmeticError("64-bit accumulator overflow detected")
-        shift = fl_acc - fl.fl_o
-        if shift < 0:
-            raise ConfigError(f"output fl {fl.fl_o} exceeds accumulator fl {fl_acc}")
-        m = _shift_round_half_away(acc, shift, simulate_float)
-        m = np.clip(m, out_fmt.min_mantissa, out_fmt.max_mantissa)
-        if layer.relu:
-            m = np.maximum(m, 0)
-        x = m
-        fl_in = fl.fl_o
-    # summation layer: bring the residual down to the input grid and add
-    shift = fl_in - model.fl_table.fl_sum
-    if shift < 0:
-        raise ConfigError(f"final output fl {fl_in} below the summation fl")
-    resid = np.clip(_shift_round_half_away(x[0], shift, simulate_float),
-                    out_fmt.min_mantissa, out_fmt.max_mantissa)
-    total = np.clip(resid + recon_m.astype(dtype), out_fmt.min_mantissa, out_fmt.max_mantissa)
-    pmax = cfg.pixel_max
-    if simulate_float:
-        pixels = np.floor((total * pmax + 2.0 ** (INPUT_FL - 1)) / 2.0 ** INPUT_FL)
-    else:
-        pixels = (total * np.int64(pmax) + (np.int64(1) << np.int64(INPUT_FL - 1))) \
-            >> np.int64(INPUT_FL)
-    pixels = np.clip(pixels, 0, pmax)
+    layer_shifts, sum_shift = model.shifts()
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for layer, (bshift, shift) in zip(model.layers, layer_shifts):
+            x = _conv_layer(x, layer, bshift, shift, run)
+    # summation layer: bring the residual down to the input grid and add, saturating
+    total = np.clip(_round_shift(x[0], sum_shift), ACT_MIN, ACT_MAX)
+    total += recon_m
+    np.clip(total, 0, ACT_MAX, out=total)  # a negative sum denormalizes to pixel 0
+    total *= cfg.pixel_max
+    pixels = np.minimum(_round_shift(total, INPUT_FL), cfg.pixel_max)
     return pixels.astype(np.uint8 if cfg.bit_depth <= 8 else np.uint16)
 
 
@@ -499,6 +538,8 @@ def read_conformance(path) -> list:
         raise ModelFormatError(f"truncated conformance container: {exc}", offset=pos) from None
     if len(data) < pos + 32:
         raise ModelFormatError("missing corpus digest", offset=pos)
+    if data[pos:pos + 32] != bytes.fromhex(corpus_digest(entries)):
+        raise ModelFormatError("corpus digest does not match the stored outputs", offset=pos)
     return entries
 
 

@@ -133,8 +133,10 @@ def load_model(path):
     corrupt or truncated files, and a distinct message on version
     mismatch.  A header that is valid JSON but not a well-formed model
     description (not an object, a missing key, a value of the wrong type,
-    a blob that a layer names but the blob table lacks) is corrupt too.
-    Never returns a partially read model.
+    a blob that a layer names but the blob table lacks, layer shapes that
+    contradict the blobs, each other or the config's widths, a fixed-point
+    model whose exactness bound fails) is corrupt too.  Never returns a
+    partially read model.
     """
     data = open(path, "rb").read()
     if len(data) < 16 or data[:4] != MAGIC:
@@ -179,7 +181,12 @@ def _decode(path, header: dict, data: bytes, pos: int):
         raise ModelFormatError(f"{path}: {len(data) - pos} trailing bytes", offset=pos)
 
     config = _config_from_dict(header["config"])
-    if header["kind"] == "float":
+    kind = header["kind"]
+    if kind not in ("float", "dfp"):
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}", offset=16)
+    _check_layer_shapes(path, header["layers"], arrays, config,
+                        "" if kind == "float" else "_m")
+    if kind == "float":
         layers = []
         for i, desc in enumerate(header["layers"]):
             conv = ConvParams(arrays[f"layer{i}.weights"].astype(np.float64),
@@ -191,12 +198,30 @@ def _decode(path, header: dict, data: bytes, pos: int):
                               epsilon=desc["bn_epsilon"], momentum=desc["bn_momentum"])
             layers.append(Layer(conv, bn, desc["relu"]))
         return NetworkModel(config, layers)
-    if header["kind"] == "dfp":
-        fl_table = FLTable.from_dict(header["fl_table"])
-        layers = []
-        for i, desc in enumerate(header["layers"]):
-            layers.append(DFPLayer(arrays[f"layer{i}.weights_m"].astype(np.int64),
-                                   arrays[f"layer{i}.bias_m"].astype(np.int64),
-                                   desc["relu"]))
-        return DFPModel(config, layers, fl_table)
-    raise ModelFormatError(f"{path}: unknown model kind {header['kind']!r}", offset=16)
+    fl_table = FLTable.from_dict(header["fl_table"])
+    layers = []
+    for i, desc in enumerate(header["layers"]):
+        layers.append(DFPLayer(arrays[f"layer{i}.weights_m"].astype(np.int64),
+                               arrays[f"layer{i}.bias_m"].astype(np.int64),
+                               desc["relu"]))
+    return DFPModel(config, layers, fl_table)
+
+
+def _check_layer_shapes(path, descs: list, arrays: dict, config: NetworkConfig,
+                        suffix: str) -> None:
+    """The header's layer descriptions must match the blobs and chain into a filter."""
+    prev_out = 2
+    for i, desc in enumerate(descs):
+        cout, cin, k = desc["out"], desc["in"], desc["k"]
+        w, b = arrays[f"layer{i}.weights{suffix}"], arrays[f"layer{i}.bias{suffix}"]
+        if w.shape != (cout, cin, k, k) or b.shape != (cout,):
+            raise ModelFormatError(f"{path}: layer {i + 1} header says {cout}x{cin}x{k}x{k}, "
+                                   f"blobs hold {w.shape} and {b.shape}", offset=16)
+        if cin != prev_out:
+            raise ModelFormatError(f"{path}: layer {i + 1} takes {cin} channels, "
+                                   f"its input has {prev_out}", offset=16)
+        prev_out = cout
+    hidden = tuple(desc["out"] for desc in descs[:-1])
+    if prev_out != 1 or hidden != config.per_layer_filters:
+        raise ModelFormatError(f"{path}: layer widths {hidden} + ({prev_out},) do not match "
+                               f"the config's {config.per_layer_filters} + (1,)", offset=16)

@@ -84,3 +84,56 @@ def round_half_away_int(value: int, shift: int) -> int:
     if 2 * r >= den:
         q += 1
     return -q if value < 0 else q
+
+
+def dfp_forward_loops(model, plane, qp):
+    """Integer path of ``dfp.dfp_forward`` with Python-int accumulation, pixel by pixel.
+
+    Reads only the model's mantissas, activation flags, fractional lengths
+    and input contract.
+    """
+    cfg = model.config
+    pmax = (1 << cfg.bit_depth) - 1
+    lo, hi = -(1 << 15), (1 << 15) - 1
+    height, width = len(plane), len(plane[0])
+    # round half up of v * 2^15 / max, as 16-bit mantissas
+    recon = [[min((int(v) * (1 << 16) + pmax) // (2 * pmax), hi) for v in row]
+             for row in plane]
+    qp_m = min((int(qp) * (1 << 16) + cfg.qp_max) // (2 * cfg.qp_max), hi)
+    x = [recon, [[qp_m] * width for _ in range(height)]]
+    fl_in = model.fl_table.fl_concat
+    for layer, fl in zip(model.layers, model.fl_table.layers):
+        weights = layer.weights_m.tolist()
+        bias = layer.bias_m.tolist()
+        fl_acc = fl.fl_w + fl_in
+        k = len(weights[0][0])
+        p = (k - 1) // 2
+        out = []
+        for co in range(len(weights)):
+            plane_out = []
+            for y in range(height):
+                row = []
+                for xx in range(width):
+                    acc = bias[co] << (fl_acc - fl.fl_b)
+                    for ci in range(len(x)):
+                        for ky in range(k):
+                            sy = min(max(y + ky - p, 0), height - 1)
+                            for kx in range(k):
+                                sx = min(max(xx + kx - p, 0), width - 1)
+                                acc += weights[co][ci][ky][kx] * x[ci][sy][sx]
+                    m = max(lo, min(hi, round_half_away_int(acc, fl_acc - fl.fl_o)))
+                    row.append(max(m, 0) if layer.relu else m)
+                plane_out.append(row)
+            out.append(plane_out)
+        x = out
+        fl_in = fl.fl_o
+    pixels = []
+    for y in range(height):
+        row = []
+        for xx in range(width):
+            resid = max(lo, min(hi, round_half_away_int(x[0][y][xx],
+                                                        fl_in - model.fl_table.fl_sum)))
+            total = max(lo, min(hi, resid + recon[y][xx]))
+            row.append(max(0, min(pmax, (total * pmax + (1 << 14)) >> 15)))
+        pixels.append(row)
+    return np.array(pixels, dtype=np.uint8 if cfg.bit_depth <= 8 else np.uint16)

@@ -206,6 +206,15 @@ class TestPlaneIO:
         with pytest.raises(DataError, match="P5"):
             read_pgm(tmp_path / "bad.pgm")
 
+    @pytest.mark.parametrize("header", [b"P5\nx 2\n255\n", b"P5\n3 -2\n255\n",
+                                        b"P5\n3 2\n", b"P5\n3 2\nff\n", b"P5 3",
+                                        b"P5\n0 2\n255\n", b"P5\n3 2\n255\n\1\2"])
+    def test_pgm_bad_header_or_pixels_is_data_error(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header)
+        with pytest.raises(DataError, match="bad.pgm"):
+            read_pgm(path)
+
     def test_yuv420_round_trip(self, tmp_path):
         y = make_test_image(16, 24, seed=9)
         u = make_test_image(8, 12, seed=10)

@@ -1,21 +1,27 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnnlf import dfp
 from cnnlf.compress import fold_batchnorm
-from cnnlf.dfp import (BIAS_BITS, INPUT_FL, OUTPUT_BITS, WEIGHT_BITS, DFPFormat, FLTable,
-                       LayerFL, build_fl_table, dequantize_value, dfp_forward, estimate_fl,
-                       input_mantissas, make_conformance, quantize_model, quantize_value,
-                       read_conformance, reference_fl_8layer, replay_conformance, requantize,
-                       verify_determinism, write_conformance)
+from cnnlf.dfp import (BIAS_BITS, INPUT_FL, OUTPUT_BITS, WEIGHT_BITS, DFPFormat, DFPLayer,
+                       DFPModel, FLTable, LayerFL, build_fl_table, dequantize_value,
+                       dfp_forward, estimate_fl, input_mantissas, make_conformance,
+                       quantize_model, quantize_value, read_conformance, reference_fl_8layer,
+                       replay_conformance, requantize, verify_determinism, write_conformance)
 from cnnlf.errors import ConfigError, VerificationError
 from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
 from cnnlf.codec import make_test_image, psnr
 
-from .oracles import round_half_away_int
+from .oracles import dfp_forward_loops, round_half_away_int
 
 
 def small_weight_model(rng_seed=5, scale=0.15):
@@ -32,6 +38,75 @@ def quantized_small_model(rng_seed=5):
     calib = [(make_test_image(24, 24, seed=3), 27), (make_test_image(24, 24, seed=4), 37)]
     table = build_fl_table(model, calib)
     return quantize_model(model, table), model
+
+
+def bias_fl_lowered(table, by):
+    """``table`` with every layer's bias fl lowered by ``by``: bias shifts grow by ``by``."""
+    return FLTable([LayerFL(e.fl_w, e.fl_b - by, e.fl_o) for e in table.layers],
+                   table.fl_concat, table.fl_sum)
+
+
+def benchmark_shaped_model():
+    """The paper's 8-layer 64-filter model, BN-folded, calibrated and quantized."""
+    model = fold_batchnorm(build_cnnf(NetworkConfig(), rng_seed=1, zero_init_output=False))
+    model.layers[-1].conv.weights *= 0.1
+    calib = [(make_test_image(24, 24, seed=3), 32)]
+    return quantize_model(model, build_fl_table(model, calib))
+
+
+# run by a child interpreter: prints the digest of one filtered plane
+BLAS_CHILD = """
+import hashlib
+from cnnlf.codec import make_test_image
+from cnnlf.dfp import dfp_forward
+from tests.test_dfp import benchmark_shaped_model
+out = dfp_forward(benchmark_shaped_model(), make_test_image(48, 64, seed=13), 32)
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+@st.composite
+def small_dfp_case(draw):
+    """A random quantized model of 2 or 3 layers, a plane, a qp, a band size and threads.
+
+    Fractional lengths are drawn as shifts, so every table is consistent;
+    weight and bias scales and the shifts range from vanishing to saturating
+    outputs.
+    """
+    num_layers = draw(st.integers(2, 3))
+    k = draw(st.sampled_from([1, 3, 5]))
+    hidden = [draw(st.integers(1, 3)) for _ in range(num_layers - 1)]
+    # at 16 bits every unit in the last place of the summed mantissa shows in the pixel
+    bit_depth = draw(st.sampled_from([8, 16]))
+    cfg = NetworkConfig(num_conv_layers=num_layers, kernel_size=k, base_filters=3,
+                        per_layer_filters=tuple(hidden), bit_depth=bit_depth)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w_max = draw(st.sampled_from([1, 8, 128]))
+    b_max = draw(st.sampled_from([1, 1 << 12, 1 << 31]))
+    widths = [2] + hidden + [1]
+    layers, entries = [], []
+    fl_in = INPUT_FL
+    for i, (cin, cout) in enumerate(zip(widths[:-1], widths[1:])):
+        last = i == num_layers - 1
+        shift = draw(st.integers(0, 16))
+        if last:
+            fl_o = INPUT_FL + draw(st.integers(0, 10))
+            fl_w = fl_o + shift - fl_in
+        else:
+            fl_w = draw(st.integers(-2, 12))
+            fl_o = fl_w + fl_in - shift
+        fl_b = fl_w + fl_in - draw(st.integers(0, 12))
+        layers.append(DFPLayer(rng.integers(-w_max, w_max, size=(cout, cin, k, k)),
+                               rng.integers(-b_max, b_max, size=cout),
+                               draw(st.booleans()) and not last))
+        entries.append(LayerFL(fl_w, fl_b, fl_o))
+        fl_in = fl_o
+    model = DFPModel(cfg, layers, FLTable(entries))
+    plane = rng.integers(0, cfg.pixel_max + 1, size=(draw(st.integers(1, 9)),
+                                                    draw(st.integers(1, 9))))
+    band_bytes = draw(st.sampled_from([1, 300, 2000, dfp.BAND_BYTES]))
+    return model, plane.astype(np.uint8 if bit_depth == 8 else np.uint16), \
+        draw(st.integers(0, 51)), band_bytes, draw(st.sampled_from([1, 2, 3]))
 
 
 class TestQuantizeValue:
@@ -277,12 +352,22 @@ class TestDfpForward:
         assert np.array_equal(dfp_forward(dm, plane, 37),
                               dfp_forward(dm, plane, 37, threads=threads))
 
-    def test_float_simulation_identical_mantissas(self):
+    @given(small_dfp_case())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_integer_loop_oracle(self, case):
+        model, plane, qp, band_bytes, threads = case
+        with mock.patch.object(dfp, "BAND_BYTES", band_bytes):
+            got = dfp_forward(model, plane, qp, threads=threads)
+        assert np.array_equal(got, dfp_forward_loops(model, plane, qp))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (11, 5)])
+    def test_degenerate_and_ragged_planes_match_oracle(self, shape):
         dm, _ = quantized_small_model()
-        plane = make_test_image(40, 40, seed=10)
-        for qp in (22, 37):
-            assert np.array_equal(dfp_forward(dm, plane, qp),
-                                  dfp_forward(dm, plane, qp, simulate_float=True))
+        plane = make_test_image(*shape, seed=14)
+        # one output row per band, so every height is several bands
+        with mock.patch.object(dfp, "BAND_BYTES", 1):
+            got = dfp_forward(dm, plane, 37, threads=2)
+        assert np.array_equal(got, dfp_forward_loops(dm, plane, 37))
 
     def test_close_to_float_forward_of_dequantized_model(self):
         dm, _ = quantized_small_model()
@@ -291,10 +376,74 @@ class TestDfpForward:
         int_out = dfp_forward(dm, plane, 27)
         assert psnr(float_out, int_out) > 50.0
 
-    def test_overflow_check_runs_clean(self):
+    def test_digest_independent_of_blas_threads(self):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])
+        digests = []
+        for blas_threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas_threads}
+            done = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env, cwd=root,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+class TestAccumulatorBound:
+    def test_crafted_fl_table_rejected(self):
         dm, _ = quantized_small_model()
-        plane = make_test_image(24, 24, seed=12)
-        dfp_forward(dm, plane, 27, check_overflow=True)
+        with pytest.raises(ConfigError, match="2\\^53"):
+            DFPModel(dm.config, dm.layers, bias_fl_lowered(dm.fl_table, 40))
+
+    def test_negative_shifts_rejected(self):
+        dm, _ = quantized_small_model()
+        first = dm.fl_table.layers[0]
+        fl_acc = first.fl_w + dm.fl_table.fl_concat
+        for bad, match in ((LayerFL(first.fl_w, fl_acc + 1, first.fl_o), "bias fl"),
+                           (LayerFL(first.fl_w, first.fl_b, fl_acc + 1), "output fl")):
+            table = FLTable([bad] + dm.fl_table.layers[1:])
+            with pytest.raises(ConfigError, match=match):
+                DFPModel(dm.config, dm.layers, table)
+        with pytest.raises(ConfigError, match="summation fl"):
+            DFPModel(dm.config, dm.layers, FLTable(dm.fl_table.layers, fl_sum=40))
+
+    def test_benchmark_shaped_model_passes(self):
+        dm = benchmark_shaped_model()
+        assert dm.num_layers == 8
+        bounds = dm.accumulator_bounds()
+        assert len(bounds) == 8 and 0 < max(bounds) < 2.0 ** 53
+
+    @pytest.mark.parametrize("weight, bias_shift, out_shift, accepted", [
+        (-128, 6, 0, True),    # 2*128*2^15 + 2^31*2^6
+        (-128, 21, 1, True),   # 2^23 + 2^52 + 1
+        (0, 22, 0, False),     # exactly 2^53
+        (0, 21, 53, False),    # 2^52 and the rounding offset 2^52
+        (-1, 21, 53, False),
+    ])
+    def test_bound_at_the_float64_limit(self, weight, bias_shift, out_shift, accepted):
+        # one 1x1 layer on both inputs with the largest 32-bit bias
+        cfg = NetworkConfig(num_conv_layers=2, kernel_size=1, base_filters=1,
+                            per_layer_filters=(1,))
+        layers = [DFPLayer(np.full((1, 2, 1, 1), weight), np.array([-(1 << 31)]), False),
+                  DFPLayer(np.full((1, 1, 1, 1), 127), np.array([0]), False)]
+        table = FLTable([LayerFL(0, INPUT_FL - bias_shift, INPUT_FL - out_shift),
+                         LayerFL(out_shift, INPUT_FL, INPUT_FL)])
+        want = (2 * abs(weight) * 2 ** 15 + 2 ** (31 + bias_shift)
+                + (2 ** (out_shift - 1) if out_shift else 0))
+        if accepted:
+            assert DFPModel(cfg, layers, table).accumulator_bounds()[0] == want
+        else:
+            with pytest.raises(ConfigError, match="layer 1 accumulator bound"):
+                DFPModel(cfg, layers, table)
+
+    @given(st.integers(0, 52), st.data())
+    @settings(max_examples=300)
+    def test_round_shift_matches_integer_oracle(self, shift, data):
+        # every magnitude the bound admits: |a| + 2^(shift-1) < 2^53
+        limit = 2 ** 53 - (2 ** (shift - 1) if shift else 0) - 1
+        a = data.draw(st.integers(-limit, limit))
+        got = dfp._round_shift(np.array([float(a)]), shift)[0]
+        assert got == round_half_away_int(a, shift)
 
 
 class TestConformance:
@@ -340,6 +489,18 @@ class TestConformance:
         from cnnlf.errors import ModelFormatError
         with pytest.raises(ModelFormatError):
             read_conformance(tmp_path / "cut.bin")
+
+    def test_flipped_corpus_digest_rejected(self, tmp_path):
+        dm, _ = quantized_small_model()
+        path = tmp_path / "vectors.bin"
+        write_conformance(path, make_conformance(dm, self.corpus(1)))
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))
+        from cnnlf.errors import ModelFormatError
+        with pytest.raises(ModelFormatError, match="corpus digest") as err:
+            read_conformance(path)
+        assert err.value.offset == len(data) - 32
 
 
 def test_monotone_relu_commutes_with_dequantization(rng):

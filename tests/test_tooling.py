@@ -7,12 +7,14 @@ import pytest
 
 from cnnlf.cli import main
 from cnnlf.codec import load_patchset, make_test_image, read_pgm, write_pgm
-from cnnlf.compress import fold_batchnorm
+from cnnlf.compress import decompose_model, fold_batchnorm, prune_by_bn_scale
 from cnnlf.dfp import (build_fl_table, dfp_forward, make_conformance, quantize_model,
                        write_conformance)
 from cnnlf.errors import ModelFormatError
 from cnnlf.model_io import load_model, model_hash, save_model
 from cnnlf.network import NetworkConfig, build_cnnf
+
+from .test_dfp import bias_fl_lowered, quantized_small_model
 
 
 @pytest.fixture
@@ -48,6 +50,10 @@ HEADER_DEFECTS = {
     # the table still covers every byte, but no blob is named layer0.weights_m
     "blob-missing": lambda h: {**h, "blobs": [{**h["blobs"][0], "name": "renamed"}]
                                + h["blobs"][1:]},
+    "layer-shapes-contradict-blobs": lambda h: {**h, "layers": [{**d, "in": 99, "out": 99}
+                                                                for d in h["layers"]]},
+    "widths-contradict-config": lambda h: {**h, "config": {**h["config"],
+                                                           "per_layer_filters": [6, 6]}},
 }
 
 
@@ -129,6 +135,16 @@ class TestModelContainer:
                     load_model(path)
                 except ModelFormatError:
                     pass
+
+    def test_pruned_and_decomposed_models_round_trip(self, tiny_model, tmp_path):
+        for layer in tiny_model.layers[:-1]:
+            layer.bn.scale[::2] = 0.0
+        pruned, _ = prune_by_bn_scale(tiny_model, 1e-6)
+        decomposed, _ = decompose_model(fold_batchnorm(pruned), ranks=[1, 1, 1])
+        assert decomposed.num_layers > pruned.num_layers
+        for model in (pruned, decomposed):
+            save_model(model, tmp_path / "m.clf")
+            assert model_hash(load_model(tmp_path / "m.clf")) == model_hash(model)
 
     def test_hash_stable_across_builds(self, tiny_config):
         a = build_cnnf(tiny_config, rng_seed=9)
@@ -232,6 +248,20 @@ class TestCli:
         assert self.run("infer", "--model", "bad.clf", "--input", "in.pgm",
                         "--qp", "22", "--out", "o.pgm", "--dfp") == 3
         assert "'fl_table'" in capsys.readouterr().err
+        assert not (workspace / "o.pgm").exists()
+
+    def test_model_failing_accumulator_bound_exit_code(self, workspace, capsys):
+        dm, _ = quantized_small_model()
+        save_model(dm, workspace / "bad.clf")
+        # every bias shift grows by 40 bits: the accumulator bound passes 2^53
+        rewrite_header(workspace / "bad.clf",
+                       lambda h: {**h, "fl_table": bias_fl_lowered(dm.fl_table, 40).to_dict()})
+        with pytest.raises(ModelFormatError, match="2\\^53"):
+            load_model(workspace / "bad.clf")
+        write_pgm("in.pgm", make_test_image(16, 16, seed=1))
+        assert self.run("infer", "--model", "bad.clf", "--input", "in.pgm",
+                        "--qp", "22", "--out", "o.pgm", "--dfp") == 3
+        assert "2^53" in capsys.readouterr().err
         assert not (workspace / "o.pgm").exists()
 
     def test_dataset_of_small_synthetic_images_reports_empty(self, workspace, capsys):
