@@ -241,29 +241,22 @@ def cmd_quantize(args, log):
     return EXIT_OK
 
 
-def cmd_infer(args, log):
-    model = load_model(args.model)
-    plane = read_pgm(args.input)
-    if args.dfp:
-        if not isinstance(model, DFPModel):
-            raise ConfigError("--dfp needs a quantized model file")
-        out = dfp_forward(model, plane, args.qp, threads=args.threads)
-    else:
-        if isinstance(model, DFPModel):
-            out = dfp_forward(model, plane, args.qp, threads=args.threads)
-        else:
-            out = filter_plane(model, plane, args.qp)
-    write_pgm(args.out, out)
-    log.write("infer", qp=args.qp, dfp=args.dfp or isinstance(model, DFPModel),
-              input=str(args.input), out=str(args.out))
-    _write_run_config(args.out, "infer", args, [args.model, args.input])
-    return EXIT_OK
-
-
 def _filter_with(model, plane, qp, threads):
     if isinstance(model, DFPModel):
         return dfp_forward(model, plane, qp, threads=threads)
     return filter_plane(model, plane, qp)
+
+
+def cmd_infer(args, log):
+    model = load_model(args.model)
+    plane = read_pgm(args.input)
+    if args.dfp and not isinstance(model, DFPModel):
+        raise ConfigError("--dfp needs a quantized model file")
+    write_pgm(args.out, _filter_with(model, plane, args.qp, args.threads))
+    log.write("infer", qp=args.qp, dfp=args.dfp or isinstance(model, DFPModel),
+              input=str(args.input), out=str(args.out))
+    _write_run_config(args.out, "infer", args, [args.model, args.input])
+    return EXIT_OK
 
 
 def cmd_eval(args, log):

@@ -17,17 +17,21 @@ images.
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .tensor import round_half_away
 
 BLOCK = 8
 PSNR_CAP = 99.0
 DEFAULT_QPS = (22, 27, 32, 37)
 PATCH_SIZE = 35
+PATCHSET_ARRAYS = ("decoded", "original", "qps", "image_ids", "y0", "x0")
 
 
 def _dct_matrix(n: int = BLOCK) -> np.ndarray:
@@ -43,10 +47,6 @@ _DCT = _dct_matrix()
 
 def qstep_for_qp(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.trunc(x + np.copysign(0.5, x))
 
 
 def _to_blocks(plane: np.ndarray) -> np.ndarray:
@@ -78,14 +78,14 @@ def encode_intra_plane(plane: np.ndarray, qp: int, bit_depth: int = 8):
     blocks = _to_blocks(padded)
     coef = np.einsum("ij,abjk,lk->abil", _DCT, blocks, _DCT)
     qstep = qstep_for_qp(qp)
-    q = _round_half_away(coef / qstep)
+    q = round_half_away(coef / qstep)
     symbols, counts = np.unique(q.astype(np.int64), return_counts=True)
     probs = counts / counts.sum()
     entropy = float(-(probs * np.log2(probs)).sum())
     bits = entropy * q.size
     recon = np.einsum("ji,abjk,kl->abil", _DCT, q * qstep, _DCT)
     recon = _from_blocks(recon)[:h, :w]
-    recon = np.clip(_round_half_away(recon), 0, pmax)
+    recon = np.clip(round_half_away(recon), 0, pmax)
     return recon.astype(np.uint8 if bit_depth <= 8 else np.uint16), bits
 
 
@@ -287,10 +287,15 @@ def read_yuv_descriptor(path) -> dict:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        desc[key.strip()] = int(value.strip())
+        try:
+            desc[key.strip()] = int(value.strip())
+        except ValueError:
+            raise DataError(f"{path}: descriptor line {line!r} is not key=integer") from None
     for key in ("width", "height", "frames"):
         if key not in desc:
             raise DataError(f"{path}: descriptor missing {key!r}")
+        if desc[key] < 1:
+            raise DataError(f"{path}: descriptor {key} must be positive, got {desc[key]}")
     return desc
 
 
@@ -360,13 +365,23 @@ def save_patchset(path, patchset: PatchSet) -> None:
 
 
 def load_patchset(path) -> PatchSet:
-    with np.load(path, allow_pickle=False) as z:
-        decoded = [z["decoded"][i] for i in range(z["decoded"].shape[0])]
-        original = [z["original"][i] for i in range(z["original"].shape[0])]
-        qps = [int(q) for q in z["qps"]]
-        prov = [PatchProvenance(str(i), int(y), int(x), int(q))
-                for i, y, x, q in zip(z["image_ids"], z["y0"], z["x0"], z["qps"])]
-    return PatchSet(decoded, original, qps, prov)
+    """Read a patch set written by :func:`save_patchset`; raise DataError if malformed."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            arrays = {name: z[name] for name in z.files}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise DataError(f"{path}: not a patch set archive ({exc})") from None
+    for name in PATCHSET_ARRAYS:
+        if name not in arrays:
+            raise DataError(f"{path}: patch set has no {name!r} array")
+    lengths = {name: arrays[name].shape[:1] for name in PATCHSET_ARRAYS}
+    decoded, original = arrays["decoded"], arrays["original"]
+    if len(set(lengths.values())) != 1 or decoded.ndim != 3 or decoded.shape != original.shape:
+        raise DataError(f"{path}: patch set arrays disagree in length or shape: {lengths}")
+    qps = [int(q) for q in arrays["qps"]]
+    prov = [PatchProvenance(str(i), int(y), int(x), q)
+            for i, y, x, q in zip(arrays["image_ids"], arrays["y0"], arrays["x0"], qps)]
+    return PatchSet(list(decoded), list(original), qps, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ModelFormatError, ShapeError, VerificationError
-from .network import NetworkConfig, NetworkModel, forward_network, normalize_inputs
-from .tensor import round_half_away
+from .network import Layer, NetworkConfig, NetworkModel, forward_network, normalize_inputs
+from .tensor import ConvParams, _row_bands, _unfold, round_half_away
 
 WEIGHT_BITS = 8
 BIAS_BITS = 32
@@ -51,10 +50,6 @@ ACT_MIN = -(1 << (OUTPUT_BITS - 1))
 ACT_MAX = (1 << (OUTPUT_BITS - 1)) - 1
 # float64 holds every integer of smaller magnitude exactly
 EXACT_LIMIT = 2.0 ** 53
-# Size of one unfolded row band, the right operand of one GEMM: large enough
-# to keep BLAS efficient, small enough to stay in cache.  With 64 3x3 input
-# channels it holds 8 rows of a 208-pixel plane.
-BAND_BYTES = 8 << 20
 
 CONFORMANCE_MAGIC = b"CNFV"
 CONFORMANCE_VERSION = 1
@@ -78,8 +73,7 @@ class DFPFormat:
 
 def quantize_value(v, fmt: DFPFormat) -> np.ndarray:
     """Real value(s) to clamped integer mantissa(s), rounding half away from zero."""
-    t = np.asarray(v, dtype=np.float64) * (2.0 ** fmt.fl)
-    m = np.trunc(t + np.copysign(0.5, t))
+    m = round_half_away(np.asarray(v, dtype=np.float64) * (2.0 ** fmt.fl))
     return np.clip(m, fmt.min_mantissa, fmt.max_mantissa).astype(np.int64)
 
 
@@ -104,27 +98,6 @@ def estimate_fl(values, bit_width: int) -> int:
     while round_half_away(a * 2.0 ** (fl + 1)) <= limit:
         fl += 1
     return fl
-
-
-def requantize(acc, from_fl: int, to_format: DFPFormat):
-    """Shift a wide accumulator down to a narrower format, saturating.
-
-    Integer-only round half away from zero:
-    ``sign(acc) * ((|acc| + 2^(shift-1)) >> shift)`` with
-    ``shift = from_fl - to_format.fl``.  Upscaling (negative shift) is
-    never needed in this pipeline and is rejected.
-    """
-    shift = from_fl - to_format.fl
-    if shift < 0:
-        raise ConfigError(f"requantize cannot upscale: from fl {from_fl} to fl {to_format.fl}")
-    acc = np.asarray(acc, dtype=np.int64)
-    if shift == 0:
-        m = acc
-    else:
-        offset = np.int64(1) << np.int64(shift - 1)
-        mag = (np.abs(acc) + offset) >> np.int64(shift)
-        m = np.where(acc < 0, -mag, mag)
-    return np.clip(m, to_format.min_mantissa, to_format.max_mantissa)
 
 
 @dataclass(frozen=True)
@@ -325,8 +298,6 @@ class DFPModel:
 
     def dequantized(self) -> NetworkModel:
         """Float model carrying the exact values the integer path computes with."""
-        from .network import Layer
-        from .tensor import ConvParams
         layers = []
         for layer, fl in zip(self.layers, self.fl_table.layers):
             w = dequantize_value(layer.weights_m, DFPFormat(WEIGHT_BITS, fl.fl_w))
@@ -384,7 +355,7 @@ def _round_shift(a: np.ndarray, shift: int) -> np.ndarray:
 def _conv_layer(x: np.ndarray, layer: DFPLayer, bshift: int, shift: int, run) -> np.ndarray:
     """One conv layer on (Cin, H, W) mantissas: GEMM, bias, requantize, ReLU, per row band.
 
-    ``run`` maps the band function over the band start rows (``map`` or a pool's).
+    ``run`` maps the band function over the ``(r0, r1)`` row bands (``map`` or a pool's).
     """
     cin, h, w = x.shape
     cout, _, k, _ = layer.weights_m.shape
@@ -393,13 +364,10 @@ def _conv_layer(x: np.ndarray, layer: DFPLayer, bshift: int, shift: int, run) ->
     weights = layer.weights_m.reshape(cout, cin * k * k).astype(np.float64)
     bias = np.ldexp(layer.bias_m.astype(np.float64), bshift)[:, None]
     out = np.empty((cout, h, w))
-    rows = max(1, BAND_BYTES // weights.itemsize // weights.shape[1] // w)
 
-    def band(r0: int) -> None:
-        r1 = min(r0 + rows, h)
-        windows = sliding_window_view(xp[:, r0:r1 + 2 * p], (k, k), axis=(1, 2))
-        cols = windows.transpose(0, 3, 4, 1, 2).reshape(cin * k * k, (r1 - r0) * w)
-        acc = weights @ cols
+    def band(rows: tuple) -> None:
+        r0, r1 = rows
+        acc = weights @ _unfold(xp, k, r0, r1)
         acc += bias
         if layer.relu:
             # ReLU commutes with the monotone, sign-preserving requantization
@@ -408,7 +376,7 @@ def _conv_layer(x: np.ndarray, layer: DFPLayer, bshift: int, shift: int, run) ->
         np.clip(acc, ACT_MIN, ACT_MAX, out=acc)
         out[:, r0:r1] = acc.reshape(cout, r1 - r0, w)
 
-    list(run(band, range(0, h, rows)))  # map is lazy; a pool re-raises band errors here
+    list(run(band, _row_bands(cin * k * k, h, w)))  # map is lazy; a pool re-raises band errors here
     return out
 
 
@@ -508,16 +476,17 @@ def read_conformance(path) -> list:
     data = open(path, "rb").read()
     if data[:4] != CONFORMANCE_MAGIC:
         raise ModelFormatError("not a conformance container (bad magic)", offset=0)
-    version, hlen = struct.unpack_from("<HH", data, 4)
+    try:
+        version, hlen = struct.unpack_from("<HH", data, 4)
+        name = data[8:8 + hlen].decode("ascii")
+        (count,) = struct.unpack_from("<I", data, 8 + hlen)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"corrupt conformance header: {exc}", offset=4) from None
     if version != CONFORMANCE_VERSION:
         raise ModelFormatError(f"unsupported conformance version {version}", offset=4)
-    pos = 8
-    name = data[pos:pos + hlen].decode("ascii")
     if name != HASH_NAME:
-        raise ModelFormatError(f"unsupported hash algorithm {name!r}", offset=pos)
-    pos += hlen
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+        raise ModelFormatError(f"unsupported hash algorithm {name!r}", offset=8)
+    pos = 12 + hlen
     entries = []
     try:
         for _ in range(count):

@@ -210,15 +210,11 @@ def forward_float(model: NetworkModel, recon: np.ndarray, qpmap: np.ndarray) -> 
     """
     recon = np.asarray(recon, dtype=np.float64)
     qpmap = np.asarray(qpmap, dtype=np.float64)
-    if recon.shape != qpmap.shape:
-        raise ShapeError(f"recon {recon.shape} and qpmap {qpmap.shape} differ in size")
-    if recon.ndim == 2:
-        inp = tensor.concat_channels(recon[None, None], qpmap[None, None])
-        out, _ = forward_network(model, inp, mode="infer")
-        return out[0, 0]
-    inp = tensor.concat_channels(recon, qpmap)
+    if recon.ndim != 2 or recon.shape != qpmap.shape:
+        raise ShapeError(f"recon {recon.shape} and qpmap {qpmap.shape} must be planes of one size")
+    inp = tensor.concat_channels(recon[None, None], qpmap[None, None])
     out, _ = forward_network(model, inp, mode="infer")
-    return out
+    return out[0, 0]
 
 
 def denormalize(output: np.ndarray, config: NetworkConfig) -> np.ndarray:

@@ -12,9 +12,12 @@ pixel.  Replicate padding keeps a constant input channel exactly constant
 under convolution, which the channel-pruning bias fold in
 :mod:`cnnlf.compress` relies on for bit-exact output preservation.
 
-Per output element the accumulation order is fixed (a single dot product
-over taps), so forward results are bit-identical run to run on one
-platform regardless of internal threading.
+Each convolution, forward or backward, is one GEMM per image and band of
+output rows over unfolded (im2col) patches (Chellapilla et al., 2006).
+The GEMM's summation order belongs to the BLAS build and its thread
+count, so float results can differ in the last bits between BLAS builds
+or thread settings.  Bit-exactness across platforms and thread counts is
+the contract of the integer path in :mod:`cnnlf.dfp`, not of this one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .errors import ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
+# Size of one unfolded row band, the right operand of one GEMM: large enough
+# to keep BLAS efficient, small enough to stay in cache.  With 64 3x3 input
+# channels it holds 8 rows of a 208-pixel plane.
+BAND_BYTES = 8 << 20
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
@@ -135,6 +142,37 @@ def pad_same(x: np.ndarray, k: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge")
 
 
+def _row_bands(depth: int, h: int, w: int) -> list:
+    """Split ``h`` output rows into ``(r0, r1)`` bands whose unfolded columns fit ``BAND_BYTES``."""
+    rows = max(1, BAND_BYTES // (8 * depth * w))
+    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+
+
+def _unfold(xp: np.ndarray, k: int, r0: int, r1: int) -> np.ndarray:
+    """im2col of output rows ``r0:r1`` of one padded (C, H + k - 1, W + k - 1) image.
+
+    Returns the ``(C * k * k, (r1 - r0) * W)`` columns in ``(c, ky, kx)``
+    order, to match ``weights.reshape(Cout, -1)``.
+    """
+    c, _, w = xp.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xp[:, r0:r1 + k - 1], (k, k), axis=(1, 2))
+    return windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, (r1 - r0) * (w - k + 1))
+
+
+def _correlate(xp: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of padded (N, Cin, H + k - 1, W + k - 1) input with
+    (Cout, Cin, k, k) weights: one GEMM per image and band of output rows."""
+    cout, _, k, _ = weights.shape
+    n, _, hp, wp = xp.shape
+    h, w = hp - k + 1, wp - k + 1
+    wmat = weights.reshape(cout, -1)
+    out = np.empty((n, cout, h, w))
+    for i in range(n):
+        for r0, r1 in _row_bands(wmat.shape[1], h, w):
+            out[i, :, r0:r1] = (wmat @ _unfold(xp[i], k, r0, r1)).reshape(cout, r1 - r0, w)
+    return out
+
+
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Same-size cross-correlation plus per-channel bias.
 
@@ -142,15 +180,7 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params)
-    n, _, h, w = x.shape
-    k = params.kernel_size
-    xp = pad_same(x, k)
-    acc = np.zeros((params.out_channels, n, h, w))
-    for ky in range(k):
-        for kx in range(k):
-            acc += np.tensordot(params.weights[:, :, ky, kx],
-                                xp[:, :, ky:ky + h, kx:kx + w], axes=([1], [1]))
-    out = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+    out = _correlate(pad_same(x, params.kernel_size), params.weights)
     out += params.bias[None, :, None, None]
     return out
 
@@ -159,11 +189,10 @@ def _fold_pad_grad(dxp: np.ndarray, h: int, w: int, p: int) -> np.ndarray:
     """Collapse gradients in the replicate-padded ring onto their source edge pixels.
 
     Replication clips each axis independently, so folding columns first and
-    rows second is exact.
+    rows second is exact.  Works in place on ``dxp``.
     """
     if p == 0:
         return dxp
-    dxp = dxp.copy()
     dxp[:, :, :, p] += dxp[:, :, :, :p].sum(axis=3)
     dxp[:, :, :, w + p - 1] += dxp[:, :, :, w + p:].sum(axis=3)
     d = dxp[:, :, :, p:p + w]
@@ -182,19 +211,17 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray):
     expected = (n, params.out_channels, h, w)
     if upstream.shape != expected:
         raise ShapeError(f"upstream shape {upstream.shape} does not match conv output {expected}")
-    p = (k - 1) // 2
     xp = pad_same(x, k)
-    d_w = np.zeros_like(params.weights)
-    d_xp = np.zeros_like(xp)
-    for ky in range(k):
-        for kx in range(k):
-            window = xp[:, :, ky:ky + h, kx:kx + w]
-            d_w[:, :, ky, kx] = np.tensordot(upstream, window, axes=([0, 2, 3], [0, 2, 3]))
-            d_xp[:, :, ky:ky + h, kx:kx + w] += np.tensordot(
-                upstream, params.weights[:, :, ky, kx], axes=([1], [0])).transpose(0, 3, 1, 2)
-    d_x = _fold_pad_grad(d_xp, h, w, p)
+    d_w = np.zeros((params.out_channels, params.weights[0].size))
+    for i in range(n):
+        for r0, r1 in _row_bands(d_w.shape[1], h, w):
+            d_w += upstream[i, :, r0:r1].reshape(len(d_w), -1) @ _unfold(xp[i], k, r0, r1).T
+    # the adjoint: correlate the zero-padded upstream with the flipped, transposed kernel
+    up = np.pad(upstream, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    d_xp = _correlate(up, params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    d_x = _fold_pad_grad(d_xp, h, w, (k - 1) // 2)
     d_bias = upstream.sum(axis=(0, 2, 3))
-    return d_x, d_w, d_bias
+    return d_x, d_w.reshape(params.weights.shape), d_bias
 
 
 def batchnorm(x: np.ndarray, params: BNParams, mode: str = "infer"):

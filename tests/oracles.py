@@ -28,6 +28,31 @@ def conv2d_loops(x, weights, bias):
     return out
 
 
+def conv2d_grad_loops(x, weights, upstream):
+    """Direct adjoint of :func:`conv2d_loops`: each product's upstream gradient is
+    scattered to the weight and to the clamped source pixel it read."""
+    n, cin, h, w = x.shape
+    cout, _, k, _ = weights.shape
+    p = (k - 1) // 2
+    d_x = np.zeros_like(x)
+    d_w = np.zeros_like(weights)
+    d_bias = np.zeros(cout)
+    for b in range(n):
+        for co in range(cout):
+            for y in range(h):
+                for xx in range(w):
+                    g = upstream[b, co, y, xx]
+                    d_bias[co] += g
+                    for ci in range(cin):
+                        for ky in range(k):
+                            for kx in range(k):
+                                sy = min(max(y + ky - p, 0), h - 1)
+                                sx = min(max(xx + kx - p, 0), w - 1)
+                                d_x[b, ci, sy, sx] += weights[co, ci, ky, kx] * g
+                                d_w[co, ci, ky, kx] += x[b, ci, sy, sx] * g
+    return d_x, d_w, d_bias
+
+
 def finite_difference(loss_fn, array, h=1e-6):
     """Central finite differences of a scalar function w.r.t. every array entry."""
     grad = np.zeros_like(array)

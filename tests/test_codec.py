@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cnnlf.codec import (DEFAULT_QPS, RDCurve, RDPoint, _DCT, bd_rate, encode_intra_plane,
-                         make_dataset, make_test_image, psnr, qstep_for_qp, read_pgm,
-                         read_rd_csv, read_yuv420, write_pgm, write_rd_csv, write_yuv420)
+                         load_patchset, make_dataset, make_test_image, psnr, qstep_for_qp,
+                         read_pgm, read_rd_csv, read_yuv420, save_patchset, write_pgm,
+                         write_rd_csv, write_yuv420)
 from cnnlf.errors import DataError, ShapeError
 
 from .oracles import bd_rate_trapezoid
@@ -232,6 +233,46 @@ class TestPlaneIO:
         (tmp_path / "c.yuv.txt").write_text("width=4\nheight=4\n")
         with pytest.raises(DataError, match="frames"):
             read_yuv420(path)
+
+    @pytest.mark.parametrize("line", ["height=-4", "height=x"])
+    def test_yuv_bad_descriptor_value_is_data_error(self, tmp_path, line):
+        path = tmp_path / "c.yuv"
+        path.write_bytes(b"\0" * 24)
+        (tmp_path / "c.yuv.txt").write_text(f"width=4\n{line}\nframes=1\n")
+        with pytest.raises(DataError, match="c.yuv.txt"):
+            read_yuv420(path)
+
+    def test_patchset_round_trip(self, tmp_path):
+        ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22, 37), patch=16)
+        save_patchset(tmp_path / "ds.npz", ds)
+        again = load_patchset(tmp_path / "ds.npz")
+        assert again.qps == ds.qps and again.provenance == ds.provenance
+        assert all(np.array_equal(a, b) for a, b in zip(again.decoded, ds.decoded))
+        assert all(np.array_equal(a, b) for a, b in zip(again.original, ds.original))
+
+    def test_patchset_not_an_archive(self, tmp_path):
+        (tmp_path / "ds.npz").write_bytes(b"not a zip file")
+        with pytest.raises(DataError, match="ds.npz"):
+            load_patchset(tmp_path / "ds.npz")
+
+    def test_patchset_missing_array(self, tmp_path):
+        ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22,), patch=16)
+        save_patchset(tmp_path / "ds.npz", ds)
+        with np.load(tmp_path / "ds.npz") as z:
+            arrays = {k: z[k] for k in z.files if k != "original"}
+        np.savez(tmp_path / "cut.npz", **arrays)
+        with pytest.raises(DataError, match="cut.npz.*'original'"):
+            load_patchset(tmp_path / "cut.npz")
+
+    def test_patchset_lengths_disagree(self, tmp_path):
+        ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22,), patch=16)
+        save_patchset(tmp_path / "ds.npz", ds)
+        with np.load(tmp_path / "ds.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["qps"] = arrays["qps"][1:]
+        np.savez(tmp_path / "short.npz", **arrays)
+        with pytest.raises(DataError, match="short.npz.*length"):
+            load_patchset(tmp_path / "short.npz")
 
     def test_rd_csv_round_trip(self, tmp_path):
         curve = fixture_curves()[0]

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnlf import dfp
+from cnnlf import dfp, tensor
 from cnnlf.compress import fold_batchnorm
 from cnnlf.dfp import (BIAS_BITS, INPUT_FL, OUTPUT_BITS, WEIGHT_BITS, DFPFormat, DFPLayer,
                        DFPModel, FLTable, LayerFL, build_fl_table, dequantize_value,
                        dfp_forward, estimate_fl, input_mantissas, make_conformance,
                        quantize_model, quantize_value, read_conformance, reference_fl_8layer,
-                       replay_conformance, requantize, verify_determinism, write_conformance)
-from cnnlf.errors import ConfigError, VerificationError
+                       replay_conformance, verify_determinism, write_conformance)
+from cnnlf.errors import ConfigError, ModelFormatError, VerificationError
 from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
 from cnnlf.codec import make_test_image, psnr
 
@@ -66,6 +67,29 @@ print(hashlib.sha256(out.tobytes()).hexdigest())
 
 
 @st.composite
+def conformance_file(draw):
+    """Entries of a random conformance container, its bit depth and its header byte offsets.
+
+    The header bytes are the file header and every entry header.  Outputs are
+    random planes: the container does not know the model.
+    """
+    bit_depth = draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries, header = [], list(range(12 + len(dfp.HASH_NAME)))
+    pos = len(header)
+    for _ in range(draw(st.integers(0, 2))):
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        plane, out = rng.integers(0, 1 << bit_depth, size=(2,) + shape)
+        out_bytes = dfp.plane_bytes(out, bit_depth)
+        out = np.frombuffer(out_bytes, np.uint8 if bit_depth == 8 else "<u2").reshape(shape)
+        entries.append(dfp.ConformanceEntry(plane, draw(st.integers(0, 51)),
+                                            hashlib.sha256(out_bytes).digest(), out))
+        header += range(pos, pos + 12)
+        pos += 12 + 2 * len(out_bytes) + 32
+    return entries, bit_depth, header
+
+
+@st.composite
 def small_dfp_case(draw):
     """A random quantized model of 2 or 3 layers, a plane, a qp, a band size and threads.
 
@@ -104,7 +128,7 @@ def small_dfp_case(draw):
     model = DFPModel(cfg, layers, FLTable(entries))
     plane = rng.integers(0, cfg.pixel_max + 1, size=(draw(st.integers(1, 9)),
                                                     draw(st.integers(1, 9))))
-    band_bytes = draw(st.sampled_from([1, 300, 2000, dfp.BAND_BYTES]))
+    band_bytes = draw(st.sampled_from([1, 300, 2000, tensor.BAND_BYTES]))
     return model, plane.astype(np.uint8 if bit_depth == 8 else np.uint16), \
         draw(st.integers(0, 51)), band_bytes, draw(st.sampled_from([1, 2, 3]))
 
@@ -198,38 +222,20 @@ class TestEstimateFl:
 
 
 class TestRequantize:
+    """Requantization's rounding, ``_round_shift``; its saturation is covered by
+    ``test_matches_integer_loop_oracle`` and its shift rule by ``TestAccumulatorBound``."""
+
     def test_zero(self):
-        assert requantize(np.int64(0), 9, DFPFormat(16, 8)) == 0
+        assert dfp._round_shift(np.array([0.0]), 1)[0] == 0
 
     def test_positive_half_rounds_up(self):
-        assert requantize(np.array([768]), 9, DFPFormat(16, 8)) == 384
-        assert requantize(np.array([769]), 9, DFPFormat(16, 8)) == 385
-
-    def test_big_accumulator_clamps(self):
-        assert requantize(np.array([2 ** 40]), 20, DFPFormat(16, 4)) == 32767
-        assert requantize(np.array([-2 ** 40]), 20, DFPFormat(16, 4)) == -32768
-
-    def test_upscale_rejected(self):
-        with pytest.raises(ConfigError, match="upscale"):
-            requantize(np.array([1]), 8, DFPFormat(16, 9))
-
-    def test_shift_zero_only_clamps(self):
-        assert requantize(np.array([40000]), 8, DFPFormat(16, 8)) == 32767
-        assert requantize(np.array([123]), 8, DFPFormat(16, 8)) == 123
-
-    @given(st.integers(-(2 ** 40), 2 ** 40), st.integers(1, 20))
-    @settings(max_examples=300)
-    def test_matches_integer_oracle(self, acc, shift):
-        fmt = DFPFormat(32, 0)
-        got = int(requantize(np.array([acc]), shift, fmt)[0])
-        want = round_half_away_int(acc, shift)
-        want = max(fmt.min_mantissa, min(fmt.max_mantissa, want))
-        assert got == want
+        assert dfp._round_shift(np.array([768.0]), 1)[0] == 384
+        assert dfp._round_shift(np.array([769.0]), 1)[0] == 385
 
     def test_exact_negative_multiple_not_biased(self):
         # -768 / 2 is exactly -384; rounding must not pull it to -385
-        assert requantize(np.array([-768]), 1, DFPFormat(32, 0)) == -384
-        assert requantize(np.array([-769]), 1, DFPFormat(32, 0)) == -385
+        assert dfp._round_shift(np.array([-768.0]), 1)[0] == -384
+        assert dfp._round_shift(np.array([-769.0]), 1)[0] == -385
 
 
 class TestFLTable:
@@ -356,7 +362,7 @@ class TestDfpForward:
     @settings(max_examples=200, deadline=None)
     def test_matches_integer_loop_oracle(self, case):
         model, plane, qp, band_bytes, threads = case
-        with mock.patch.object(dfp, "BAND_BYTES", band_bytes):
+        with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
             got = dfp_forward(model, plane, qp, threads=threads)
         assert np.array_equal(got, dfp_forward_loops(model, plane, qp))
 
@@ -365,7 +371,7 @@ class TestDfpForward:
         dm, _ = quantized_small_model()
         plane = make_test_image(*shape, seed=14)
         # one output row per band, so every height is several bands
-        with mock.patch.object(dfp, "BAND_BYTES", 1):
+        with mock.patch.object(tensor, "BAND_BYTES", 1):
             got = dfp_forward(dm, plane, 37, threads=2)
         assert np.array_equal(got, dfp_forward_loops(dm, plane, 37))
 
@@ -489,6 +495,39 @@ class TestConformance:
         from cnnlf.errors import ModelFormatError
         with pytest.raises(ModelFormatError):
             read_conformance(tmp_path / "cut.bin")
+
+    @given(conformance_file())
+    @settings(max_examples=30, deadline=None)
+    def test_truncation_and_header_bit_flips_are_format_errors(self, tmp_path_factory, case):
+        entries, bit_depth, header = case
+        path = tmp_path_factory.mktemp("cnfv") / "vectors.bin"
+        write_conformance(path, entries, bit_depth)
+        data = path.read_bytes()
+        assert len(read_conformance(path)) == len(entries)
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises(ModelFormatError):
+                read_conformance(path)
+        for pos in header:
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    assert isinstance(read_conformance(path), list)
+                except ModelFormatError:
+                    pass
+
+    @pytest.mark.parametrize("data", [
+        b"CNFV\x01",                                                  # cut in the version
+        b"CNFV" + struct.pack("<HH", 1, 6) + b"sha256\x01",           # cut in the count
+        b"CNFV" + struct.pack("<HH", 1, 6) + b"sha25\xff" + bytes(36),  # non-ASCII hash name
+    ], ids=["five-bytes", "no-count", "non-ascii-name"])
+    def test_malformed_header_is_format_error(self, tmp_path, data):
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(data)
+        with pytest.raises(ModelFormatError, match="conformance header"):
+            read_conformance(path)
 
     def test_flipped_corpus_digest_rejected(self, tmp_path):
         dm, _ = quantized_small_model()

@@ -1,14 +1,42 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnnlf import tensor
 from cnnlf.errors import ShapeError
 from cnnlf.tensor import (BNParams, ConvParams, add_elementwise, batchnorm,
                           batchnorm_backward, batchnorm_forward, concat_channels,
                           conv2d, conv2d_grad, relu, relu_grad, round_half_away)
 
-from .oracles import conv2d_loops, finite_difference, max_relative_error
+from .oracles import conv2d_grad_loops, conv2d_loops, finite_difference, max_relative_error
+
+
+@st.composite
+def conv_case(draw):
+    """Input, parameters, upstream gradient and a band size for one random convolution."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    n, cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(k, 9)), draw(st.integers(k, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = ConvParams(rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout))
+    band_bytes = draw(st.sampled_from([1, 300, tensor.BAND_BYTES]))
+    return rng.normal(size=(n, cin, h, w)), params, rng.normal(size=(n, cout, h, w)), band_bytes
+
+
+@given(conv_case())
+@settings(max_examples=100, deadline=None)
+def test_conv_and_grad_match_loop_oracles(case):
+    x, params, up, band_bytes = case
+    with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+        out = conv2d(x, params)
+        grads = conv2d_grad(x, params, up)
+    assert np.abs(out - conv2d_loops(x, params.weights, params.bias)).max() < 1e-12
+    for got, want in zip(grads, conv2d_grad_loops(x, params.weights, up)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
 
 
 class TestConv2d:

@@ -235,6 +235,20 @@ class TestCli:
     def test_missing_input_exit_code(self, workspace):
         assert self.run("train", "--dataset", "nope.npz", "--out", "m.clf") == 3
 
+    def test_truncated_vectors_exit_code(self, workspace, dfp_model):
+        save_model(dfp_model, "md.clf")
+        (workspace / "v.bin").write_bytes(b"CNFV\x01")
+        assert self.run("verify", "--model", "md.clf", "--vectors", "v.bin") == 3
+
+    @pytest.mark.parametrize("content", ["not-a-zip", "no-original"])
+    def test_bad_patch_set_exit_code(self, workspace, capsys, content):
+        if content == "not-a-zip":
+            (workspace / "ds.npz").write_bytes(b"not a zip file")
+        else:
+            np.savez("ds.npz", decoded=np.zeros((2, 35, 35)), qps=np.array([22, 37]))
+        assert self.run("train", "--dataset", "ds.npz", "--out", "m.clf") == 5
+        assert "ds.npz" in capsys.readouterr().err
+
     def test_corrupt_model_exit_code(self, workspace):
         (workspace / "bad.clf").write_bytes(b"not a model")
         write_pgm("in.pgm", make_test_image(16, 16, seed=1))
