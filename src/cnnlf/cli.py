@@ -408,14 +408,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_value(path, key, value, action) -> None:
+    """Reject a JSON value of a type the flag behind ``action`` cannot take."""
+    if action.nargs == 0:
+        kind, fits = "true or false", isinstance(value, bool)
+    elif action.nargs == "*":
+        kind = "a list of strings"
+        fits = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif action.type is int:
+        kind, fits = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif action.type is float:
+        kind, fits = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        kind, fits = "a string", isinstance(value, str)
+    if action.choices is not None:
+        kind, fits = f"one of {list(action.choices)}", fits and value in action.choices
+    if not fits and not (value is None and action.default is None):
+        raise ConfigError(f"config file {path}: {key!r} takes {kind}, got {json.dumps(value)}")
+
+
 def _apply_config_file(parser, args, argv):
     """Values from --config fill in anything not given explicitly on the CLI."""
     if not getattr(args, "config", None):
         return args
     try:
-        defaults = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"config file {args.config} not found") from None
+        defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise OSError(f"config file {args.config}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {args.config}: not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {args.config}: invalid JSON ({exc})") from None
     if not isinstance(defaults, dict):
@@ -427,6 +449,9 @@ def _apply_config_file(parser, args, argv):
     # re-parse so explicit flags keep precedence over config-file values
     sub = next(a for a in parser._subparsers._group_actions[0].choices.values()
                if a.get_default("func") is args.func)
+    actions = {a.dest: a for a in sub._actions}
+    for key, value in defaults.items():
+        _check_config_value(args.config, key, value, actions[key])
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -437,13 +462,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(parser, args, argv)
-    except (CnnlfError, FileNotFoundError) as exc:
+    except (CnnlfError, OSError) as exc:
         print(f"cnnlf: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT if isinstance(exc, FileNotFoundError) else EXIT_BAD_DATA
+        return EXIT_MISSING_INPUT if isinstance(exc, OSError) else EXIT_BAD_DATA
     log = _Log(getattr(args, "log", None))
     try:
         return args.func(args, log)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         log.write("error", kind="missing-input", message=str(exc))
         print(f"cnnlf: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ModelFormatError, ShapeError, VerificationError
-from .network import Layer, NetworkConfig, NetworkModel, forward_network, normalize_inputs
+from .errors import ConfigError, DataError, ModelFormatError, VerificationError
+from .network import (Layer, NetworkConfig, NetworkModel, _check_inputs, forward_network,
+                      normalize_inputs)
 from .tensor import ConvParams, _row_bands, _unfold, round_half_away
 
 WEIGHT_BITS = 8
@@ -321,14 +322,8 @@ def quantize_model(model: NetworkModel, fl_table: FLTable) -> DFPModel:
 
 def input_mantissas(plane: np.ndarray, qp: int, config: NetworkConfig):
     """Integer-exact 16-bit mantissas (fl 15) of the normalized inputs."""
-    plane = np.asarray(plane)
+    plane = _check_inputs(plane, qp, config)
     pmax = config.pixel_max
-    if plane.ndim != 2:
-        raise ShapeError(f"plane must be 2-d, got shape {plane.shape}")
-    if plane.min() < 0 or plane.max() > pmax:
-        raise DataError(f"pixel values outside [0, {pmax}]")
-    if not (0 <= qp <= config.qp_max):
-        raise DataError(f"qp {qp} outside [0, {config.qp_max}]")
     scale = 1 << (INPUT_FL + 1)
     recon_m = (plane.astype(np.int64) * scale + pmax) // (2 * pmax)
     recon_m = np.minimum(recon_m, ACT_MAX)

@@ -158,8 +158,9 @@ def build_cnnf(config: NetworkConfig, rng_seed: int,
     return NetworkModel(config, layers)
 
 
-def normalize_inputs(plane: np.ndarray, qp: int, config: NetworkConfig):
-    """Map an integer plane and a QP to the network's two [0, 1] input planes."""
+def _check_inputs(plane: np.ndarray, qp: int, config: NetworkConfig) -> np.ndarray:
+    """The input contract of the float and the integer path alike: a 2-d plane
+    of pixels in [0, pixel_max] and a QP in [0, qp_max].  Returns the plane as an array."""
     plane = np.asarray(plane)
     if plane.ndim != 2:
         raise ShapeError(f"plane must be 2-d, got shape {plane.shape}")
@@ -169,7 +170,13 @@ def normalize_inputs(plane: np.ndarray, qp: int, config: NetworkConfig):
             f"pixel values outside [0, {pmax}]: min={plane.min()}, max={plane.max()}")
     if not (0 <= qp <= config.qp_max):
         raise DataError(f"qp {qp} outside [0, {config.qp_max}]")
-    recon = plane.astype(np.float64) / pmax
+    return plane
+
+
+def normalize_inputs(plane: np.ndarray, qp: int, config: NetworkConfig):
+    """Map an integer plane and a QP to the network's two [0, 1] input planes."""
+    plane = _check_inputs(plane, qp, config)
+    recon = plane.astype(np.float64) / config.pixel_max
     qpmap = np.full(plane.shape, qp / config.qp_max, dtype=np.float64)
     return recon, qpmap
 

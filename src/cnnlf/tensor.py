@@ -248,18 +248,25 @@ def batchnorm_forward(x: np.ndarray, params: BNParams, mode: str = "infer"):
         if x.shape[0] < 2:
             raise ShapeError(f"train-mode batchnorm needs batch size >= 2, got {x.shape[0]}")
         mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+    elif mode == "infer":
+        mean = params.running_mean
+    else:
+        raise ValueError(f"unknown batchnorm mode {mode!r}")
+    # The input is centered once and the centered tensor becomes xhat in
+    # place; the variance sums its squares in the buffer the output reuses.
+    xhat = x - mean[None, :, None, None]
+    out = np.empty_like(xhat)
+    if mode == "train":
+        var = np.multiply(xhat, xhat, out=out).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
         m = params.momentum
         params.running_mean[:] = m * params.running_mean + (1.0 - m) * mean
         params.running_var[:] = m * params.running_var + (1.0 - m) * var
-    elif mode == "infer":
-        mean = params.running_mean
-        var = params.running_var
     else:
-        raise ValueError(f"unknown batchnorm mode {mode!r}")
+        var = params.running_var
     invstd = 1.0 / np.sqrt(var + params.epsilon)
-    xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
-    out = params.scale[None, :, None, None] * xhat + params.shift[None, :, None, None]
+    xhat *= invstd[None, :, None, None]
+    np.multiply(params.scale[None, :, None, None], xhat, out=out)
+    out += params.shift[None, :, None, None]
     stats = {"mean": mean.copy(), "var": var.copy()}
     cache = (xhat, invstd, params.scale.copy(), mode)
     return out, stats, cache
@@ -268,25 +275,27 @@ def batchnorm_forward(x: np.ndarray, params: BNParams, mode: str = "infer"):
 def batchnorm_backward(upstream: np.ndarray, cache):
     """Gradients of batchnorm w.r.t. input, scale and shift.
 
-    In train mode the batch statistics depend on the input, so the full
-    three-term expression is used; in infer mode the map is affine.
+    In infer mode the map is affine: ``d_x = upstream * scale * invstd``.
+    In train mode the batch statistics depend on the input as well.  The
+    usual three-term expression sums ``d_xhat = upstream * scale`` and
+    ``d_xhat * xhat`` over (N, H, W); those sums are ``scale * d_shift`` and
+    ``scale * d_scale``, so it reduces to
+    ``d_x = scale * invstd * (upstream - d_shift / m - xhat * d_scale / m)``
+    with m = N*H*W, which is computed in place without a ``d_xhat`` tensor.
     """
     xhat, invstd, scale, mode = cache
     d_shift = upstream.sum(axis=(0, 2, 3))
-    d_scale = (upstream * xhat).sum(axis=(0, 2, 3))
-    d_xhat = upstream * scale[None, :, None, None]
+    d_scale = np.einsum("nchw,nchw->c", upstream, xhat)
     if mode == "infer":
-        d_x = d_xhat * invstd[None, :, None, None]
+        d_x = upstream * scale[None, :, None, None]
+        d_x *= invstd[None, :, None, None]
         return d_x, d_scale, d_shift
     n, _, h, w = upstream.shape
     m = float(n * h * w)
-    sum_dxhat = d_xhat.sum(axis=(0, 2, 3))
-    sum_dxhat_xhat = (d_xhat * xhat).sum(axis=(0, 2, 3))
-    d_x = (invstd[None, :, None, None] / m) * (
-        m * d_xhat
-        - sum_dxhat[None, :, None, None]
-        - xhat * sum_dxhat_xhat[None, :, None, None]
-    )
+    d_x = xhat * (-d_scale / m)[None, :, None, None]
+    d_x += upstream
+    d_x -= (d_shift / m)[None, :, None, None]
+    d_x *= (scale * invstd)[None, :, None, None]
     return d_x, d_scale, d_shift
 
 

@@ -116,6 +116,14 @@ def lda_regularizer(layer_weights: np.ndarray):
     Filters that are positive scalar multiples of each other contribute
     zero, so the value is invariant to per-filter rescaling.  Returns the
     value and its exact gradient w.r.t. the raw weights.
+
+    No pairwise tensor is built: each of the D = Cin*k*k columns of the C
+    unit filters is sorted once, which costs O(C * D * log C).  The gap
+    between sorted positions j-1 and j (counting from 0) lies between
+    j*(C-j) pairs, so the value is the sum of gaps weighted by those counts.
+    The sign sum ``sum_j sign(u_i - u_j)`` of the gradient is
+    ``#(u_j < u_i) - #(u_j > u_i)``: for an entry in the run of equal values
+    at sorted positions a..b-1 it is ``a - (C - b)``, an exact integer.
     """
     w = np.asarray(layer_weights, dtype=np.float64)
     if w.ndim != 4:
@@ -127,13 +135,24 @@ def lda_regularizer(layer_weights: np.ndarray):
     norms = np.sqrt((flat * flat).sum(axis=1))
     norms = np.maximum(norms, FILTER_NORM_EPSILON)
     unit = flat / norms[:, None]
-    diff = unit[:, None, :] - unit[None, :, :]
-    value = 0.5 * np.abs(diff).sum()
-    # d/d(unit_i) of sum over unordered pairs = sum_j sign(unit_i - unit_j)
-    g_unit = np.sign(diff).sum(axis=1)
+    # one row per column of ``unit``, each sorted ascending
+    order = np.argsort(unit.T, axis=1)
+    ranked = np.take_along_axis(unit.T, order, axis=1)
+    gaps = np.diff(ranked, axis=1)
+    pos = np.arange(cout)
+    value = float((gaps.sum(axis=0) * (pos[1:] * (cout - pos[1:]))).sum())
+    # run_start[i] = a, run_end[i] = b for the run of equal values holding position i
+    new_run = np.ones(ranked.shape, dtype=bool)
+    new_run[:, 1:] = gaps != 0.0
+    run_start = np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
+    run_last = np.ones(ranked.shape, dtype=bool)
+    run_last[:, :-1] = new_run[:, 1:]
+    run_end = np.minimum.accumulate(np.where(run_last, pos + 1, cout)[:, ::-1], axis=1)[:, ::-1]
+    g_unit = np.empty_like(unit)
+    np.put_along_axis(g_unit.T, order, (run_start + run_end - cout).astype(np.float64), axis=1)
     # chain through the normalization: (I - u u^T) / ||w||
     g_flat = (g_unit - (g_unit * unit).sum(axis=1)[:, None] * unit) / norms[:, None]
-    return float(value), g_flat.reshape(w.shape)
+    return value, g_flat.reshape(w.shape)
 
 
 def _batch_to_tensors(batch, config: "NetworkModel.config"):
@@ -245,13 +264,16 @@ def sgd_step(model: NetworkModel, grads, lr: float, grad_clip_norm: float) -> Ne
     return model
 
 
-def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None):
+def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_table=None):
     """SGD over the dataset; returns (model, per-epoch LossBreakdown history).
 
     The dataset is a sequence of (decoded, original, qp) triples; it is
     reshuffled every epoch from the seeded RNG and split into
     ``floor(N / M)`` batches.  ``callbacks``, if given, is called as
-    ``callbacks(epoch, step, breakdown, lr)`` after every step.
+    ``callbacks(epoch, step, breakdown, lr)`` after every step.  With an
+    ``fl_table`` every step runs on ``quantized_conv_view(model, fl_table)``:
+    the forward sees grid-snapped weights while the updates land on the float
+    parameters (straight-through estimator).
     """
     items = list(dataset)
     if len(items) < config.batch_size:
@@ -259,7 +281,8 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None):
             f"dataset has {len(items)} patches, smaller than one batch of {config.batch_size}")
     rf = model.config.receptive_field
     h, w = np.asarray(items[0][0]).shape
-    if h < rf or w < rf:
+    # quantization-aware fine-tuning accepts patches of any size
+    if fl_table is None and (h < rf or w < rf):
         raise ConfigError(f"patches {h}x{w} smaller than the receptive field {rf}")
     rng = np.random.default_rng(config.rng_seed)
     steps_per_epoch = len(items) // config.batch_size
@@ -274,7 +297,8 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None):
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             batch = [items[i] for i in idx]
-            breakdown, grads = loss_eq1(model, batch, config)
+            override = None if fl_table is None else quantized_conv_view(model, fl_table)
+            breakdown, grads = loss_eq1(model, batch, config, weight_override=override)
             model = sgd_step(model, grads, lr, config.grad_clip_norm)
             epoch_terms += (breakdown.mse, breakdown.reg_w, breakdown.reg_s,
                             breakdown.reg_lda, breakdown.total)
@@ -304,30 +328,9 @@ def quantized_conv_view(model: NetworkModel, fl_table) -> list:
 def quant_aware_finetune(model: NetworkModel, dataset, fl_table, config: TrainConfig):
     """Fine-tune a BN-folded model with quantization in the forward pass.
 
-    Every forward runs on grid-snapped weights while updates land on the
-    float shadow parameters (straight-through estimator).  Returns the
+    :func:`train` with ``fl_table`` and no pruning schedule.  Returns the
     fine-tuned float model and the loss history.
     """
     if model.has_bn:
         raise ConfigError("quantization-aware fine-tuning expects a BN-folded model")
-    items = list(dataset)
-    if len(items) < config.batch_size:
-        raise ConfigError(
-            f"dataset has {len(items)} patches, smaller than one batch of {config.batch_size}")
-    rng = np.random.default_rng(config.rng_seed)
-    steps_per_epoch = len(items) // config.batch_size
-    history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(items))
-        lr = config.lr_at(epoch)
-        epoch_terms = np.zeros(5)
-        for step in range(steps_per_epoch):
-            idx = order[step * config.batch_size:(step + 1) * config.batch_size]
-            batch = [items[i] for i in idx]
-            override = quantized_conv_view(model, fl_table)
-            breakdown, grads = loss_eq1(model, batch, config, weight_override=override)
-            model = sgd_step(model, grads, lr, config.grad_clip_norm)
-            epoch_terms += (breakdown.mse, breakdown.reg_w, breakdown.reg_s,
-                            breakdown.reg_lda, breakdown.total)
-        history.append(LossBreakdown(*(epoch_terms / max(steps_per_epoch, 1))))
-    return model, history
+    return train(model, dataset, replace(config, prune_at_epochs=()), fl_table=fl_table)

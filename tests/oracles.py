@@ -89,6 +89,42 @@ def lda_pairwise_loops(weights, eps=1e-12):
     return total
 
 
+def lda_pairwise(weights, eps=1e-12):
+    """Filter decorrelation value and gradient through the full (C, C, D)
+    tensor of pairwise differences of the unit filters."""
+    cout = weights.shape[0]
+    flat = weights.reshape(cout, -1)
+    norms = np.maximum(np.sqrt((flat * flat).sum(axis=1)), eps)
+    unit = flat / norms[:, None]
+    diff = unit[:, None, :] - unit[None, :, :]
+    g_unit = np.sign(diff).sum(axis=1)
+    g_flat = (g_unit - (g_unit * unit).sum(axis=1)[:, None] * unit) / norms[:, None]
+    return 0.5 * np.abs(diff).sum(), g_flat.reshape(weights.shape)
+
+
+def batchnorm_backward_three_term(x, upstream, scale, running_mean, running_var, eps, mode):
+    """Batch-norm input, scale and shift gradients, with ``d_xhat`` materialized and,
+    in train mode, the full three-term expression over batch statistics."""
+    axes = (0, 2, 3)
+    if mode == "train":
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+    else:
+        mean, var = running_mean, running_var
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
+    d_shift = upstream.sum(axis=axes)
+    d_scale = (upstream * xhat).sum(axis=axes)
+    d_xhat = upstream * scale[None, :, None, None]
+    if mode == "infer":
+        return d_xhat * invstd[None, :, None, None], d_scale, d_shift
+    m = x.size / x.shape[1]
+    sum_dxhat = d_xhat.sum(axis=axes)
+    sum_dxhat_xhat = (d_xhat * xhat).sum(axis=axes)
+    d_x = (invstd[None, :, None, None] / m) * (
+        m * d_xhat - sum_dxhat[None, :, None, None] - xhat * sum_dxhat_xhat[None, :, None, None])
+    return d_x, d_scale, d_shift
+
+
 def bd_rate_trapezoid(anchor_rates, anchor_psnrs, test_rates, test_psnrs, samples=100001):
     """Delta-rate via dense trapezoid integration instead of exact polynomial integrals."""
     pa = np.polyfit(anchor_psnrs, np.log10(anchor_rates), 3)

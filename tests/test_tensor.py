@@ -11,7 +11,8 @@ from cnnlf.tensor import (BNParams, ConvParams, add_elementwise, batchnorm,
                           batchnorm_backward, batchnorm_forward, concat_channels,
                           conv2d, conv2d_grad, relu, relu_grad, round_half_away)
 
-from .oracles import conv2d_grad_loops, conv2d_loops, finite_difference, max_relative_error
+from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_loops,
+                      finite_difference, max_relative_error)
 
 
 @st.composite
@@ -192,6 +193,30 @@ class TestBatchnorm:
         assert max_relative_error(dx, finite_difference(loss, x)) < 1e-5
         assert max_relative_error(dscale, finite_difference(loss, params.scale)) < 1e-5
         assert max_relative_error(dshift, finite_difference(loss, params.shift)) < 1e-5
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_backward_matches_three_term_oracle(self, rng, mode):
+        x = rng.normal(0.5, 2.0, size=(5, 4, 9, 7))
+        params = BNParams(rng.normal(1.0, 0.5, size=4), rng.normal(size=4),
+                          rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
+        up = rng.normal(size=x.shape)
+        want = batchnorm_backward_three_term(x, up, params.scale, params.running_mean,
+                                             params.running_var, params.epsilon, mode)
+        _, _, cache = batchnorm_forward(x, params, mode)
+        for got, ref in zip(batchnorm_backward(up, cache), want):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_running_stats_match_numpy_mean_and_var(self, rng):
+        # a large mean over a small spread: a variance from uncentered sums would drift
+        x = rng.normal(40.0, 0.01, size=(16, 5, 11, 9))
+        params = BNParams.identity(5)
+        before_mean, before_var = params.running_mean.copy(), params.running_var.copy()
+        _, stats = batchnorm(x, params, mode="train")
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        for got, ref in ((stats["mean"], mean), (stats["var"], var),
+                         (params.running_mean, 0.9 * before_mean + 0.1 * mean),
+                         (params.running_var, 0.9 * before_var + 0.1 * var)):
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
 
 
 class TestPointwiseOps:

@@ -235,6 +235,19 @@ class TestCli:
     def test_missing_input_exit_code(self, workspace):
         assert self.run("train", "--dataset", "nope.npz", "--out", "m.clf") == 3
 
+    def test_directory_as_input_exit_code(self, workspace, tiny_model):
+        (workspace / "adir").mkdir()
+        save_model(tiny_model, "m.clf")
+        write_pgm("in.pgm", make_test_image(16, 16, seed=1))
+        assert self.run("train", "--dataset", "adir", "--out", "m2.clf", "--log", "log") == 3
+        assert self.run("infer", "--model", "adir", "--input", "in.pgm", "--qp", "22",
+                        "--out", "o.pgm", "--log", "log") == 3
+        assert self.run("infer", "--model", "m.clf", "--input", "adir", "--qp", "22",
+                        "--out", "o.pgm", "--log", "log") == 3
+        records = [json.loads(line) for line in (workspace / "log").read_text().splitlines()]
+        assert [r["kind"] for r in records] == ["missing-input"] * 3
+        assert all("adir" in r["message"] for r in records)
+
     def test_truncated_vectors_exit_code(self, workspace, dfp_model):
         save_model(dfp_model, "md.clf")
         (workspace / "v.bin").write_bytes(b"CNFV\x01")
@@ -298,6 +311,37 @@ class TestCli:
         (workspace / "run.json").write_text(json.dumps({"bogus_key": 1}))
         assert self.run("dataset", "--config", "run.json", "--synthetic", "1",
                         "--out", "d.npz") == 5
+
+    def test_config_directory_exit_code(self, workspace, capsys):
+        (workspace / "run.json").mkdir()
+        assert self.run("dataset", "--config", "run.json", "--synthetic", "1",
+                        "--out", "d.npz") == 3
+        assert "run.json" in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_code(self, workspace, capsys):
+        (workspace / "run.json").write_bytes(b'{"seed": "\xff"}')
+        assert self.run("dataset", "--config", "run.json", "--synthetic", "1",
+                        "--out", "d.npz") == 5
+        assert "run.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("synthetic", [1]), ("synthetic", "2"),
+                                            ("seed", True), ("seed", None), ("qps", 22),
+                                            ("images", "a.pgm"), ("patch", 35.5)])
+    def test_config_value_of_wrong_type_exit_code(self, workspace, capsys, key, value):
+        (workspace / "run.json").write_text(json.dumps({key: value}))
+        assert self.run("dataset", "--config", "run.json", "--synthetic", "1",
+                        "--out", "d.npz") == 5
+        err = capsys.readouterr().err
+        assert "run.json" in err and repr(key) in err
+
+    def test_config_value_types_the_flags_take(self, workspace):
+        (workspace / "run.json").write_text(json.dumps(
+            {"lr": 1, "lambda_w": 0.0, "prune_at": None, "preset": "desk"}))
+        assert self.run("train", "--config", "run.json", "--dataset", "nope.npz",
+                        "--out", "m.clf") == 3
+        (workspace / "run.json").write_text(json.dumps({"preset": "huge"}))
+        assert self.run("train", "--config", "run.json", "--dataset", "nope.npz",
+                        "--out", "m.clf") == 5
 
     def test_resolved_config_written_next_to_output(self, workspace):
         assert self.run("dataset", "--synthetic", "1", "--synthetic-size", "70x70",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnnlf.errors import ConfigError, NonFiniteLossError
 from cnnlf.network import NetworkConfig, build_cnnf, forward_network
@@ -8,7 +10,7 @@ from cnnlf.trainer import (LossBreakdown, TrainConfig, global_grad_norm, lda_reg
                            loss_eq1, quant_aware_finetune, quantized_conv_view, sgd_step,
                            train)
 
-from .oracles import finite_difference, lda_pairwise_loops, max_relative_error
+from .oracles import finite_difference, lda_pairwise, lda_pairwise_loops, max_relative_error
 
 
 def make_batch(rng, size, patch=8, qps=(22, 37)):
@@ -24,6 +26,41 @@ def make_batch(rng, size, patch=8, qps=(22, 37)):
 @pytest.fixture
 def train_cfg():
     return TrainConfig(batch_size=4, base_lr=0.01, epochs=2, lr_decay_epoch=2, rng_seed=9)
+
+
+@st.composite
+def lda_filters(draw):
+    """Filter banks with and without ties: random, duplicated, all-zero,
+    integer-valued (equal norms), rescaled copies and signed zeros."""
+    c, cin, k = draw(st.integers(2, 12)), draw(st.integers(1, 3)), draw(st.sampled_from([1, 3]))
+    shape = (c, cin, k, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "duplicated", "zero", "integer", "rescaled",
+                                 "signed-zeros"]))
+    if kind == "random":
+        w = rng.normal(size=shape)
+        w[rng.random(c) < 0.2] = 0.0
+    elif kind == "zero":
+        w = np.zeros(shape)
+    elif kind == "integer":
+        w = rng.integers(-2, 3, size=shape).astype(np.float64)
+    elif kind == "signed-zeros":
+        w = rng.choice([-0.0, 0.0, 1.0, -1.0], size=shape)
+    else:
+        base = rng.normal(size=(draw(st.integers(1, c)), *shape[1:]))
+        w = base[rng.integers(0, len(base), size=c)]
+        if kind == "rescaled":
+            w *= rng.uniform(0.1, 10.0, size=c)[:, None, None, None]
+    return w
+
+
+@given(lda_filters())
+@settings(max_examples=300, deadline=None)
+def test_lda_regularizer_matches_pairwise_oracle(w):
+    value, grad = lda_regularizer(w)
+    want_value, want_grad = lda_pairwise(w)
+    assert np.array_equal(grad, want_grad)
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
 
 
 class TestLdaRegularizer:
@@ -315,6 +352,19 @@ class TestQuantAwareFinetune:
         before = quantized_mse(model)
         tuned, _ = quant_aware_finetune(model.copy(), ds, table, tc)
         assert quantized_mse(tuned) <= before
+
+    def test_train_with_fl_table_steps_on_the_quantized_view(self, rng):
+        model = self._folded()
+        table = self._fl_table(model)
+        ds = make_batch(rng, 8, patch=6)  # below the receptive field of 7, as fine-tuning allows
+        tc = TrainConfig(batch_size=8, base_lr=0.0, epochs=1, lambda_w=0, lambda_s=0,
+                         lambda_lda=0)
+        seen = []
+        train(model, ds, tc, callbacks=lambda e, s, b, lr: seen.append(b.mse), fl_table=table)
+        quantized, _ = loss_eq1(model, ds, tc, weight_override=quantized_conv_view(model, table))
+        plain, _ = loss_eq1(model, ds, tc)
+        assert seen == [pytest.approx(quantized.mse, rel=1e-12)]
+        assert seen[0] != pytest.approx(plain.mse, rel=1e-9)
 
     def test_bn_model_rejected(self, rng):
         cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
