@@ -20,7 +20,7 @@ from .compress import (LowRankLayer, PruneReport, decompose_model, fold_batchnor
                        prune_by_bn_scale, select_rank, svd_lowrank)
 from .dfp import (DFPFormat, DFPModel, FLTable, LayerFL, build_fl_table, dfp_forward,
                   estimate_fl, quantize_model, quantize_value, dequantize_value,
-                  reference_fl_8layer, verify_determinism)
+                  reference_fl_8layer)
 from .codec import (RDCurve, RDPoint, PatchSet, bd_rate, encode_intra_plane,
                     make_dataset, make_test_image, psnr)
 from .model_io import load_model, model_hash, save_model

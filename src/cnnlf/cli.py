@@ -6,7 +6,8 @@ One binary, subcommand style::
     cnnlf train     fit a model on a patch set
     cnnlf prune     BN-scale filter pruning with bias folding
     cnnlf lowrank   fold BN and split layers via truncated SVD
-    cnnlf quantize  estimate fractional lengths, optionally fine-tune, quantize
+    cnnlf quantize  estimate fractional lengths, optionally fine-tune, quantize,
+                    optionally write conformance vectors
     cnnlf infer     filter one plane (float model, or integer path with --dfp)
     cnnlf eval      RD curves and BD-rate against the unfiltered anchor
     cnnlf verify    replay conformance vectors
@@ -37,8 +38,8 @@ from .codec import (PatchSet, RDCurve, RDPoint, load_patchset, make_dataset,
                     make_test_image, read_pgm, read_yuv420, save_patchset, write_pgm,
                     write_rd_csv)
 from .compress import decompose_model, fold_batchnorm, prune_by_bn_scale
-from .dfp import (DFPModel, build_fl_table, dfp_forward, read_conformance,
-                  reference_fl_8layer, replay_conformance, quantize_model)
+from .dfp import (DFPModel, build_fl_table, dfp_forward, make_conformance, read_conformance,
+                  reference_fl_8layer, replay_conformance, quantize_model, write_conformance)
 from .errors import (CnnlfError, ConfigError, DataError, ModelFormatError,
                      VerificationError)
 from .model_io import load_model, model_hash, save_model
@@ -234,9 +235,12 @@ def cmd_quantize(args, log):
         table = build_fl_table(model, calibration) if args.fl_preset is None else table
     dfp = quantize_model(model, table)
     save_model(dfp, args.out)
+    if args.vectors:
+        write_conformance(args.vectors, make_conformance(dfp, calibration, threads=args.threads),
+                          dfp.config.bit_depth)
     log.write("quantize", layers=dfp.num_layers, finetuned=bool(args.finetune),
               fl_table=dfp.fl_table.to_dict(), model_hash=model_hash(dfp),
-              out=str(args.out))
+              out=str(args.out), vectors=args.vectors)
     _write_run_config(args.out, "quantize", args, [args.model, args.dataset])
     return EXIT_OK
 
@@ -378,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finetune-epochs", type=int, default=2, dest="finetune_epochs")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
+    p.add_argument("--vectors", help="also write conformance vectors of the calibration "
+                                      "planes for 'cnnlf verify'")
     _add_common(p)
     p.set_defaults(func=cmd_quantize)
 
@@ -465,8 +471,9 @@ def main(argv=None) -> int:
     except (CnnlfError, OSError) as exc:
         print(f"cnnlf: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT if isinstance(exc, OSError) else EXIT_BAD_DATA
-    log = _Log(getattr(args, "log", None))
+    log = _Log()
     try:
+        log = _Log(getattr(args, "log", None))
         return args.func(args, log)
     except OSError as exc:
         log.write("error", kind="missing-input", message=str(exc))

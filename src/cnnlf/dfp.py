@@ -21,10 +21,16 @@ every product is an integer of at most 2^22 in magnitude, and
 rounding offset included, stays below 2^53 (see
 ``DFPModel.accumulator_bounds``).  Every partial sum a GEMM forms, in
 whatever order it adds the products, is bounded by the same figure, so
-it is an integer below 2^53 and float64 holds it without rounding.  The
-output is therefore bit-identical for any summation order, BLAS build,
-thread count or band split, which is the point: encoder and decoder
-agree across platforms by construction.
+it is an integer below 2^53 and float64 holds it without rounding.  A
+ReLU layer computes with its weights and bias pre-scaled by ``2^-shift``;
+scaling by a power of two is exact, so each of its partial sums is such
+an integer times ``2^-shift`` and exact as well.  A layer that contracts
+channels before taps (``k * k * Cout <= Cin``) first forms per-tap sums
+over the input channels and then adds the taps; each of those is a sum of
+a subset of the same products, bounded by the same figure.  The output
+is therefore bit-identical for any summation order, BLAS build, thread
+count or band split, which is the point: encoder and decoder agree
+across platforms by construction.
 """
 
 from __future__ import annotations
@@ -347,32 +353,81 @@ def _round_shift(a: np.ndarray, shift: int) -> np.ndarray:
     return a
 
 
-def _conv_layer(x: np.ndarray, layer: DFPLayer, bshift: int, shift: int, run) -> np.ndarray:
-    """One conv layer on (Cin, H, W) mantissas: GEMM, bias, requantize, ReLU, per row band.
+def _replicate_border(buf: np.ndarray, pad: int, h: int, w: int) -> None:
+    """In place: fill the ``pad``-wide ring of ``buf`` around its (h, w) interior from its edge."""
+    if pad:
+        rows = slice(pad, pad + h)
+        buf[:, rows, :pad] = buf[:, rows, pad:pad + 1]
+        buf[:, rows, pad + w:] = buf[:, rows, pad + w - 1:pad + w]
+        buf[:, :pad] = buf[:, pad:pad + 1]
+        buf[:, pad + h:] = buf[:, pad + h - 1:pad + h]
 
-    ``run`` maps the band function over the ``(r0, r1)`` row bands (``map`` or a pool's).
+
+def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bshift: int,
+                shift: int, run) -> None:
+    """One conv layer from padded buffer ``src`` into padded buffer ``dst``.
+
+    Both buffers are (C, H + 2 * pad, W + 2 * pad) with an edge-replicated
+    ring of width ``pad``, at least the layer's ``(k - 1) / 2``.  The layer
+    reads its (Cin, H + k - 1, W + k - 1) window of ``src``, writes the
+    requantized output into the interior of ``dst`` and then replicates
+    ``dst``'s ring.
+
+    A ReLU layer folds the rounding offset and the shift into its
+    parameters, ``W * 2^-s`` and ``(b * 2^bshift + 2^(s-1)) * 2^-s``, so
+    its requantization is ``min(floor(max(acc, 1/2)), ACT_MAX)``.  Other
+    layers add the aligned bias, round half away from zero and saturate.
+
+    A layer with ``k * k * Cout <= Cin`` (an output head, a low-rank basis)
+    contracts the channels first: one GEMM maps the padded plane to the
+    ``k * k`` per-tap output planes, and the output sums their shifted
+    windows.  Every other layer is one GEMM per band of output rows over
+    the unfolded input; ``run`` maps the band function over the
+    ``(r0, r1)`` row bands (``map`` or a pool's).
     """
-    cin, h, w = x.shape
-    cout, _, k, _ = layer.weights_m.shape
+    cout, cin, k, _ = layer.weights_m.shape
+    h, w = src.shape[1] - 2 * pad, src.shape[2] - 2 * pad
     p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)), mode="edge") if p else x
-    weights = layer.weights_m.reshape(cout, cin * k * k).astype(np.float64)
-    bias = np.ldexp(layer.bias_m.astype(np.float64), bshift)[:, None]
-    out = np.empty((cout, h, w))
+    weights = layer.weights_m.astype(np.float64)
+    bias = np.ldexp(layer.bias_m.astype(np.float64), bshift)[:, None, None]
+    if layer.relu:
+        if shift:
+            bias += 2.0 ** (shift - 1)
+        weights *= 2.0 ** -shift
+        bias *= 2.0 ** -shift
+    out = dst[:cout, pad:pad + h, pad:pad + w]
 
-    def band(rows: tuple) -> None:
-        r0, r1 = rows
-        acc = weights @ _unfold(xp, k, r0, r1)
+    def finish(acc: np.ndarray, o: np.ndarray) -> None:
         acc += bias
         if layer.relu:
-            # ReLU commutes with the monotone, sign-preserving requantization
-            np.maximum(acc, 0.0, out=acc)
-        _round_shift(acc, shift)
-        np.clip(acc, ACT_MIN, ACT_MAX, out=acc)
-        out[:, r0:r1] = acc.reshape(cout, r1 - r0, w)
+            # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1)) is
+            # non-negative, so rounding half away is floor(max(acc, 1/2)); at s = 0 that is
+            # max(a, 0) for integer a
+            np.maximum(acc, 0.5, out=acc)
+            np.floor(acc, out=acc)
+            np.minimum(acc, ACT_MAX, out=o)
+        else:
+            _round_shift(acc, shift)
+            np.clip(acc, ACT_MIN, ACT_MAX, out=o)
 
-    list(run(band, _row_bands(cin * k * k, h, w)))  # map is lazy; a pool re-raises band errors here
-    return out
+    if k * k * cout <= cin:
+        # whole buffer rows, so tap (ky, kx) of output pixel (y, x) sits at (y + ky, x + c0 + kx)
+        rows = src[:cin, pad - p:pad + h + p]
+        taps = (weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+                @ rows.reshape(cin, -1)).reshape(k, k, cout, h + 2 * p, -1)
+        c0 = pad - p
+        finish(sum(taps[ky, kx, :, ky:ky + h, c0 + kx:c0 + kx + w]
+                   for ky in range(k) for kx in range(k)), out)
+    else:
+        xp = src[:cin, pad - p:pad + h + p, pad - p:pad + w + p]
+        wmat = weights.reshape(cout, -1)
+
+        def band(r: tuple) -> None:
+            r0, r1 = r
+            finish((wmat @ _unfold(xp, k, r0, r1)).reshape(cout, r1 - r0, w), out[:, r0:r1])
+
+        list(run(band, _row_bands(cin * k * k, h, w)))  # map is lazy; a pool re-raises here
+    _replicate_border(dst[:cout], pad, h, w)
 
 
 def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
@@ -385,16 +440,22 @@ def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -
     cfg = model.config
     recon_m, qp_m = input_mantissas(plane, qp, cfg)
     h, w = recon_m.shape
-    x = np.empty((2, h, w))
-    x[0] = recon_m
-    x[1] = qp_m
+    # two padded buffers, each layer reading one and writing the other
+    pad = max((layer.weights_m.shape[2] - 1) // 2 for layer in model.layers)
+    depth = max(max(layer.weights_m.shape[:2]) for layer in model.layers)
+    src, dst = (np.empty((depth, h + 2 * pad, w + 2 * pad)) for _ in range(2))
+    src[0, pad:pad + h, pad:pad + w] = recon_m
+    src[1, pad:pad + h, pad:pad + w] = qp_m
+    _replicate_border(src[:2], pad, h, w)
     layer_shifts, sum_shift = model.shifts()
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for layer, (bshift, shift) in zip(model.layers, layer_shifts):
-            x = _conv_layer(x, layer, bshift, shift, run)
+            _conv_layer(src, dst, pad, layer, bshift, shift, run)
+            src, dst = dst, src
     # summation layer: bring the residual down to the input grid and add, saturating
-    total = np.clip(_round_shift(x[0], sum_shift), ACT_MIN, ACT_MAX)
+    resid = src[0, pad:pad + h, pad:pad + w]
+    total = np.clip(_round_shift(resid, sum_shift), ACT_MIN, ACT_MAX)
     total += recon_m
     np.clip(total, 0, ACT_MAX, out=total)  # a negative sum denormalizes to pixel 0
     total *= cfg.pixel_max
@@ -406,15 +467,6 @@ def plane_bytes(plane: np.ndarray, bit_depth: int) -> bytes:
     """Canonical little-endian byte serialization of an integer plane."""
     dtype = "<u1" if bit_depth <= 8 else "<u2"
     return np.ascontiguousarray(plane.astype(dtype)).tobytes()
-
-
-def verify_determinism(model: DFPModel, corpus, threads: int = 1) -> str:
-    """Canonical digest over all filtered output planes, in corpus order."""
-    digest = hashlib.new(HASH_NAME)
-    for plane, qp in corpus:
-        out = dfp_forward(model, plane, qp, threads=threads)
-        digest.update(plane_bytes(out, model.config.bit_depth))
-    return digest.hexdigest()
 
 
 @dataclass

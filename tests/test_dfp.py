@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from cnnlf import dfp, tensor
 from cnnlf.compress import fold_batchnorm
 from cnnlf.dfp import (BIAS_BITS, INPUT_FL, OUTPUT_BITS, WEIGHT_BITS, DFPFormat, DFPLayer,
-                       DFPModel, FLTable, LayerFL, build_fl_table, dequantize_value,
-                       dfp_forward, estimate_fl, input_mantissas, make_conformance,
-                       quantize_model, quantize_value, read_conformance, reference_fl_8layer,
-                       replay_conformance, verify_determinism, write_conformance)
+                       DFPModel, FLTable, LayerFL, build_fl_table, corpus_digest,
+                       dequantize_value, dfp_forward, estimate_fl, input_mantissas,
+                       make_conformance, quantize_model, quantize_value, read_conformance,
+                       reference_fl_8layer, replay_conformance, write_conformance)
 from cnnlf.errors import ConfigError, ModelFormatError, VerificationError
 from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
 from cnnlf.codec import make_test_image, psnr
@@ -93,16 +93,17 @@ def conformance_file(draw):
 def small_dfp_case(draw):
     """A random quantized model of 2 or 3 layers, a plane, a qp, a band size and threads.
 
-    Fractional lengths are drawn as shifts, so every table is consistent;
-    weight and bias scales and the shifts range from vanishing to saturating
-    outputs.
+    Each layer draws its own kernel side from {1, 3, 5}, so layers read their
+    input at different pad offsets, and hidden widths reach 10, so 3x3 layers
+    with ``k * k * cout <= cin`` occur.  Fractional lengths are drawn as
+    shifts, so every table is consistent; weight and bias scales and the
+    shifts range from vanishing to saturating outputs.
     """
     num_layers = draw(st.integers(2, 3))
-    k = draw(st.sampled_from([1, 3, 5]))
-    hidden = [draw(st.integers(1, 3)) for _ in range(num_layers - 1)]
+    hidden = [draw(st.integers(1, 10)) for _ in range(num_layers - 1)]
     # at 16 bits every unit in the last place of the summed mantissa shows in the pixel
     bit_depth = draw(st.sampled_from([8, 16]))
-    cfg = NetworkConfig(num_conv_layers=num_layers, kernel_size=k, base_filters=3,
+    cfg = NetworkConfig(num_conv_layers=num_layers, base_filters=10,
                         per_layer_filters=tuple(hidden), bit_depth=bit_depth)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w_max = draw(st.sampled_from([1, 8, 128]))
@@ -112,6 +113,7 @@ def small_dfp_case(draw):
     fl_in = INPUT_FL
     for i, (cin, cout) in enumerate(zip(widths[:-1], widths[1:])):
         last = i == num_layers - 1
+        k = draw(st.sampled_from([1, 3, 5]))
         shift = draw(st.integers(0, 16))
         if last:
             fl_o = INPUT_FL + draw(st.integers(0, 10))
@@ -459,12 +461,13 @@ class TestConformance:
 
     def test_empty_corpus_hash_is_empty_stream_constant(self):
         dm, _ = quantized_small_model()
-        assert verify_determinism(dm, []) == hashlib.sha256(b"").hexdigest()
+        assert corpus_digest(make_conformance(dm, [])) == hashlib.sha256(b"").hexdigest()
 
     def test_reordered_corpus_changes_hash(self):
         dm, _ = quantized_small_model()
         corpus = self.corpus()
-        assert verify_determinism(dm, corpus) != verify_determinism(dm, corpus[::-1])
+        assert (corpus_digest(make_conformance(dm, corpus))
+                != corpus_digest(make_conformance(dm, corpus[::-1])))
 
     def test_container_round_trip_and_replay(self, tmp_path):
         dm, _ = quantized_small_model()
@@ -474,7 +477,7 @@ class TestConformance:
         loaded = read_conformance(path)
         assert len(loaded) == len(entries)
         digest = replay_conformance(dm, loaded)
-        assert digest == verify_determinism(dm, self.corpus())
+        assert digest == corpus_digest(make_conformance(dm, self.corpus()))
 
     def test_replay_names_plane_and_pixel_on_mismatch(self, tmp_path):
         dm, _ = quantized_small_model()

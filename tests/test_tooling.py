@@ -9,7 +9,7 @@ from cnnlf.cli import main
 from cnnlf.codec import load_patchset, make_test_image, read_pgm, write_pgm
 from cnnlf.compress import decompose_model, fold_batchnorm, prune_by_bn_scale
 from cnnlf.dfp import (build_fl_table, dfp_forward, make_conformance, quantize_model,
-                       write_conformance)
+                       read_conformance, write_conformance)
 from cnnlf.errors import ModelFormatError
 from cnnlf.model_io import load_model, model_hash, save_model
 from cnnlf.network import NetworkConfig, build_cnnf
@@ -232,8 +232,25 @@ class TestCli:
         save_model(dfp_model, "bad.clf")
         assert self.run("verify", "--model", "bad.clf", "--vectors", "v.bin") == 4
 
+    def test_quantize_writes_vectors_verify_replays(self, workspace):
+        self._make_pipeline(workspace)
+        assert self.run("quantize", "--model", "m.clf", "--dataset", "ds.npz",
+                        "--out", "md2.clf", "--calib-count", "4", "--vectors", "v.bin") == 0
+        # writing vectors leaves the model as quantize writes it without them
+        assert (workspace / "md2.clf").read_bytes() == (workspace / "md.clf").read_bytes()
+        assert len(read_conformance("v.bin")) == 4
+        assert self.run("verify", "--model", "md2.clf", "--vectors", "v.bin") == 0
+        assert self.run("verify", "--model", "md2.clf", "--vectors", "v.bin",
+                        "--threads", "2") == 0
+
     def test_missing_input_exit_code(self, workspace):
         assert self.run("train", "--dataset", "nope.npz", "--out", "m.clf") == 3
+
+    def test_log_that_cannot_be_opened_exit_code(self, workspace, capsys):
+        (workspace / "adir").mkdir()
+        assert self.run("dataset", "--synthetic", "1", "--out", "d.npz", "--log", "adir") == 3
+        assert "cnnlf: missing input: " in capsys.readouterr().err
+        assert not (workspace / "d.npz").exists()
 
     def test_directory_as_input_exit_code(self, workspace, tiny_model):
         (workspace / "adir").mkdir()
