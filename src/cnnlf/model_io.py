@@ -3,18 +3,21 @@
 Layout (all integers little-endian):
 
     magic  b"CLF1"
-    u32    container version (currently 1)
+    u32    container version (currently 2)
     u64    header length in bytes
     header UTF-8 JSON, sorted keys
     blobs  raw parameter bytes, concatenated in header order
+    digest SHA-256 of everything before it (magic, version, header, blobs)
 
 The header describes the architecture (per-layer shapes, BN presence,
 activation flags), the input contract (bit depth, qp max), provenance
 (seed, config digest) and a blob table with dtype, shape and byte length
 for every parameter tensor.  Float parameters are stored as ``<f8`` so a
 save/load round trip is bit-exact; mantissas are stored at their natural
-width (``<i1`` weights, ``<i4`` biases).  The model hash is the SHA-256
-of the serialized byte stream, so it is stable across platforms.
+width (``<i1`` weights, ``<i4`` biases).  The trailing digest makes any
+corruption of a stored model a load error rather than a different model.
+The model hash is the digest of the container written without provenance,
+so it is stable across platforms.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .network import Layer, NetworkConfig, NetworkModel
 from .tensor import BNParams, ConvParams
 
 MAGIC = b"CLF1"
-VERSION = 1
+VERSION = 2
 BLOB_DTYPES = frozenset({"<f8", "<i1", "<i4"})
+DIGEST_BYTES = 32
 
 
 def _config_dict(config: NetworkConfig) -> dict:
@@ -112,6 +116,7 @@ def _serialize(model, provenance: dict | None) -> bytes:
     out.write(header_bytes)
     for b in blobs:
         out.write(b)
+    out.write(hashlib.sha256(out.getbuffer()).digest())
     return out.getvalue()
 
 
@@ -122,17 +127,18 @@ def save_model(model, path, provenance: dict | None = None) -> None:
 
 
 def model_hash(model) -> str:
-    """SHA-256 hex digest over the canonical serialization."""
-    return hashlib.sha256(_serialize(model, provenance=None)).hexdigest()
+    """The container digest (SHA-256 hex) of the model saved without provenance."""
+    return _serialize(model, provenance=None)[-DIGEST_BYTES:].hex()
 
 
 def load_model(path):
     """Read a model container; returns NetworkModel or DFPModel.
 
     Raises :class:`ModelFormatError` with the failing byte offset for
-    corrupt or truncated files, and a distinct message on version
-    mismatch.  A header that is valid JSON but not a well-formed model
-    description (not an object, a missing key, a value of the wrong type,
+    corrupt or truncated files, including a digest that does not match
+    the bytes before it, and a distinct message on version mismatch.  A
+    header that is valid JSON but not a well-formed model description
+    (not an object, a missing key, a value of the wrong type,
     a blob that a layer names but the blob table lacks, layer shapes that
     contradict the blobs, each other or the config's widths, a fixed-point
     model whose exactness bound fails) is corrupt too.  Never returns a
@@ -177,8 +183,13 @@ def _decode(path, header: dict, data: bytes, pos: int):
         arr = np.frombuffer(data[pos:pos + nbytes], dtype=entry["dtype"])
         arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
         pos += nbytes
-    if pos != len(data):
-        raise ModelFormatError(f"{path}: {len(data) - pos} trailing bytes", offset=pos)
+    if len(data) < pos + DIGEST_BYTES:
+        raise ModelFormatError(f"{path}: truncated digest", offset=len(data))
+    if len(data) > pos + DIGEST_BYTES:
+        raise ModelFormatError(f"{path}: {len(data) - pos - DIGEST_BYTES} trailing bytes",
+                               offset=pos + DIGEST_BYTES)
+    if hashlib.sha256(memoryview(data)[:pos]).digest() != data[pos:]:
+        raise ModelFormatError(f"{path}: digest does not match the contents", offset=pos)
 
     config = _config_from_dict(header["config"])
     kind = header["kind"]

@@ -8,12 +8,25 @@ backward pass.
 
 Convolutions are stride-1 and same-size.  Borders are handled with
 replicate (edge) padding: an out-of-bounds tap reads the nearest edge
-pixel.  Replicate padding keeps a constant input channel exactly constant
+pixel, so a plane smaller than the kernel is filtered like any other.
+Replicate padding keeps a constant input channel exactly constant
 under convolution, which the channel-pruning bias fold in
 :mod:`cnnlf.compress` relies on for bit-exact output preservation.
 
-Each convolution, forward or backward, is one GEMM per image and band of
-output rows over unfolded (im2col) patches (Chellapilla et al., 2006).
+The forward convolution is one GEMM per image and band of output rows over
+unfolded (im2col) patches (Chellapilla et al., 2006), written straight into
+the output.  A layer with ``k * k * Cout <= Cin`` (an output head) instead
+contracts the channels first, one GEMM over the padded plane per image,
+and sums the k * k shifted tap planes, so it needs no unfold.
+
+The backward pass unfolds each image's upstream gradient once, zero-ringed
+by ``k - 1``, and that unfold ``U`` serves both gradients.  The input
+gradient is the flipped, transposed kernel times ``U`` (the adjoint
+correlation); the weight gradient is ``U`` times the padded input, read
+back with flipped taps:
+``d_w[o, c, ky, kx] = sum_q U[(o, k-1-ky, k-1-kx), q] * xp[c, q]`` over the
+``(H + k - 1) * (W + k - 1)`` padded positions ``q``.
+
 The GEMM's summation order belongs to the BLAS build and its thread
 count, so float results can differ in the last bits between BLAS builds
 or thread settings.  Bit-exactness across platforms and thread counts is
@@ -126,12 +139,9 @@ class BNParams:
 def _check_input(x: np.ndarray, params: ConvParams) -> None:
     if x.ndim != 4:
         raise ShapeError(f"conv input must be 4-d (N,C,H,W), got shape {x.shape}")
-    n, cin, h, w = x.shape
-    k = params.kernel_size
+    cin = x.shape[1]
     if cin != params.in_channels:
         raise ShapeError(f"conv input has {cin} channels but weights expect {params.in_channels}")
-    if h < k or w < k:
-        raise ShapeError(f"spatial dims {h}x{w} smaller than kernel {k}x{k}")
 
 
 def pad_same(x: np.ndarray, k: int) -> np.ndarray:
@@ -159,20 +169,6 @@ def _unfold(xp: np.ndarray, k: int, r0: int, r1: int) -> np.ndarray:
     return windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, (r1 - r0) * (w - k + 1))
 
 
-def _correlate(xp: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of padded (N, Cin, H + k - 1, W + k - 1) input with
-    (Cout, Cin, k, k) weights: one GEMM per image and band of output rows."""
-    cout, _, k, _ = weights.shape
-    n, _, hp, wp = xp.shape
-    h, w = hp - k + 1, wp - k + 1
-    wmat = weights.reshape(cout, -1)
-    out = np.empty((n, cout, h, w))
-    for i in range(n):
-        for r0, r1 in _row_bands(wmat.shape[1], h, w):
-            out[i, :, r0:r1] = (wmat @ _unfold(xp[i], k, r0, r1)).reshape(cout, r1 - r0, w)
-    return out
-
-
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Same-size cross-correlation plus per-channel bias.
 
@@ -180,8 +176,24 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params)
-    out = _correlate(pad_same(x, params.kernel_size), params.weights)
-    out += params.bias[None, :, None, None]
+    n, cin, h, w = x.shape
+    cout, _, k, _ = params.weights.shape
+    xp = pad_same(x, k)
+    out = np.empty((n, cout, h, w))
+    if k * k * cout <= cin:
+        # taps[i, ky, kx] is tap (ky, kx) of every output channel at every padded position
+        taps = np.matmul(params.weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin),
+                         xp.reshape(n, cin, -1)).reshape(n, k, k, cout, h + k - 1, w + k - 1)
+        out[:] = params.bias[:, None, None]
+        for ky, kx in np.ndindex(k, k):
+            out += taps[:, ky, kx, :, ky:ky + h, kx:kx + w]
+        return out
+    wmat = params.weights.reshape(cout, -1)
+    for i in range(n):
+        for r0, r1 in _row_bands(wmat.shape[1], h, w):
+            # whole rows of each channel are contiguous, so the reshape is a view
+            np.matmul(wmat, _unfold(xp[i], k, r0, r1), out=out[i, :, r0:r1].reshape(cout, -1))
+    out += params.bias[:, None, None]
     return out
 
 
@@ -201,27 +213,52 @@ def _fold_pad_grad(dxp: np.ndarray, h: int, w: int, p: int) -> np.ndarray:
     return d[:, :, p:p + h, :]
 
 
-def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray):
-    """Exact gradients of :func:`conv2d` w.r.t. input, weights and bias."""
+def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
+                input_grad: bool = True):
+    """Exact gradients ``(d_x, d_w, d_bias)`` of :func:`conv2d`.
+
+    Each image's upstream is copied into one reused zero-ringed
+    (Cout, H + 2(k - 1), W + 2(k - 1)) buffer and unfolded once per band of
+    padded rows into ``U``.  ``W_flip^T @ U`` is the padded input's
+    gradient, written in place and then folded onto the edge pixels the
+    replicate padding read.  ``U @ xp^T``, with ``xp`` the padded input,
+    holds the weight gradient with flipped taps:
+    ``d_w[o, c, ky, kx] = sum_q U[(o, k-1-ky, k-1-kx), q] * xp[c, q]``.
+
+    With ``input_grad=False`` ``d_x`` is None and the weight gradient
+    comes from the unfold of ``x`` instead, which is smaller for a layer
+    with few input channels (the first layer of the network).
+    """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     _check_input(x, params)
-    n, _, h, w = x.shape
-    k = params.kernel_size
-    expected = (n, params.out_channels, h, w)
+    n, cin, h, w = x.shape
+    cout, _, k, _ = params.weights.shape
+    expected = (n, cout, h, w)
     if upstream.shape != expected:
         raise ShapeError(f"upstream shape {upstream.shape} does not match conv output {expected}")
     xp = pad_same(x, k)
-    d_w = np.zeros((params.out_channels, params.weights[0].size))
-    for i in range(n):
-        for r0, r1 in _row_bands(d_w.shape[1], h, w):
-            d_w += upstream[i, :, r0:r1].reshape(len(d_w), -1) @ _unfold(xp[i], k, r0, r1).T
-    # the adjoint: correlate the zero-padded upstream with the flipped, transposed kernel
-    up = np.pad(upstream, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-    d_xp = _correlate(up, params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    d_x = _fold_pad_grad(d_xp, h, w, (k - 1) // 2)
     d_bias = upstream.sum(axis=(0, 2, 3))
-    return d_x, d_w.reshape(params.weights.shape), d_bias
+    if not input_grad:
+        d_w = np.zeros((cout, cin * k * k))
+        for i in range(n):
+            for r0, r1 in _row_bands(d_w.shape[1], h, w):
+                d_w += upstream[i, :, r0:r1].reshape(cout, -1) @ _unfold(xp[i], k, r0, r1).T
+        return None, d_w.reshape(params.weights.shape), d_bias
+    hp, wp = h + k - 1, w + k - 1
+    ring = np.zeros((cout, hp + k - 1, wp + k - 1))
+    w_flip = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+    d_xp = np.empty((n, cin, hp, wp))
+    d_wt = np.zeros((cout * k * k, cin))
+    for i in range(n):
+        ring[:, k - 1:k - 1 + h, k - 1:k - 1 + w] = upstream[i]
+        for r0, r1 in _row_bands(cout * k * k, hp, wp):
+            u = _unfold(ring, k, r0, r1)
+            np.matmul(w_flip, u, out=d_xp[i, :, r0:r1].reshape(cin, -1))
+            d_wt += u @ xp[i, :, r0:r1].reshape(cin, -1).T
+    # row (o, a, b) of d_wt holds tap (k-1-a, k-1-b)
+    d_w = d_wt.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return _fold_pad_grad(d_xp, h, w, (k - 1) // 2), np.ascontiguousarray(d_w), d_bias
 
 
 def batchnorm(x: np.ndarray, params: BNParams, mode: str = "infer"):

@@ -167,12 +167,12 @@ def _batch_to_tensors(batch, config: "NetworkModel.config"):
 
 
 def backward_network(model: NetworkModel, caches, d_out: np.ndarray,
-                     weight_override: list | None = None):
-    """Backprop ``d_out`` (gradient at the residual output) through the chain.
+                     weight_override: list | None = None) -> list:
+    """Backprop ``d_out`` (gradient at the residual output) through the conv chain.
 
-    Returns per-layer gradients and the gradient w.r.t. the 2-channel input.
-    The residual connection routes ``d_out`` both into the conv stack and
-    directly onto the reconstruction channel.
+    Returns the per-layer gradients.  The gradient w.r.t. the 2-channel
+    network input is not formed: no caller needs it, so the first layer
+    computes its weight gradient only.
     """
     grads: list = [None] * len(model.layers)
     d = d_out
@@ -185,11 +185,9 @@ def backward_network(model: NetworkModel, caches, d_out: np.ndarray,
         d_scale = d_shift = None
         if layer.bn is not None:
             d, d_scale, d_shift = tensor.batchnorm_backward(d, cache["bn_cache"])
-        d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], conv, d)
+        d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], conv, d, input_grad=i > 0)
         grads[i] = LayerGrads(d_w, d_b, d_scale, d_shift)
-    d_input = d.copy()
-    d_input[:, :1] += d_out
-    return grads, d_input
+    return grads
 
 
 def _check_finite(value: float, term: str) -> None:
@@ -215,7 +213,7 @@ def loss_eq1(model: NetworkModel, batch, config: TrainConfig,
     resid = out - target
     mse = float((resid * resid).sum() / (2.0 * m))
     _check_finite(mse, "mse")
-    grads, _ = backward_network(model, caches, resid / m, weight_override=weight_override)
+    grads = backward_network(model, caches, resid / m, weight_override=weight_override)
 
     reg_w = 0.0
     reg_s = 0.0

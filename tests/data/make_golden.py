@@ -62,7 +62,8 @@ def main():
         model = golden_float_model(bit_depth)
         planes = golden_planes(bit_depth)
         corpus = [(p, qp) for p in planes for qp in QPS]
-        # the float forward behind calibration needs planes at least one kernel wide
+        # the float forward filters any plane; leaving out the 1x12 plane only keeps the
+        # calibration set, and so the FL table, that the committed pairs were written with
         calib = [(p, qp) for p, qp in corpus if min(p.shape) >= 3]
         table = build_fl_table(model, calib)
         # a coarser bias grid, so every layer aligns its bias by a nonzero left shift

@@ -17,25 +17,41 @@ from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_l
 
 @st.composite
 def conv_case(draw):
-    """Input, parameters, upstream gradient and a band size for one random convolution."""
+    """Input, parameters, upstream gradient, a band size and whether to ask for the
+    input gradient, for one random convolution.  Planes may be smaller than the
+    kernel.  About half the 1x1 and 3x3 cases have ``k * k * cout <= cin``, the
+    channels-first path of the forward pass; ``cin`` goes up to 12 for that."""
     k = draw(st.sampled_from([1, 3, 5]))
-    n, cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    h, w = draw(st.integers(k, 9)), draw(st.integers(k, 9))
+    n, cout = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if k < 5 and draw(st.booleans()):
+        cout = min(cout, 12 // (k * k))
+        cin = draw(st.integers(k * k * cout, 12))
+    else:
+        cin = draw(st.integers(1, 12))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     params = ConvParams(rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout))
     band_bytes = draw(st.sampled_from([1, 300, tensor.BAND_BYTES]))
-    return rng.normal(size=(n, cin, h, w)), params, rng.normal(size=(n, cout, h, w)), band_bytes
+    input_grad = draw(st.booleans())
+    return (rng.normal(size=(n, cin, h, w)), params, rng.normal(size=(n, cout, h, w)),
+            band_bytes, input_grad)
 
 
 @given(conv_case())
 @settings(max_examples=100, deadline=None)
 def test_conv_and_grad_match_loop_oracles(case):
-    x, params, up, band_bytes = case
+    x, params, up, band_bytes, input_grad = case
     with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
         out = conv2d(x, params)
-        grads = conv2d_grad(x, params, up)
+        d_x, d_w, d_b = conv2d_grad(x, params, up, input_grad=input_grad)
     assert np.abs(out - conv2d_loops(x, params.weights, params.bias)).max() < 1e-12
-    for got, want in zip(grads, conv2d_grad_loops(x, params.weights, up)):
+    want_x, want_w, want_b = conv2d_grad_loops(x, params.weights, up)
+    if input_grad:
+        assert d_x.shape == want_x.shape
+        assert np.abs(d_x - want_x).max() < 1e-12
+    else:
+        assert d_x is None
+    for got, want in ((d_w, want_w), (d_b, want_b)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
 
@@ -80,9 +96,11 @@ class TestConv2d:
             conv2d(rng.normal(size=(1, 4, 5, 5)), params)
 
     def test_input_smaller_than_kernel(self, rng):
-        params = ConvParams(rng.normal(size=(1, 1, 5, 5)), np.zeros(1))
-        with pytest.raises(ShapeError, match="smaller than kernel"):
-            conv2d(rng.normal(size=(1, 1, 3, 3)), params)
+        # replicate padding covers a plane smaller than the kernel, as in the DFP path
+        x = rng.normal(size=(1, 1, 3, 3))
+        params = ConvParams(rng.normal(size=(1, 1, 5, 5)), rng.normal(size=1))
+        expected = conv2d_loops(x, params.weights, params.bias)
+        assert np.abs(conv2d(x, params) - expected).max() < 1e-12
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import sys
@@ -29,13 +30,14 @@ def dfp_model():
 
 
 def rewrite_header(path, edit):
-    """Replace the JSON header of a saved model with ``edit(header)``."""
+    """Replace the JSON header of a saved model with ``edit(header)`` and re-seal
+    the container's digest, so only the header's content is wrong."""
     data = path.read_bytes()
     (length,) = struct.unpack_from("<Q", data, 8)
     header = edit(json.loads(data[16:16 + length]))
     encoded = json.dumps(header).encode("utf-8")
-    path.write_bytes(data[:8] + struct.pack("<Q", len(encoded)) + encoded
-                     + data[16 + length:])
+    body = data[:8] + struct.pack("<Q", len(encoded)) + encoded + data[16 + length:-32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
 
 
 HEADER_DEFECTS = {
@@ -120,8 +122,8 @@ class TestModelContainer:
         assert err.value.offset == 16
 
     @pytest.mark.parametrize("which", ["float", "dfp"])
-    def test_any_header_bit_flip_loads_or_is_format_error(self, which, tiny_model,
-                                                          dfp_model, tmp_path):
+    def test_any_header_bit_flip_is_format_error(self, which, tiny_model, dfp_model,
+                                                 tmp_path):
         path = tmp_path / "m.clf"
         save_model(tiny_model if which == "float" else dfp_model, path)
         data = path.read_bytes()
@@ -131,10 +133,26 @@ class TestModelContainer:
                 flipped = bytearray(data)
                 flipped[offset] ^= 1 << bit
                 path.write_bytes(bytes(flipped))
-                try:
+                with pytest.raises(ModelFormatError):
                     load_model(path)
-                except ModelFormatError:
-                    pass
+
+    def test_blob_or_digest_bit_flip_is_format_error(self, dfp_model, tmp_path):
+        path = tmp_path / "m.clf"
+        save_model(dfp_model, path)
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", data, 8)
+        # the first blob byte, the last blob byte and the first and last digest bytes
+        for offset in (16 + length, len(data) - 33, len(data) - 32, len(data) - 1):
+            flipped = bytearray(data)
+            flipped[offset] ^= 1
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ModelFormatError, match="digest"):
+                load_model(path)
+
+    def test_hash_is_the_container_digest(self, dfp_model, tmp_path):
+        save_model(dfp_model, tmp_path / "m.clf")
+        data = (tmp_path / "m.clf").read_bytes()
+        assert model_hash(dfp_model) == data[-32:].hex() == hashlib.sha256(data[:-32]).hexdigest()
 
     def test_pruned_and_decomposed_models_round_trip(self, tiny_model, tmp_path):
         for layer in tiny_model.layers[:-1]:
@@ -195,6 +213,13 @@ class TestCli:
         assert self.run("infer", "--model", "md.clf", "--input", "in.pgm",
                         "--qp", "37", "--out", "b.pgm", "--dfp", "--threads", "4") == 0
         assert (workspace / "a.pgm").read_bytes() == (workspace / "b.pgm").read_bytes()
+
+    def test_infer_float_on_plane_narrower_than_kernel(self, workspace, tiny_model):
+        save_model(tiny_model, "m.clf")
+        write_pgm("in.pgm", make_test_image(1, 12, seed=9))
+        assert self.run("infer", "--model", "m.clf", "--input", "in.pgm",
+                        "--qp", "22", "--out", "o.pgm") == 0
+        assert read_pgm("o.pgm").shape == (1, 12)
 
     def test_infer_dfp_flag_on_float_model_fails(self, workspace):
         self._make_pipeline(workspace)
