@@ -11,8 +11,8 @@ and RD curves for BD-rate evaluation at desk scale.
 
 from .errors import (CnnlfError, ConfigError, DataError, ModelFormatError,
                      NonFiniteLossError, ShapeError, VerificationError)
-from .network import (NetworkConfig, NetworkModel, QPMap, build_cnnf, denormalize,
-                      filter_plane, forward_float, normalize_inputs)
+from .network import (NetworkConfig, NetworkModel, build_cnnf, denormalize, filter_plane,
+                      forward_float, normalize_inputs)
 from .tensor import BNParams, ConvParams
 from .trainer import LossBreakdown, TrainConfig, loss_eq1, lda_regularizer, \
     quant_aware_finetune, sgd_step, train

@@ -31,12 +31,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import codec
-from .codec import (PatchSet, RDCurve, RDPoint, load_patchset, make_dataset,
-                    make_test_image, read_pgm, read_yuv420, save_patchset, write_pgm,
-                    write_rd_csv)
+from .codec import (load_patchset, make_dataset, make_test_image, read_pgm, read_yuv420,
+                    save_patchset, write_pgm, write_rd_csv)
 from .compress import decompose_model, fold_batchnorm, prune_by_bn_scale
 from .dfp import (DFPModel, build_fl_table, dfp_forward, make_conformance, read_conformance,
                   reference_fl_8layer, replay_conformance, quantize_model, write_conformance)

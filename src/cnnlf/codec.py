@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +99,14 @@ class PatchProvenance:
 
 @dataclass
 class PatchSet:
-    """Aligned (decoded, original) training patches with exact provenance."""
+    """Aligned (decoded, original) training patches with exact provenance.
 
-    decoded: list
-    original: list
+    ``decoded`` and ``original`` are stacked (N, P, P) arrays; ``qps`` and
+    ``provenance`` are lists of N entries.
+    """
+
+    decoded: np.ndarray
+    original: np.ndarray
     qps: list
     provenance: list
 
@@ -139,18 +143,20 @@ def make_dataset(images, qps=DEFAULT_QPS, patch: int = PATCH_SIZE,
             for by in range(h // patch):
                 for bx in range(w // patch):
                     y0, x0 = by * patch, bx * patch
-                    decoded_list.append(recon[y0:y0 + patch, x0:x0 + patch].copy())
-                    original_list.append(plane[y0:y0 + patch, x0:x0 + patch].copy())
+                    decoded_list.append(recon[y0:y0 + patch, x0:x0 + patch])
+                    original_list.append(plane[y0:y0 + patch, x0:x0 + patch])
                     qp_list.append(int(qp))
                     prov.append(PatchProvenance(str(image_id), y0, x0, int(qp)))
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(decoded_list))
-    return PatchSet(
-        decoded=[decoded_list[i] for i in order],
-        original=[original_list[i] for i in order],
-        qps=[qp_list[i] for i in order],
-        provenance=[prov[i] for i in order],
-    )
+
+    def stacked(patches: list) -> np.ndarray:
+        if not patches:
+            return np.zeros((0, patch, patch), np.uint8 if bit_depth <= 8 else np.uint16)
+        return np.stack([patches[i] for i in order])
+
+    return PatchSet(stacked(decoded_list), stacked(original_list),
+                    [qp_list[i] for i in order], [prov[i] for i in order])
 
 
 def psnr(a: np.ndarray, b: np.ndarray, bit_depth: int = 8) -> float:
@@ -355,8 +361,8 @@ def save_patchset(path, patchset: PatchSet) -> None:
     """Persist a PatchSet as a compressed npz archive with full provenance."""
     np.savez_compressed(
         path,
-        decoded=np.stack(patchset.decoded) if patchset.decoded else np.zeros((0, 0, 0)),
-        original=np.stack(patchset.original) if patchset.original else np.zeros((0, 0, 0)),
+        decoded=patchset.decoded,
+        original=patchset.original,
         qps=np.array(patchset.qps, dtype=np.int64),
         image_ids=np.array([p.image_id for p in patchset.provenance]),
         y0=np.array([p.y0 for p in patchset.provenance], dtype=np.int64),
@@ -381,7 +387,7 @@ def load_patchset(path) -> PatchSet:
     qps = [int(q) for q in arrays["qps"]]
     prov = [PatchProvenance(str(i), int(y), int(x), q)
             for i, y, x, q in zip(arrays["image_ids"], arrays["y0"], arrays["x0"], qps)]
-    return PatchSet(list(decoded), list(original), qps, prov)
+    return PatchSet(decoded, original, qps, prov)
 
 
 # ---------------------------------------------------------------------------

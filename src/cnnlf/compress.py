@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from . import tensor
+from .errors import ConfigError
 from .network import Layer, NetworkModel
 from .tensor import ConvParams
 

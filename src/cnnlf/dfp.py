@@ -14,8 +14,9 @@ biases are aligned by exact left shift, accumulators are requantized to
 residual add saturates at 16 bits, and denormalization is an integer
 scale-and-shift.
 
-The mantissas are carried in float64, so each layer is one BLAS GEMM per
-band of output rows over the unfolded (im2col) input.  This is exact:
+The mantissas are carried in float64, so each layer runs the float
+forward correlation of :mod:`cnnlf.tensor`: one BLAS GEMM per band of
+output rows over the unfolded (im2col) input.  This is exact:
 every product is an integer of at most 2^22 in magnitude, and
 ``DFPModel`` proves when it is built that every accumulator, bias and
 rounding offset included, stays below 2^53 (see
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ModelFormatError, VerificationError
 from .network import (Layer, NetworkConfig, NetworkModel, _check_inputs, forward_network,
                       normalize_inputs)
-from .tensor import ConvParams, _row_bands, _unfold, round_half_away
+from .tensor import ConvParams, _correlate, round_half_away
 
 WEIGHT_BITS = 8
 BIAS_BITS = 32
@@ -114,6 +115,18 @@ class LayerFL:
     fl_w: int
     fl_b: int
     fl_o: int
+
+
+def _quantize_layer(conv: ConvParams, fl: LayerFL) -> tuple:
+    """Weight and bias mantissas of one conv layer on the grids ``fl`` names."""
+    return (quantize_value(conv.weights, DFPFormat(WEIGHT_BITS, fl.fl_w)),
+            quantize_value(conv.bias, DFPFormat(BIAS_BITS, fl.fl_b)))
+
+
+def _dequantize_layer(w_m: np.ndarray, b_m: np.ndarray, fl: LayerFL) -> ConvParams:
+    """The float parameters that weight and bias mantissas stand for under ``fl``."""
+    return ConvParams(dequantize_value(w_m, DFPFormat(WEIGHT_BITS, fl.fl_w)),
+                      dequantize_value(b_m, DFPFormat(BIAS_BITS, fl.fl_b)))
 
 
 @dataclass
@@ -305,12 +318,9 @@ class DFPModel:
 
     def dequantized(self) -> NetworkModel:
         """Float model carrying the exact values the integer path computes with."""
-        layers = []
-        for layer, fl in zip(self.layers, self.fl_table.layers):
-            w = dequantize_value(layer.weights_m, DFPFormat(WEIGHT_BITS, fl.fl_w))
-            b = dequantize_value(layer.bias_m, DFPFormat(BIAS_BITS, fl.fl_b))
-            layers.append(Layer(ConvParams(w, b), None, layer.relu))
-        return NetworkModel(self.config, layers)
+        return NetworkModel(self.config, [
+            Layer(_dequantize_layer(layer.weights_m, layer.bias_m, fl), None, layer.relu)
+            for layer, fl in zip(self.layers, self.fl_table.layers)])
 
 
 def quantize_model(model: NetworkModel, fl_table: FLTable) -> DFPModel:
@@ -318,11 +328,8 @@ def quantize_model(model: NetworkModel, fl_table: FLTable) -> DFPModel:
     if model.has_bn:
         raise ConfigError("quantize_model expects a BN-folded model; call fold_batchnorm first")
     fl_table.check_complete(len(model.layers))
-    layers = []
-    for layer, fl in zip(model.layers, fl_table.layers):
-        w_m = quantize_value(layer.conv.weights, DFPFormat(WEIGHT_BITS, fl.fl_w))
-        b_m = quantize_value(layer.conv.bias, DFPFormat(BIAS_BITS, fl.fl_b))
-        layers.append(DFPLayer(w_m, b_m, layer.relu))
+    layers = [DFPLayer(*_quantize_layer(layer.conv, fl), layer.relu)
+              for layer, fl in zip(model.layers, fl_table.layers)]
     return DFPModel(model.config, layers, fl_table)
 
 
@@ -377,13 +384,8 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
     parameters, ``W * 2^-s`` and ``(b * 2^bshift + 2^(s-1)) * 2^-s``, so
     its requantization is ``min(floor(max(acc, 1/2)), ACT_MAX)``.  Other
     layers add the aligned bias, round half away from zero and saturate.
-
-    A layer with ``k * k * Cout <= Cin`` (an output head, a low-rank basis)
-    contracts the channels first: one GEMM maps the padded plane to the
-    ``k * k`` per-tap output planes, and the output sums their shifted
-    windows.  Every other layer is one GEMM per band of output rows over
-    the unfolded input; ``run`` maps the band function over the
-    ``(r0, r1)`` row bands (``map`` or a pool's).
+    The sums come from :func:`cnnlf.tensor._correlate`, which maps its row
+    bands with ``run``.
     """
     cout, cin, k, _ = layer.weights_m.shape
     h, w = src.shape[1] - 2 * pad, src.shape[2] - 2 * pad
@@ -397,7 +399,7 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
         bias *= 2.0 ** -shift
     out = dst[:cout, pad:pad + h, pad:pad + w]
 
-    def finish(acc: np.ndarray, o: np.ndarray) -> None:
+    def finish(acc: np.ndarray, r0: int, r1: int) -> None:
         acc += bias
         if layer.relu:
             # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1)) is
@@ -405,28 +407,13 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
             # max(a, 0) for integer a
             np.maximum(acc, 0.5, out=acc)
             np.floor(acc, out=acc)
-            np.minimum(acc, ACT_MAX, out=o)
+            np.minimum(acc, ACT_MAX, out=out[:, r0:r1])
         else:
             _round_shift(acc, shift)
-            np.clip(acc, ACT_MIN, ACT_MAX, out=o)
+            np.clip(acc, ACT_MIN, ACT_MAX, out=out[:, r0:r1])
 
-    if k * k * cout <= cin:
-        # whole buffer rows, so tap (ky, kx) of output pixel (y, x) sits at (y + ky, x + c0 + kx)
-        rows = src[:cin, pad - p:pad + h + p]
-        taps = (weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-                @ rows.reshape(cin, -1)).reshape(k, k, cout, h + 2 * p, -1)
-        c0 = pad - p
-        finish(sum(taps[ky, kx, :, ky:ky + h, c0 + kx:c0 + kx + w]
-                   for ky in range(k) for kx in range(k)), out)
-    else:
-        xp = src[:cin, pad - p:pad + h + p, pad - p:pad + w + p]
-        wmat = weights.reshape(cout, -1)
-
-        def band(r: tuple) -> None:
-            r0, r1 = r
-            finish((wmat @ _unfold(xp, k, r0, r1)).reshape(cout, r1 - r0, w), out[:, r0:r1])
-
-        list(run(band, _row_bands(cin * k * k, h, w)))  # map is lazy; a pool re-raises here
+    # whole buffer rows, so output column x reads columns pad - p + x .. pad + p + x
+    _correlate(weights, src[:cin, pad - p:pad + h + p], pad - p, w, finish, run)
     _replicate_border(dst[:cout], pad, h, w)
 
 

@@ -26,6 +26,7 @@ import hashlib
 import io
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,28 +39,6 @@ MAGIC = b"CLF1"
 VERSION = 2
 BLOB_DTYPES = frozenset({"<f8", "<i1", "<i4"})
 DIGEST_BYTES = 32
-
-
-def _config_dict(config: NetworkConfig) -> dict:
-    return {
-        "num_conv_layers": config.num_conv_layers,
-        "kernel_size": config.kernel_size,
-        "base_filters": config.base_filters,
-        "per_layer_filters": list(config.per_layer_filters),
-        "bit_depth": config.bit_depth,
-        "qp_max": config.qp_max,
-    }
-
-
-def _config_from_dict(d: dict) -> NetworkConfig:
-    return NetworkConfig(
-        num_conv_layers=d["num_conv_layers"],
-        kernel_size=d["kernel_size"],
-        base_filters=d["base_filters"],
-        per_layer_filters=tuple(d["per_layer_filters"]),
-        bit_depth=d["bit_depth"],
-        qp_max=d["qp_max"],
-    )
 
 
 def _serialize(model, provenance: dict | None) -> bytes:
@@ -75,7 +54,7 @@ def _serialize(model, provenance: dict | None) -> bytes:
     header: dict = {"provenance": provenance or {}}
     if isinstance(model, NetworkModel):
         header["kind"] = "float"
-        header["config"] = _config_dict(model.config)
+        header["config"] = asdict(model.config)
         layer_desc = []
         for i, layer in enumerate(model.layers):
             desc = {"out": layer.conv.out_channels, "in": layer.conv.in_channels,
@@ -94,7 +73,7 @@ def _serialize(model, provenance: dict | None) -> bytes:
         header["layers"] = layer_desc
     elif isinstance(model, DFPModel):
         header["kind"] = "dfp"
-        header["config"] = _config_dict(model.config)
+        header["config"] = asdict(model.config)
         header["fl_table"] = model.fl_table.to_dict()
         layer_desc = []
         for i, layer in enumerate(model.layers):
@@ -191,7 +170,11 @@ def _decode(path, header: dict, data: bytes, pos: int):
     if hashlib.sha256(memoryview(data)[:pos]).digest() != data[pos:]:
         raise ModelFormatError(f"{path}: digest does not match the contents", offset=pos)
 
-    config = _config_from_dict(header["config"])
+    # NetworkConfig has defaults, so a key the header lacks would load as its default
+    missing = set(asdict(NetworkConfig())) - set(header["config"])
+    if missing:
+        raise ModelFormatError(f"{path}: config lacks {sorted(missing)}", offset=16)
+    config = NetworkConfig(**header["config"])
     kind = header["kind"]
     if kind not in ("float", "dfp"):
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}", offset=16)

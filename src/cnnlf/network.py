@@ -13,7 +13,7 @@ chroma planes alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,18 +117,6 @@ class NetworkModel:
 
     def copy(self) -> "NetworkModel":
         return NetworkModel(self.config, [layer.copy() for layer in self.layers])
-
-
-@dataclass(frozen=True)
-class QPMap:
-    """A constant plane carrying the quantization parameter as side information."""
-
-    width: int
-    height: int
-    qp: int
-
-    def plane(self) -> np.ndarray:
-        return np.full((self.height, self.width), self.qp, dtype=np.int64)
 
 
 def build_cnnf(config: NetworkConfig, rng_seed: int,

@@ -13,11 +13,12 @@ Replicate padding keeps a constant input channel exactly constant
 under convolution, which the channel-pruning bias fold in
 :mod:`cnnlf.compress` relies on for bit-exact output preservation.
 
-The forward convolution is one GEMM per image and band of output rows over
-unfolded (im2col) patches (Chellapilla et al., 2006), written straight into
-the output.  A layer with ``k * k * Cout <= Cin`` (an output head) instead
-contracts the channels first, one GEMM over the padded plane per image,
-and sums the k * k shifted tap planes, so it needs no unfold.
+The forward convolution of one padded image, float or DFP, is
+:func:`_correlate`: one GEMM per band of output rows over unfolded (im2col)
+patches (Chellapilla et al., 2006), or, if ``k * k * Cout <= Cin`` (an
+output head), one GEMM contracting the channels first and a sum of the
+k * k shifted tap planes.  :func:`conv2d` adds the bias to its sums;
+:mod:`cnnlf.dfp` runs it on integer mantissas and requantizes them.
 
 The backward pass unfolds each image's upstream gradient once, zero-ringed
 by ``k - 1``, and that unfold ``U`` serves both gradients.  The input
@@ -35,7 +36,7 @@ the contract of the integer path in :mod:`cnnlf.dfp`, not of this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,6 +170,34 @@ def _unfold(xp: np.ndarray, k: int, r0: int, r1: int) -> np.ndarray:
     return windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, (r1 - r0) * (w - k + 1))
 
 
+def _correlate(weights: np.ndarray, rows: np.ndarray, c0: int, w: int, store,
+               run=map) -> None:
+    """Raw correlation sums of one padded image, block by block.
+
+    Output pixel (y, x) reads ``rows[:, y:y + k, c0 + x:c0 + x + k]``.  Each
+    (Cout, r1 - r0, W) block of sums over output rows ``r0:r1`` goes to
+    ``store(acc, r0, r1)``, which may reuse ``acc``.  ``run`` maps the band
+    function over the row bands (``map`` or a pool's).
+    """
+    cout, cin, k, _ = weights.shape
+    h = rows.shape[1] - k + 1
+    if k * k * cout <= cin:
+        # taps[ky, kx] is tap (ky, kx) of every output channel at every position of rows
+        taps = (weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+                @ rows.reshape(cin, -1)).reshape(k, k, cout, rows.shape[1], -1)
+        store(sum(taps[ky, kx, :, ky:ky + h, c0 + kx:c0 + kx + w]
+                  for ky in range(k) for kx in range(k)), 0, h)
+        return
+    xp = rows[:, :, c0:c0 + w + k - 1]
+    wmat = weights.reshape(cout, -1)
+
+    def band(r: tuple) -> None:
+        r0, r1 = r
+        store((wmat @ _unfold(xp, k, r0, r1)).reshape(cout, r1 - r0, w), r0, r1)
+
+    list(run(band, _row_bands(cin * k * k, h, w)))  # map is lazy; a pool re-raises here
+
+
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Same-size cross-correlation plus per-channel bias.
 
@@ -176,24 +205,13 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params)
-    n, cin, h, w = x.shape
+    n, _, h, w = x.shape
     cout, _, k, _ = params.weights.shape
-    xp = pad_same(x, k)
     out = np.empty((n, cout, h, w))
-    if k * k * cout <= cin:
-        # taps[i, ky, kx] is tap (ky, kx) of every output channel at every padded position
-        taps = np.matmul(params.weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin),
-                         xp.reshape(n, cin, -1)).reshape(n, k, k, cout, h + k - 1, w + k - 1)
-        out[:] = params.bias[:, None, None]
-        for ky, kx in np.ndindex(k, k):
-            out += taps[:, ky, kx, :, ky:ky + h, kx:kx + w]
-        return out
-    wmat = params.weights.reshape(cout, -1)
-    for i in range(n):
-        for r0, r1 in _row_bands(wmat.shape[1], h, w):
-            # whole rows of each channel are contiguous, so the reshape is a view
-            np.matmul(wmat, _unfold(xp[i], k, r0, r1), out=out[i, :, r0:r1].reshape(cout, -1))
-    out += params.bias[:, None, None]
+    bias = params.bias[:, None, None]
+    for o, xp in zip(out, pad_same(x, k)):
+        _correlate(params.weights, xp, 0, w,
+                   lambda acc, r0, r1, o=o: np.add(acc, bias, out=o[:, r0:r1]))
     return out
 
 

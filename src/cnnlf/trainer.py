@@ -14,14 +14,13 @@ against central finite differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from . import tensor
 from .network import NetworkModel, forward_network, normalize_inputs
-from .tensor import ConvParams
 
 FILTER_NORM_EPSILON = 1e-12
 
@@ -309,18 +308,12 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
 
 def quantized_conv_view(model: NetworkModel, fl_table) -> list:
     """ConvParams per layer with weights/biases snapped to their fixed-point grid."""
-    from .dfp import WEIGHT_BITS, BIAS_BITS, DFPFormat, dequantize_value, quantize_value
+    from .dfp import _dequantize_layer, _quantize_layer
     if len(fl_table.layers) != len(model.layers):
         raise ConfigError(
             f"FL table covers {len(fl_table.layers)} layers, model has {len(model.layers)}")
-    view = []
-    for layer, fl in zip(model.layers, fl_table.layers):
-        wfmt = DFPFormat(WEIGHT_BITS, fl.fl_w)
-        bfmt = DFPFormat(BIAS_BITS, fl.fl_b)
-        wq = dequantize_value(quantize_value(layer.conv.weights, wfmt), wfmt)
-        bq = dequantize_value(quantize_value(layer.conv.bias, bfmt), bfmt)
-        view.append(ConvParams(wq, bq))
-    return view
+    return [_dequantize_layer(*_quantize_layer(layer.conv, fl), fl)
+            for layer, fl in zip(model.layers, fl_table.layers)]
 
 
 def quant_aware_finetune(model: NetworkModel, dataset, fl_table, config: TrainConfig):

@@ -101,10 +101,24 @@ class TestMakeDataset:
         for x, y in zip(a.decoded, b.decoded):
             assert np.array_equal(x, y)
 
-    def test_small_image_skipped_with_warning(self):
+    def test_small_image_skipped_with_warning(self, tmp_path):
         with pytest.warns(UserWarning, match="smaller than patch"):
             ds = make_dataset([("tiny", np.zeros((20, 20), dtype=np.uint8))])
         assert len(ds) == 0
+        save_patchset(tmp_path / "ds.npz", ds)
+        again = load_patchset(tmp_path / "ds.npz")
+        assert ds.decoded.shape == again.original.shape == (0, 35, 35)
+        assert again.qps == again.provenance == []
+
+    @pytest.mark.parametrize("bit_depth, dtype", [(8, np.uint8), (10, np.uint16)])
+    def test_patches_are_stacked_arrays(self, tmp_path, bit_depth, dtype):
+        img = make_test_image(70, 35, seed=8).astype(dtype) << (bit_depth - 8)
+        ds = make_dataset([("a", img)], qps=(22, 37), patch=35, bit_depth=bit_depth)
+        save_patchset(tmp_path / "ds.npz", ds)
+        for patches in (ds, load_patchset(tmp_path / "ds.npz")):
+            for stack in (patches.decoded, patches.original):
+                assert isinstance(stack, np.ndarray)
+                assert stack.shape == (4, 35, 35) and stack.dtype == dtype
 
     def test_patches_rederivable_from_provenance(self):
         imgs = {f"i{k}": make_test_image(70, 70, seed=40 + k) for k in range(2)}

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cnnlf.dfp import corpus_digest, read_conformance, replay_conformance
-from cnnlf.model_io import load_model
+from cnnlf.model_io import load_model, save_model
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -55,6 +55,14 @@ def test_pairs_cover_the_layer_kinds():
 def test_golden_pair_replays(bit_depth, threads):
     model, entries = golden_pair(bit_depth)
     replay_conformance(model, entries, threads=threads)
+
+
+@pytest.mark.parametrize("bit_depth", BIT_DEPTHS)
+def test_golden_model_resaves_byte_identically(bit_depth, tmp_path):
+    # pins the container serialization, config header included
+    path = DATA / f"golden{bit_depth}.clf"
+    save_model(load_model(path), tmp_path / "again.clf")
+    assert (tmp_path / "again.clf").read_bytes() == path.read_bytes()
 
 
 def test_golden_pairs_replay_with_one_blas_thread():

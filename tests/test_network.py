@@ -3,8 +3,8 @@ import pytest
 
 from cnnlf.errors import ConfigError, DataError, ShapeError
 from cnnlf import tensor
-from cnnlf.network import (NetworkConfig, NetworkModel, QPMap, build_cnnf, denormalize,
-                           filter_plane, forward_float, forward_network, normalize_inputs)
+from cnnlf.network import (NetworkConfig, NetworkModel, build_cnnf, denormalize, filter_plane,
+                           forward_float, forward_network, normalize_inputs)
 
 
 class TestBuild:
@@ -81,11 +81,6 @@ class TestNormalize:
         cfg = NetworkConfig()
         with pytest.raises(DataError, match="qp"):
             normalize_inputs(np.zeros((2, 2), dtype=np.uint8), 52, cfg)
-
-    def test_qpmap_type_is_constant(self):
-        m = QPMap(width=7, height=3, qp=37).plane()
-        assert m.shape == (3, 7)
-        assert np.all(m == 37)
 
 
 class TestForward:

@@ -56,6 +56,11 @@ HEADER_DEFECTS = {
                                                                 for d in h["layers"]]},
     "widths-contradict-config": lambda h: {**h, "config": {**h["config"],
                                                            "per_layer_filters": [6, 6]}},
+    "config-lacks-key": lambda h: {**h, "config": {k: v for k, v in h["config"].items()
+                                                   if k != "bit_depth"}},
+    "config-unknown-key": lambda h: {**h, "config": {**h["config"], "stride": 2}},
+    "config-wrong-type": lambda h: {**h, "config": {**h["config"], "kernel_size": "3"}},
+    "config-not-an-object": lambda h: {**h, "config": [3, 64]},
 }
 
 
