@@ -233,8 +233,7 @@ def cmd_quantize(args, log):
     dfp = quantize_model(model, table)
     save_model(dfp, args.out)
     if args.vectors:
-        write_conformance(args.vectors, make_conformance(dfp, calibration, threads=args.threads),
-                          dfp.config.bit_depth)
+        write_conformance(args.vectors, make_conformance(dfp, calibration), dfp.config.bit_depth)
     log.write("quantize", layers=dfp.num_layers, finetuned=bool(args.finetune),
               fl_table=dfp.fl_table.to_dict(), model_hash=model_hash(dfp),
               out=str(args.out), vectors=args.vectors)
@@ -242,9 +241,9 @@ def cmd_quantize(args, log):
     return EXIT_OK
 
 
-def _filter_with(model, plane, qp, threads):
+def _filter_with(model, plane, qp):
     if isinstance(model, DFPModel):
-        return dfp_forward(model, plane, qp, threads=threads)
+        return dfp_forward(model, plane, qp)
     return filter_plane(model, plane, qp)
 
 
@@ -253,7 +252,7 @@ def cmd_infer(args, log):
     plane = read_pgm(args.input)
     if args.dfp and not isinstance(model, DFPModel):
         raise ConfigError("--dfp needs a quantized model file")
-    write_pgm(args.out, _filter_with(model, plane, args.qp, args.threads))
+    write_pgm(args.out, _filter_with(model, plane, args.qp))
     log.write("infer", qp=args.qp, dfp=args.dfp or isinstance(model, DFPModel),
               input=str(args.input), out=str(args.out))
     _write_run_config(args.out, "infer", args, [args.model, args.input])
@@ -270,7 +269,7 @@ def cmd_eval(args, log):
     for name, plane in planes:
         for qp in qps:
             recon, bits = codec.encode_intra_plane(plane, qp)
-            filtered = _filter_with(model, recon, qp, args.threads)
+            filtered = _filter_with(model, recon, qp)
             anchor_rows.append((qp, plane, recon, bits, plane.size))
             test_rows.append((qp, plane, filtered, bits, plane.size))
     anchor = codec.rd_curve_for_planes(anchor_rows)
@@ -293,9 +292,8 @@ def cmd_verify(args, log):
     if not isinstance(model, DFPModel):
         raise ConfigError("verify needs a quantized model file")
     entries = read_conformance(args.vectors)
-    digest = replay_conformance(model, entries, threads=args.threads)
-    log.write("verify", vectors=len(entries), corpus_digest=digest,
-              threads=args.threads)
+    digest = replay_conformance(model, entries)
+    log.write("verify", vectors=len(entries), corpus_digest=digest)
     print(f"verified {len(entries)} vectors, corpus digest {digest}")
     return EXIT_OK
 
@@ -306,10 +304,6 @@ def cmd_verify(args, log):
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file with default values for these flags")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (all randomness)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="workers over the integer path's row bands; BLAS already "
-                          "parallelizes each band's matrix multiply, so more than 1 "
-                          "rarely helps (never changes outputs)")
     sub.add_argument("--log", help="append JSONL log records here instead of stderr")
 
 

@@ -29,24 +29,23 @@ an integer times ``2^-shift`` and exact as well.  A layer that contracts
 channels before taps (``k * k * Cout <= Cin``) first forms per-tap sums
 over the input channels and then adds the taps; each of those is a sum of
 a subset of the same products, bounded by the same figure.  The output
-is therefore bit-identical for any summation order, BLAS build, thread
-count or band split, which is the point: encoder and decoder agree
-across platforms by construction.
+is therefore bit-identical for any summation order, BLAS build, BLAS
+thread count or band split, which is the point: encoder and decoder agree
+across platforms by construction.  BLAS is the only source of
+parallelism; the row bands run one after another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ModelFormatError, VerificationError
-from .network import (Layer, NetworkConfig, NetworkModel, _check_inputs, forward_network,
-                      normalize_inputs)
+from .network import (Layer, NetworkConfig, NetworkModel, _check_chain, _check_inputs,
+                      forward_network, normalize_inputs)
 from .tensor import ConvParams, _correlate, round_half_away
 
 WEIGHT_BITS = 8
@@ -131,7 +130,10 @@ def _dequantize_layer(w_m: np.ndarray, b_m: np.ndarray, fl: LayerFL) -> ConvPara
 
 @dataclass
 class FLTable:
-    """Per-layer fractional lengths plus the shared concat / summation fl."""
+    """Per-layer fractional lengths plus the shared concat / summation fl.
+
+    Both shared fls must be ``INPUT_FL``, the grid of the input mantissas and the residual add.
+    """
 
     layers: list
     fl_concat: int = INPUT_FL
@@ -146,6 +148,9 @@ class FLTable:
                 v = getattr(e, name)
                 if not isinstance(v, (int, np.integer)):
                     raise ConfigError(f"layer {i + 1} {name} is not an integer: {v!r}")
+        for name, v in (("concat fl", self.fl_concat), ("summation fl", self.fl_sum)):
+            if v != INPUT_FL:
+                raise ConfigError(f"{name} {v!r} is not the input fl {INPUT_FL}")
 
     def to_dict(self) -> dict:
         return {
@@ -248,6 +253,7 @@ class DFPModel:
     fl_table: FLTable
 
     def __post_init__(self):
+        _check_chain([layer.weights_m.shape[:2] for layer in self.layers])
         self.fl_table.check_complete(len(self.layers))
         if self.config.bit_depth > OUTPUT_BITS:
             raise ConfigError(f"bit depth {self.config.bit_depth} exceeds the "
@@ -275,7 +281,7 @@ class DFPModel:
         none of them may be negative.
         """
         shifts = []
-        fl_in = self.fl_table.fl_concat
+        fl_in = INPUT_FL
         for i, fl in enumerate(self.fl_table.layers):
             fl_acc = fl.fl_w + fl_in
             if fl.fl_b > fl_acc:
@@ -286,10 +292,9 @@ class DFPModel:
                                   f"fl {fl_acc}")
             shifts.append((fl_acc - fl.fl_b, fl_acc - fl.fl_o))
             fl_in = fl.fl_o
-        if fl_in < self.fl_table.fl_sum:
-            raise ConfigError(f"final output fl {fl_in} below the summation fl "
-                              f"{self.fl_table.fl_sum}")
-        return shifts, fl_in - self.fl_table.fl_sum
+        if fl_in < INPUT_FL:
+            raise ConfigError(f"final output fl {fl_in} below the summation fl {INPUT_FL}")
+        return shifts, fl_in - INPUT_FL
 
     def accumulator_bounds(self) -> list:
         """Per layer, the largest magnitude its float64 accumulator can hold.
@@ -371,7 +376,7 @@ def _replicate_border(buf: np.ndarray, pad: int, h: int, w: int) -> None:
 
 
 def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bshift: int,
-                shift: int, run) -> None:
+                shift: int) -> None:
     """One conv layer from padded buffer ``src`` into padded buffer ``dst``.
 
     Both buffers are (C, H + 2 * pad, W + 2 * pad) with an edge-replicated
@@ -384,8 +389,7 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
     parameters, ``W * 2^-s`` and ``(b * 2^bshift + 2^(s-1)) * 2^-s``, so
     its requantization is ``min(floor(max(acc, 1/2)), ACT_MAX)``.  Other
     layers add the aligned bias, round half away from zero and saturate.
-    The sums come from :func:`cnnlf.tensor._correlate`, which maps its row
-    bands with ``run``.
+    The sums come from :func:`cnnlf.tensor._correlate`.
     """
     cout, cin, k, _ = layer.weights_m.shape
     h, w = src.shape[1] - 2 * pad, src.shape[2] - 2 * pad
@@ -413,16 +417,14 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
             np.clip(acc, ACT_MIN, ACT_MAX, out=out[:, r0:r1])
 
     # whole buffer rows, so output column x reads columns pad - p + x .. pad + p + x
-    _correlate(weights, src[:cin, pad - p:pad + h + p], pad - p, w, finish, run)
+    _correlate(weights, src[:cin, pad - p:pad + h + p], pad - p, w, finish)
     _replicate_border(dst[:cout], pad, h, w)
 
 
 def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
-    """Integer-exact filtering of one plane; bit-identical for any thread count.
+    """Integer-exact filtering of one plane; bit-identical for any BLAS thread count.
 
-    ``threads`` spreads each layer's row bands over that many workers.
-    BLAS already runs each band's GEMM on its own threads, so more than
-    one worker rarely pays; the output never depends on either.
+    ``threads`` is unused; it stays only because ``perfbench`` still passes it.
     """
     cfg = model.config
     recon_m, qp_m = input_mantissas(plane, qp, cfg)
@@ -435,11 +437,9 @@ def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -
     src[1, pad:pad + h, pad:pad + w] = qp_m
     _replicate_border(src[:2], pad, h, w)
     layer_shifts, sum_shift = model.shifts()
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        for layer, (bshift, shift) in zip(model.layers, layer_shifts):
-            _conv_layer(src, dst, pad, layer, bshift, shift, run)
-            src, dst = dst, src
+    for layer, (bshift, shift) in zip(model.layers, layer_shifts):
+        _conv_layer(src, dst, pad, layer, bshift, shift)
+        src, dst = dst, src
     # summation layer: bring the residual down to the input grid and add, saturating
     resid = src[0, pad:pad + h, pad:pad + w]
     total = np.clip(_round_shift(resid, sum_shift), ACT_MIN, ACT_MAX)
@@ -466,10 +466,10 @@ class ConformanceEntry:
     output: np.ndarray
 
 
-def make_conformance(model: DFPModel, corpus, threads: int = 1) -> list:
+def make_conformance(model: DFPModel, corpus) -> list:
     entries = []
     for plane, qp in corpus:
-        out = dfp_forward(model, plane, qp, threads=threads)
+        out = dfp_forward(model, plane, qp)
         out_bytes = plane_bytes(out, model.config.bit_depth)
         entries.append(ConformanceEntry(np.asarray(plane), int(qp),
                                         hashlib.new(HASH_NAME, out_bytes).digest(), out))
@@ -546,10 +546,10 @@ def read_conformance(path) -> list:
     return entries
 
 
-def replay_conformance(model: DFPModel, entries, threads: int = 1) -> str:
+def replay_conformance(model: DFPModel, entries) -> str:
     """Re-run every stored vector; any mismatch names the plane and first pixel."""
     for i, e in enumerate(entries):
-        out = dfp_forward(model, e.plane, e.qp, threads=threads)
+        out = dfp_forward(model, e.plane, e.qp)
         out_bytes = plane_bytes(out, model.config.bit_depth)
         if hashlib.new(HASH_NAME, out_bytes).digest() != e.output_hash:
             diff = np.nonzero(out != e.output)

@@ -203,19 +203,17 @@ def _decode(path, header: dict, data: bytes, pos: int):
 
 def _check_layer_shapes(path, descs: list, arrays: dict, config: NetworkConfig,
                         suffix: str) -> None:
-    """The header's layer descriptions must match the blobs and chain into a filter."""
-    prev_out = 2
+    """The header's layer descriptions must match the blobs and the config's widths.
+
+    That the layers chain into a filter is checked by the model classes.
+    """
     for i, desc in enumerate(descs):
         cout, cin, k = desc["out"], desc["in"], desc["k"]
         w, b = arrays[f"layer{i}.weights{suffix}"], arrays[f"layer{i}.bias{suffix}"]
         if w.shape != (cout, cin, k, k) or b.shape != (cout,):
             raise ModelFormatError(f"{path}: layer {i + 1} header says {cout}x{cin}x{k}x{k}, "
                                    f"blobs hold {w.shape} and {b.shape}", offset=16)
-        if cin != prev_out:
-            raise ModelFormatError(f"{path}: layer {i + 1} takes {cin} channels, "
-                                   f"its input has {prev_out}", offset=16)
-        prev_out = cout
     hidden = tuple(desc["out"] for desc in descs[:-1])
-    if prev_out != 1 or hidden != config.per_layer_filters:
-        raise ModelFormatError(f"{path}: layer widths {hidden} + ({prev_out},) do not match "
-                               f"the config's {config.per_layer_filters} + (1,)", offset=16)
+    if hidden != config.per_layer_filters:
+        raise ModelFormatError(f"{path}: hidden layer widths {hidden} do not match "
+                               f"the config's {config.per_layer_filters}", offset=16)

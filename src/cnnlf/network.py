@@ -45,6 +45,12 @@ class NetworkConfig:
                                (self.base_filters,) * (self.num_conv_layers - 1))
         else:
             object.__setattr__(self, "per_layer_filters", tuple(self.per_layer_filters))
+        fields = {f: getattr(self, f) for f in ("num_conv_layers", "kernel_size", "base_filters",
+                                                "bit_depth", "qp_max")}
+        fields.update((f"per_layer_filters[{i}]", v) for i, v in enumerate(self.per_layer_filters))
+        for name, v in fields.items():
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.num_conv_layers < 2:
             raise ConfigError("need at least 2 conv layers (hidden + residual output)")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
@@ -79,6 +85,20 @@ class Layer:
         return Layer(self.conv.copy(), self.bn.copy() if self.bn is not None else None, self.relu)
 
 
+def _check_chain(shapes) -> None:
+    """The ``(Cout, Cin)`` of each layer must chain the 2 input planes
+    (reconstruction + QP map) into the 1-channel residual."""
+    if not shapes:
+        raise ConfigError("model has no layers")
+    prev = 2
+    for i, (cout, cin) in enumerate(shapes):
+        if cin != prev:
+            raise ShapeError(f"layer {i + 1} expects {cin} input channels but its input has {prev}")
+        prev = cout
+    if prev != 1:
+        raise ShapeError(f"last layer must output 1 channel (residual), got {prev}")
+
+
 @dataclass
 class NetworkModel:
     """Ordered layer chain plus the config describing its input contract."""
@@ -87,25 +107,12 @@ class NetworkModel:
     layers: list
 
     def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("model has no layers")
-        if self.layers[0].conv.in_channels != 2:
-            raise ShapeError(
-                f"first layer must take 2 input channels (reconstruction + QP map), "
-                f"got {self.layers[0].conv.in_channels}")
-        prev = None
+        _check_chain([(layer.conv.out_channels, layer.conv.in_channels) for layer in self.layers])
         for i, layer in enumerate(self.layers):
-            if prev is not None and layer.conv.in_channels != prev:
-                raise ShapeError(
-                    f"layer {i + 1} expects {layer.conv.in_channels} input channels "
-                    f"but layer {i} outputs {prev}")
             if layer.bn is not None and layer.bn.channels != layer.conv.out_channels:
                 raise ShapeError(
                     f"layer {i + 1} BN has {layer.bn.channels} channels, conv outputs "
                     f"{layer.conv.out_channels}")
-            prev = layer.conv.out_channels
-        if prev != 1:
-            raise ShapeError(f"last layer must output 1 channel (residual), got {prev}")
 
     @property
     def num_layers(self) -> int:
@@ -170,22 +177,20 @@ def normalize_inputs(plane: np.ndarray, qp: int, config: NetworkConfig):
 
 
 def forward_network(model: NetworkModel, inp: np.ndarray, mode: str = "infer",
-                    keep_cache: bool = False, weight_override: list | None = None):
+                    keep_cache: bool = False):
     """Run the conv chain plus residual add on a batched 2-channel input.
 
     Returns ``(output, caches)`` where output is (N, 1, H, W).  With
     ``keep_cache`` each layer contributes the intermediates its backward
-    pass needs.  ``weight_override`` substitutes ConvParams per layer
-    (used by quantization-aware training) without touching the model.
+    pass needs.
     """
     if inp.ndim != 4 or inp.shape[1] != 2:
         raise ShapeError(f"network input must be (N,2,H,W), got {inp.shape}")
     x = inp
     caches = [] if keep_cache else None
-    for i, layer in enumerate(model.layers):
-        conv = layer.conv if weight_override is None else weight_override[i]
+    for layer in model.layers:
         conv_in = x
-        x = tensor.conv2d(x, conv)
+        x = tensor.conv2d(x, layer.conv)
         bn_cache = None
         if layer.bn is not None:
             x, _, bn_cache = tensor.batchnorm_forward(x, layer.bn, mode)

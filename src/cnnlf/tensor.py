@@ -170,14 +170,12 @@ def _unfold(xp: np.ndarray, k: int, r0: int, r1: int) -> np.ndarray:
     return windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, (r1 - r0) * (w - k + 1))
 
 
-def _correlate(weights: np.ndarray, rows: np.ndarray, c0: int, w: int, store,
-               run=map) -> None:
+def _correlate(weights: np.ndarray, rows: np.ndarray, c0: int, w: int, store) -> None:
     """Raw correlation sums of one padded image, block by block.
 
     Output pixel (y, x) reads ``rows[:, y:y + k, c0 + x:c0 + x + k]``.  Each
     (Cout, r1 - r0, W) block of sums over output rows ``r0:r1`` goes to
-    ``store(acc, r0, r1)``, which may reuse ``acc``.  ``run`` maps the band
-    function over the row bands (``map`` or a pool's).
+    ``store(acc, r0, r1)``, which may reuse ``acc``.
     """
     cout, cin, k, _ = weights.shape
     h = rows.shape[1] - k + 1
@@ -190,12 +188,8 @@ def _correlate(weights: np.ndarray, rows: np.ndarray, c0: int, w: int, store,
         return
     xp = rows[:, :, c0:c0 + w + k - 1]
     wmat = weights.reshape(cout, -1)
-
-    def band(r: tuple) -> None:
-        r0, r1 = r
+    for r0, r1 in _row_bands(cin * k * k, h, w):
         store((wmat @ _unfold(xp, k, r0, r1)).reshape(cout, r1 - r0, w), r0, r1)
-
-    list(run(band, _row_bands(cin * k * k, h, w)))  # map is lazy; a pool re-raises here
 
 
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:

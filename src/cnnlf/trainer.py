@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from . import tensor
-from .network import NetworkModel, forward_network, normalize_inputs
+from .network import Layer, NetworkModel, forward_network, normalize_inputs
 
 FILTER_NORM_EPSILON = 1e-12
 
@@ -165,8 +165,7 @@ def _batch_to_tensors(batch, config: "NetworkModel.config"):
     return np.concatenate(inputs, axis=0), np.concatenate(targets, axis=0)
 
 
-def backward_network(model: NetworkModel, caches, d_out: np.ndarray,
-                     weight_override: list | None = None) -> list:
+def backward_network(model: NetworkModel, caches, d_out: np.ndarray) -> list:
     """Backprop ``d_out`` (gradient at the residual output) through the conv chain.
 
     Returns the per-layer gradients.  The gradient w.r.t. the 2-channel
@@ -177,14 +176,13 @@ def backward_network(model: NetworkModel, caches, d_out: np.ndarray,
     d = d_out
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
-        conv = layer.conv if weight_override is None else weight_override[i]
         cache = caches[i]
         if layer.relu:
             d = tensor.relu_grad(cache["pre_relu"], d)
         d_scale = d_shift = None
         if layer.bn is not None:
             d, d_scale, d_shift = tensor.batchnorm_backward(d, cache["bn_cache"])
-        d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], conv, d, input_grad=i > 0)
+        d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], layer.conv, d, input_grad=i > 0)
         grads[i] = LayerGrads(d_w, d_b, d_scale, d_shift)
     return grads
 
@@ -194,8 +192,7 @@ def _check_finite(value: float, term: str) -> None:
         raise NonFiniteLossError(f"loss term {term!r} is not finite: {value}")
 
 
-def loss_eq1(model: NetworkModel, batch, config: TrainConfig,
-             weight_override: list | None = None):
+def loss_eq1(model: NetworkModel, batch, config: TrainConfig):
     """Composite training loss and its exact gradients over one batch.
 
     ``batch`` is a sequence of (decoded_patch, original_patch, qp) triples
@@ -207,19 +204,18 @@ def loss_eq1(model: NetworkModel, batch, config: TrainConfig,
     if m != config.batch_size:
         raise ConfigError(f"batch has {m} samples, config expects {config.batch_size}")
     inp, target = _batch_to_tensors(batch, model.config)
-    out, caches = forward_network(model, inp, mode="train", keep_cache=True,
-                                  weight_override=weight_override)
+    out, caches = forward_network(model, inp, mode="train", keep_cache=True)
     resid = out - target
     mse = float((resid * resid).sum() / (2.0 * m))
     _check_finite(mse, "mse")
-    grads = backward_network(model, caches, resid / m, weight_override=weight_override)
+    grads = backward_network(model, caches, resid / m)
 
     reg_w = 0.0
     reg_s = 0.0
     reg_lda = 0.0
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        w = layer.conv.weights if weight_override is None else weight_override[i].weights
+        w = layer.conv.weights
         reg_w += float((w * w).sum())
         grads[i].weights += config.lambda_w * 2.0 * w
         if layer.bn is not None:
@@ -268,8 +264,8 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
     reshuffled every epoch from the seeded RNG and split into
     ``floor(N / M)`` batches.  ``callbacks``, if given, is called as
     ``callbacks(epoch, step, breakdown, lr)`` after every step.  With an
-    ``fl_table`` every step runs on ``quantized_conv_view(model, fl_table)``:
-    the forward sees grid-snapped weights while the updates land on the float
+    ``fl_table`` each step's loss and gradients come from
+    ``quantized_view(model, fl_table)`` while the updates land on the float
     parameters (straight-through estimator).
     """
     items = list(dataset)
@@ -294,8 +290,8 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             batch = [items[i] for i in idx]
-            override = None if fl_table is None else quantized_conv_view(model, fl_table)
-            breakdown, grads = loss_eq1(model, batch, config, weight_override=override)
+            view = model if fl_table is None else quantized_view(model, fl_table)
+            breakdown, grads = loss_eq1(view, batch, config)
             model = sgd_step(model, grads, lr, config.grad_clip_norm)
             epoch_terms += (breakdown.mse, breakdown.reg_w, breakdown.reg_s,
                             breakdown.reg_lda, breakdown.total)
@@ -306,14 +302,15 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
     return model, history
 
 
-def quantized_conv_view(model: NetworkModel, fl_table) -> list:
-    """ConvParams per layer with weights/biases snapped to their fixed-point grid."""
+def quantized_view(model: NetworkModel, fl_table) -> NetworkModel:
+    """The model with its convs snapped to their fixed-point grids, sharing ``bn`` and ``relu``."""
     from .dfp import _dequantize_layer, _quantize_layer
     if len(fl_table.layers) != len(model.layers):
         raise ConfigError(
             f"FL table covers {len(fl_table.layers)} layers, model has {len(model.layers)}")
-    return [_dequantize_layer(*_quantize_layer(layer.conv, fl), fl)
-            for layer, fl in zip(model.layers, fl_table.layers)]
+    return NetworkModel(model.config, [
+        Layer(_dequantize_layer(*_quantize_layer(layer.conv, fl), fl), layer.bn, layer.relu)
+        for layer, fl in zip(model.layers, fl_table.layers)])
 
 
 def quant_aware_finetune(model: NetworkModel, dataset, fl_table, config: TrainConfig):

@@ -18,7 +18,7 @@ from cnnlf.dfp import (BIAS_BITS, INPUT_FL, OUTPUT_BITS, WEIGHT_BITS, DFPFormat,
                        dequantize_value, dfp_forward, estimate_fl, input_mantissas,
                        make_conformance, quantize_model, quantize_value, read_conformance,
                        reference_fl_8layer, replay_conformance, write_conformance)
-from cnnlf.errors import ConfigError, ModelFormatError, VerificationError
+from cnnlf.errors import ConfigError, ModelFormatError, ShapeError, VerificationError
 from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
 from cnnlf.codec import make_test_image, psnr
 
@@ -91,7 +91,7 @@ def conformance_file(draw):
 
 @st.composite
 def small_dfp_case(draw):
-    """A random quantized model of 2 or 3 layers, a plane, a qp, a band size and threads.
+    """A random quantized model of 2 or 3 layers, a plane, a qp and a band size.
 
     Each layer draws its own kernel side from {1, 3, 5}, so layers read their
     input at different pad offsets, and hidden widths reach 10, so 3x3 layers
@@ -132,7 +132,7 @@ def small_dfp_case(draw):
                                                     draw(st.integers(1, 9))))
     band_bytes = draw(st.sampled_from([1, 300, 2000, tensor.BAND_BYTES]))
     return model, plane.astype(np.uint8 if bit_depth == 8 else np.uint16), \
-        draw(st.integers(0, 51)), band_bytes, draw(st.sampled_from([1, 2, 3]))
+        draw(st.integers(0, 51)), band_bytes
 
 
 class TestQuantizeValue:
@@ -290,6 +290,13 @@ class TestFLTable:
         again = FLTable.from_dict(table.to_dict())
         assert again.layers == table.layers
 
+    def test_concat_fl_other_than_input_fl_rejected(self):
+        # input mantissas are always at INPUT_FL, so no other concat fl describes them;
+        # load_model's rejection is the "fl-concat-not-input-fl" header defect in test_tooling
+        dm, _ = quantized_small_model()
+        with pytest.raises(ConfigError, match="concat fl 14"):
+            DFPModel(dm.config, dm.layers, FLTable(dm.fl_table.layers, fl_concat=14))
+
 
 class TestQuantizeModel:
     def test_zero_model_zero_mantissas(self):
@@ -353,19 +360,12 @@ class TestDfpForward:
         assert np.array_equal(a, b)
         assert hashlib.sha256(a.tobytes()).digest() == hashlib.sha256(b.tobytes()).digest()
 
-    @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_thread_count_does_not_change_output(self, threads):
-        dm, _ = quantized_small_model()
-        plane = make_test_image(40, 40, seed=9)
-        assert np.array_equal(dfp_forward(dm, plane, 37),
-                              dfp_forward(dm, plane, 37, threads=threads))
-
     @given(small_dfp_case())
     @settings(max_examples=200, deadline=None)
     def test_matches_integer_loop_oracle(self, case):
-        model, plane, qp, band_bytes, threads = case
+        model, plane, qp, band_bytes = case
         with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
-            got = dfp_forward(model, plane, qp, threads=threads)
+            got = dfp_forward(model, plane, qp)
         assert np.array_equal(got, dfp_forward_loops(model, plane, qp))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (11, 5)])
@@ -374,7 +374,7 @@ class TestDfpForward:
         plane = make_test_image(*shape, seed=14)
         # one output row per band, so every height is several bands
         with mock.patch.object(tensor, "BAND_BYTES", 1):
-            got = dfp_forward(dm, plane, 37, threads=2)
+            got = dfp_forward(dm, plane, 37)
         assert np.array_equal(got, dfp_forward_loops(dm, plane, 37))
 
     def test_close_to_float_forward_of_dequantized_model(self):
@@ -395,6 +395,17 @@ class TestDfpForward:
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.strip())
         assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+class TestDFPModelChain:
+    def test_broken_layer_chain_rejected(self):
+        # a 4-channel layer fed by a 2-channel one would read channels no layer wrote
+        layers = [DFPLayer(np.ones((4, 2, 3, 3), np.int64), np.zeros(4, np.int64), True),
+                  DFPLayer(np.ones((1, 6, 3, 3), np.int64), np.zeros(1, np.int64), False)]
+        cfg = NetworkConfig(num_conv_layers=2, base_filters=4, per_layer_filters=(4,))
+        table = FLTable([LayerFL(8, 16, 15), LayerFL(8, 16, 15)])
+        with pytest.raises(ShapeError, match="layer 2 expects 6 input channels"):
+            DFPModel(cfg, layers, table)
 
 
 class TestAccumulatorBound:

@@ -50,11 +50,10 @@ def test_pairs_cover_the_layer_kinds():
         assert {e.plane.shape for e in entries} == {(1, 12), (17, 9), (24, 24)}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("bit_depth", BIT_DEPTHS)
-def test_golden_pair_replays(bit_depth, threads):
+def test_golden_pair_replays(bit_depth):
     model, entries = golden_pair(bit_depth)
-    replay_conformance(model, entries, threads=threads)
+    replay_conformance(model, entries)
 
 
 @pytest.mark.parametrize("bit_depth", BIT_DEPTHS)

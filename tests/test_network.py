@@ -47,6 +47,13 @@ class TestBuild:
         with pytest.raises(ConfigError, match="per_layer_filters"):
             NetworkConfig(num_conv_layers=4, per_layer_filters=(8, 8))
 
+    @pytest.mark.parametrize("fields", [{"bit_depth": 8.0}, {"kernel_size": True},
+                                        {"num_conv_layers": 3, "per_layer_filters": (8, 8.0)}])
+    def test_integer_fields_reject_floats_and_bools(self, fields):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            NetworkConfig(**fields)
+        assert NetworkConfig(bit_depth=np.int64(10)).pixel_max == 1023
+
     def test_channel_chain_validated(self, tiny_model):
         layers = [l.copy() for l in tiny_model.layers]
         layers[1].conv.weights = np.zeros((5, 3, 3, 3))

@@ -61,6 +61,8 @@ HEADER_DEFECTS = {
     "config-unknown-key": lambda h: {**h, "config": {**h["config"], "stride": 2}},
     "config-wrong-type": lambda h: {**h, "config": {**h["config"], "kernel_size": "3"}},
     "config-not-an-object": lambda h: {**h, "config": [3, 64]},
+    "config-float-integer": lambda h: {**h, "config": {**h["config"], "bit_depth": 8.0}},
+    "fl-concat-not-input-fl": lambda h: {**h, "fl_table": {**h["fl_table"], "fl_concat": 14}},
 }
 
 
@@ -216,7 +218,7 @@ class TestCli:
         assert self.run("infer", "--model", "md.clf", "--input", "in.pgm",
                         "--qp", "37", "--out", "a.pgm", "--dfp") == 0
         assert self.run("infer", "--model", "md.clf", "--input", "in.pgm",
-                        "--qp", "37", "--out", "b.pgm", "--dfp", "--threads", "4") == 0
+                        "--qp", "37", "--out", "b.pgm", "--dfp") == 0
         assert (workspace / "a.pgm").read_bytes() == (workspace / "b.pgm").read_bytes()
 
     def test_infer_float_on_plane_narrower_than_kernel(self, workspace, tiny_model):
@@ -255,8 +257,6 @@ class TestCli:
         entries = make_conformance(dfp_model, corpus)
         write_conformance("v.bin", entries)
         assert self.run("verify", "--model", "md.clf", "--vectors", "v.bin") == 0
-        assert self.run("verify", "--model", "md.clf", "--vectors", "v.bin",
-                        "--threads", "8") == 0
         # a perturbed model must fail verification with the dedicated code
         dfp_model.layers[-1].bias_m[:] += 1 << 12
         save_model(dfp_model, "bad.clf")
@@ -270,8 +270,6 @@ class TestCli:
         assert (workspace / "md2.clf").read_bytes() == (workspace / "md.clf").read_bytes()
         assert len(read_conformance("v.bin")) == 4
         assert self.run("verify", "--model", "md2.clf", "--vectors", "v.bin") == 0
-        assert self.run("verify", "--model", "md2.clf", "--vectors", "v.bin",
-                        "--threads", "2") == 0
 
     def test_missing_input_exit_code(self, workspace):
         assert self.run("train", "--dataset", "nope.npz", "--out", "m.clf") == 3
@@ -356,6 +354,15 @@ class TestCli:
 
     def test_unknown_config_key_rejected(self, workspace):
         (workspace / "run.json").write_text(json.dumps({"bogus_key": 1}))
+        assert self.run("dataset", "--config", "run.json", "--synthetic", "1",
+                        "--out", "d.npz") == 5
+
+    def test_threads_flag_and_config_key_rejected(self, workspace):
+        # BLAS is the only parallelism, so there is no worker count to set
+        with pytest.raises(SystemExit) as exc:
+            self.run("verify", "--model", "m.clf", "--vectors", "v.bin", "--threads", "2")
+        assert exc.value.code == 2
+        (workspace / "run.json").write_text(json.dumps({"threads": 2}))
         assert self.run("dataset", "--config", "run.json", "--synthetic", "1",
                         "--out", "d.npz") == 5
 

@@ -7,8 +7,7 @@ from cnnlf.errors import ConfigError, NonFiniteLossError
 from cnnlf.network import NetworkConfig, build_cnnf, forward_network
 from cnnlf.model_io import model_hash
 from cnnlf.trainer import (LossBreakdown, TrainConfig, global_grad_norm, lda_regularizer,
-                           loss_eq1, quant_aware_finetune, quantized_conv_view, sgd_step,
-                           train)
+                           loss_eq1, quant_aware_finetune, quantized_view, sgd_step, train)
 
 from .oracles import finite_difference, lda_pairwise, lda_pairwise_loops, max_relative_error
 
@@ -310,9 +309,9 @@ class TestQuantAwareFinetune:
         model = self._folded()
         table = self._fl_table(model)
         # snap parameters onto the grid first
-        for layer, q in zip(model.layers, quantized_conv_view(model, table)):
-            layer.conv.weights = q.weights
-            layer.conv.bias = q.bias
+        for layer, q in zip(model.layers, quantized_view(model, table).layers):
+            layer.conv.weights = q.conv.weights
+            layer.conv.bias = q.conv.bias
         before = model_hash(model)
         tc = TrainConfig(batch_size=4, base_lr=0.0, epochs=1, lambda_w=0, lambda_s=0,
                          lambda_lda=0)
@@ -320,20 +319,23 @@ class TestQuantAwareFinetune:
         assert model_hash(out) == before
 
     def test_quantized_forward_equals_round_then_forward(self, rng):
+        from cnnlf.dfp import quantize_model
         model = self._folded()
+        before = model_hash(model)
         table = self._fl_table(model)
-        batch = make_batch(rng, 4)
+        view = quantized_view(model, table)
+        assert model_hash(model) == before
+        assert [(l.bn, l.relu) for l in view.layers] == [(l.bn, l.relu) for l in model.layers]
+        # oracle: the float model the integer path computes with
+        dequantized = quantize_model(model, table).dequantized()
+        for got, want in zip(view.layers, dequantized.layers):
+            assert np.array_equal(got.conv.weights, want.conv.weights)
+            assert np.array_equal(got.conv.bias, want.conv.bias)
         from cnnlf.trainer import _batch_to_tensors
-        inp, _ = _batch_to_tensors(batch, model.config)
-        override = quantized_conv_view(model, table)
-        out_override, _ = forward_network(model, inp, mode="infer", weight_override=override)
-        # oracle: materialize a model with grid-snapped parameters, then plain forward
-        snapped = model.copy()
-        for layer, q in zip(snapped.layers, override):
-            layer.conv.weights = q.weights.copy()
-            layer.conv.bias = q.bias.copy()
-        out_snapped, _ = forward_network(snapped, inp, mode="infer")
-        assert np.abs(out_override - out_snapped).max() < 1e-9
+        inp, _ = _batch_to_tensors(make_batch(rng, 4), model.config)
+        out_view, _ = forward_network(view, inp, mode="infer")
+        out_dequantized, _ = forward_network(dequantized, inp, mode="infer")
+        assert np.array_equal(out_view, out_dequantized)
 
     def test_finetune_reduces_quantized_mse(self, rng):
         model = self._folded(rng_seed=11)
@@ -345,8 +347,7 @@ class TestQuantAwareFinetune:
         def quantized_mse(m):
             from cnnlf.trainer import _batch_to_tensors
             inp, target = _batch_to_tensors(ds, m.config)
-            out, _ = forward_network(m, inp, mode="infer",
-                                     weight_override=quantized_conv_view(m, table))
+            out, _ = forward_network(quantized_view(m, table), inp, mode="infer")
             return float(((out - target) ** 2).sum())
 
         before = quantized_mse(model)
@@ -361,7 +362,7 @@ class TestQuantAwareFinetune:
                          lambda_lda=0)
         seen = []
         train(model, ds, tc, callbacks=lambda e, s, b, lr: seen.append(b.mse), fl_table=table)
-        quantized, _ = loss_eq1(model, ds, tc, weight_override=quantized_conv_view(model, table))
+        quantized, _ = loss_eq1(quantized_view(model, table), ds, tc)
         plain, _ = loss_eq1(model, ds, tc)
         assert seen == [pytest.approx(quantized.mse, rel=1e-12)]
         assert seen[0] != pytest.approx(plain.mse, rel=1e-9)
