@@ -41,6 +41,7 @@ from .errors import (CnnlfError, ConfigError, DataError, ModelFormatError,
                      VerificationError)
 from .model_io import load_model, model_hash, save_model
 from .network import NetworkConfig, NetworkModel, build_cnnf, filter_plane
+from .tensor import worker_threads
 from .trainer import TrainConfig, quant_aware_finetune, train
 
 EXIT_OK = 0
@@ -253,8 +254,11 @@ def cmd_infer(args, log):
     if args.dfp and not isinstance(model, DFPModel):
         raise ConfigError("--dfp needs a quantized model file")
     write_pgm(args.out, _filter_with(model, plane, args.qp))
-    log.write("infer", qp=args.qp, dfp=args.dfp or isinstance(model, DFPModel),
-              input=str(args.input), out=str(args.out))
+    dfp = isinstance(model, DFPModel)
+    # the integer path's parallel mode: its row bands ran on this many workers
+    workers = {"workers": worker_threads()} if dfp else {}
+    log.write("infer", qp=args.qp, dfp=dfp, input=str(args.input), out=str(args.out),
+              **workers)
     _write_run_config(args.out, "infer", args, [args.model, args.input])
     return EXIT_OK
 
@@ -293,7 +297,7 @@ def cmd_verify(args, log):
         raise ConfigError("verify needs a quantized model file")
     entries = read_conformance(args.vectors)
     digest = replay_conformance(model, entries)
-    log.write("verify", vectors=len(entries), corpus_digest=digest)
+    log.write("verify", vectors=len(entries), corpus_digest=digest, workers=worker_threads())
     print(f"verified {len(entries)} vectors, corpus digest {digest}")
     return EXIT_OK
 

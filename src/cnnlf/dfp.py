@@ -30,9 +30,10 @@ channels before taps (``k * k * Cout <= Cin``) first forms per-tap sums
 over the input channels and then adds the taps; each of those is a sum of
 a subset of the same products, bounded by the same figure.  The output
 is therefore bit-identical for any summation order, BLAS build, BLAS
-thread count or band split, which is the point: encoder and decoder agree
-across platforms by construction.  BLAS is the only source of
-parallelism; the row bands run one after another.
+thread count, band split or worker count, which is the point: encoder and
+decoder agree across platforms by construction.  :func:`dfp_forward`
+spends the BLAS thread count on workers: BLAS runs at one thread while
+each layer's row bands run on the workers (see :mod:`cnnlf.tensor`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ModelFormatError, VerificationError
 from .network import (Layer, NetworkConfig, NetworkModel, _check_chain, _check_inputs,
                       forward_network, normalize_inputs)
-from .tensor import ConvParams, _correlate, round_half_away
+from .tensor import ConvParams, _correlate, _spend_blas_threads, round_half_away
 
 WEIGHT_BITS = 8
 BIAS_BITS = 32
@@ -161,9 +162,9 @@ class FLTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FLTable":
-        return cls([LayerFL(int(e["fl_w"]), int(e["fl_b"]), int(e["fl_o"]))
-                    for e in d["layers"]],
-                   int(d.get("fl_concat", INPUT_FL)), int(d.get("fl_sum", INPUT_FL)))
+        # no int(): check_complete rejects a value that is not an integer
+        return cls([LayerFL(e["fl_w"], e["fl_b"], e["fl_o"]) for e in d["layers"]],
+                   d.get("fl_concat", INPUT_FL), d.get("fl_sum", INPUT_FL))
 
 
 def reference_fl_8layer() -> FLTable:
@@ -389,7 +390,8 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
     parameters, ``W * 2^-s`` and ``(b * 2^bshift + 2^(s-1)) * 2^-s``, so
     its requantization is ``min(floor(max(acc, 1/2)), ACT_MAX)``.  Other
     layers add the aligned bias, round half away from zero and saturate.
-    The sums come from :func:`cnnlf.tensor._correlate`.
+    The sums come from :func:`cnnlf.tensor._correlate`, which runs ``finish`` on its
+    workers.
     """
     cout, cin, k, _ = layer.weights_m.shape
     h, w = src.shape[1] - 2 * pad, src.shape[2] - 2 * pad
@@ -403,7 +405,7 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
         bias *= 2.0 ** -shift
     out = dst[:cout, pad:pad + h, pad:pad + w]
 
-    def finish(acc: np.ndarray, r0: int, r1: int) -> None:
+    def finish(_, acc: np.ndarray, r0: int, r1: int) -> None:
         acc += bias
         if layer.relu:
             # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1)) is
@@ -417,13 +419,15 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
             np.clip(acc, ACT_MIN, ACT_MAX, out=out[:, r0:r1])
 
     # whole buffer rows, so output column x reads columns pad - p + x .. pad + p + x
-    _correlate(weights, src[:cin, pad - p:pad + h + p], pad - p, w, finish)
+    _correlate(weights, src[None, :cin, pad - p:pad + h + p], pad - p, w, finish)
     _replicate_border(dst[:cout], pad, h, w)
 
 
 def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
     """Integer-exact filtering of one plane; bit-identical for any BLAS thread count.
 
+    The layers' row bands run on as many workers as BLAS had threads, with
+    BLAS at one thread meanwhile; the count is restored on return.
     ``threads`` is unused; it stays only because ``perfbench`` still passes it.
     """
     cfg = model.config
@@ -437,9 +441,10 @@ def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -
     src[1, pad:pad + h, pad:pad + w] = qp_m
     _replicate_border(src[:2], pad, h, w)
     layer_shifts, sum_shift = model.shifts()
-    for layer, (bshift, shift) in zip(model.layers, layer_shifts):
-        _conv_layer(src, dst, pad, layer, bshift, shift)
-        src, dst = dst, src
+    with _spend_blas_threads():
+        for layer, (bshift, shift) in zip(model.layers, layer_shifts):
+            _conv_layer(src, dst, pad, layer, bshift, shift)
+            src, dst = dst, src
     # summation layer: bring the residual down to the input grid and add, saturating
     resid = src[0, pad:pad + h, pad:pad + w]
     total = np.clip(_round_shift(resid, sum_shift), ACT_MIN, ACT_MAX)

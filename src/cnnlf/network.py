@@ -189,8 +189,11 @@ def forward_network(model: NetworkModel, inp: np.ndarray, mode: str = "infer",
     x = inp
     caches = [] if keep_cache else None
     for layer in model.layers:
-        conv_in = x
-        x = tensor.conv2d(x, layer.conv)
+        # the backward pass reuses the conv's padded input; conv_in is a view into it
+        conv_pad = tensor.pad_same(x, layer.conv.kernel_size)
+        p = (layer.conv.kernel_size - 1) // 2
+        conv_in = conv_pad[:, :, p:conv_pad.shape[2] - p, p:conv_pad.shape[3] - p]
+        x = tensor.conv2d(conv_in, layer.conv, xp=conv_pad)
         bn_cache = None
         if layer.bn is not None:
             x, _, bn_cache = tensor.batchnorm_forward(x, layer.bn, mode)
@@ -198,7 +201,8 @@ def forward_network(model: NetworkModel, inp: np.ndarray, mode: str = "infer",
         if layer.relu:
             x = tensor.relu(x)
         if keep_cache:
-            caches.append({"conv_in": conv_in, "bn_cache": bn_cache, "pre_relu": pre_relu})
+            caches.append({"conv_in": conv_in, "conv_pad": conv_pad, "bn_cache": bn_cache,
+                           "pre_relu": pre_relu})
     out = tensor.add_elementwise(x, inp[:, :1])
     return out, caches
 

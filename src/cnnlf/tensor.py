@@ -28,15 +28,32 @@ back with flipped taps:
 ``d_w[o, c, ky, kx] = sum_q U[(o, k-1-ky, k-1-kx), q] * xp[c, q]`` over the
 ``(H + k - 1) * (W + k - 1)`` padded positions ``q``.
 
+A DFP forward and a training step spend the process's BLAS thread count
+``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread
+and the blocks of each convolution, the row bands of one image or the
+images of a batch, run on ``min(T, blocks)`` threads.  The calling thread
+allocates every worker's buffers.  Elsewhere, and when no OpenBLAS thread
+control is found, everything runs on the calling thread and BLAS threads
+each GEMM.
+
 The GEMM's summation order belongs to the BLAS build and its thread
 count, so float results can differ in the last bits between BLAS builds
-or thread settings.  Bit-exactness across platforms and thread counts is
-the contract of the integer path in :mod:`cnnlf.dfp`, not of this one.
+or thread settings.  The weight gradient also sums one partial per
+worker, so its bits may depend on the worker count.  Bit-exactness
+across platforms, thread and worker counts is the contract of the
+integer path in :mod:`cnnlf.dfp`, not of this one.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -44,9 +61,10 @@ from .errors import ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
-# Size of one unfolded row band, the right operand of one GEMM: large enough
-# to keep BLAS efficient, small enough to stay in cache.  With 64 3x3 input
-# channels it holds 8 rows of a 208-pixel plane.
+# Size of the unfolded row bands in flight, one per worker, each the right
+# operand of one GEMM: large enough to keep BLAS efficient, small enough to
+# stay in cache.  With 64 3x3 input channels and one worker it holds 8 rows
+# of a 208-pixel plane.
 BAND_BYTES = 8 << 20
 
 
@@ -153,49 +171,206 @@ def pad_same(x: np.ndarray, k: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge")
 
 
-def _row_bands(depth: int, h: int, w: int) -> list:
-    """Split ``h`` output rows into ``(r0, r1)`` bands whose unfolded columns fit ``BAND_BYTES``."""
-    rows = max(1, BAND_BYTES // (8 * depth * w))
-    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+@functools.cache
+def _openblas_controls():
+    """``(get, set)`` of the thread count of the OpenBLAS numpy links, or None.
+
+    numpy's wheels bundle scipy-openblas, whose 64-bit interface exports
+    both functions.  With any other BLAS nothing is found and its thread
+    count is left alone.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
 
 
-def _unfold(xp: np.ndarray, k: int, r0: int, r1: int) -> np.ndarray:
+class _WorkerBudget:
+    """The process's BLAS thread count ``T``, spent on conv workers by the threads inside it.
+
+    The outermost :meth:`spend` reads ``T``, sets BLAS to one thread and
+    starts a pool of ``T`` workers; the last exit stops the pool and
+    restores ``T``, also when the body raises.  The lock and the depth
+    count make nested and concurrent entries save and restore ``T`` once.
+    A thread outside :meth:`spend` runs its blocks itself.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._threads = 1
+        self._pool = None
+        self._local = threading.local()
+
+    @contextmanager
+    def spend(self):
+        controls = _openblas_controls()
+        with self._lock:
+            if self._depth == 0 and controls is not None:
+                self._threads = max(1, controls[0]())
+                if self._threads > 1:
+                    controls[1](1)
+                    self._pool = ThreadPoolExecutor(self._threads, thread_name_prefix="cnnlf")
+            self._depth += 1
+        nested = getattr(self._local, "depth", 0)
+        self._local.depth = nested + 1
+        try:
+            yield
+        finally:
+            self._local.depth = nested
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0 and self._threads > 1:
+                    self._pool.shutdown()
+                    self._pool = None
+                    controls[1](self._threads)
+                    self._threads = 1
+
+    def threads(self) -> int:
+        """``T`` as the next outermost :meth:`spend` would read it; 1 without thread control."""
+        controls = _openblas_controls()
+        with self._lock:
+            if self._depth:
+                return self._threads
+            return max(1, controls[0]()) if controls else 1
+
+    def workers(self) -> int:
+        """How many workers the calling thread may split its blocks over."""
+        return self._threads if getattr(self._local, "depth", 0) else 1
+
+    def run(self, work, n: int) -> None:
+        """``work(j)`` for every ``j < n``; on the pool when ``n > 1``, in a copy of the
+        caller's context, so ``np.errstate`` holds there too."""
+        if n == 1:
+            work(0)
+            return
+        futures = [self._pool.submit(contextvars.copy_context().run, work, j) for j in range(n)]
+        wait(futures)
+        for future in futures:
+            future.result()
+
+
+_BUDGET = _WorkerBudget()
+_spend_blas_threads = _BUDGET.spend
+
+
+def worker_threads() -> int:
+    """The worker count ``T`` a DFP forward or a training step started now would run on."""
+    return _BUDGET.threads()
+
+
+def _on_workers(blocks: int, scratch, work) -> list:
+    """Run ``work(i, buffers)`` for every block ``i < blocks`` on ``n = min(T, blocks)`` workers.
+
+    Worker ``j`` takes blocks ``j, j + n, ...`` with the ``buffers`` that
+    ``scratch()`` made for it on the calling thread, so no worker allocates
+    its buffers.  Returns every worker's buffers, in worker order.
+    """
+    buffers = [scratch() for _ in range(max(1, min(_BUDGET.workers(), blocks)))]
+    n = len(buffers)
+
+    def run(j: int) -> None:
+        for i in range(j, blocks, n):
+            work(i, buffers[j])
+
+    _BUDGET.run(run, n)
+    return buffers
+
+
+def _sum_partials(partials) -> np.ndarray:
+    """The workers' partial sums added in worker order, so one worker count gives one result."""
+    return functools.reduce(np.add, partials)
+
+
+def _row_bands(depth: int, h: int, w: int) -> tuple:
+    """``(rows, bands)``: ``h`` output rows split into ``(r0, r1)`` bands of at most ``rows``
+    rows, whose unfolded columns fit one worker's share of ``BAND_BYTES``; at least one
+    band per worker where there are enough rows."""
+    workers = _BUDGET.workers()
+    rows = min(-(-h // workers), max(1, BAND_BYTES // workers // (8 * depth * w)))
+    return rows, [(r0, min(r0 + rows, h)) for r0 in range(0, h, max(1, rows))]
+
+
+def _unfold(xp: np.ndarray, k: int, r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
     """im2col of output rows ``r0:r1`` of one padded (C, H + k - 1, W + k - 1) image.
 
-    Returns the ``(C * k * k, (r1 - r0) * W)`` columns in ``(c, ky, kx)``
-    order, to match ``weights.reshape(Cout, -1)``.
+    Writes the ``(C * k * k, (r1 - r0) * W)`` columns, in ``(c, ky, kx)``
+    order to match ``weights.reshape(Cout, -1)``, to the front of the flat
+    buffer ``buf`` and returns them.
     """
-    c, _, w = xp.shape
+    c, _, wp = xp.shape
+    w = wp - k + 1
+    cols = buf[:c * k * k * (r1 - r0) * w].reshape(c, k, k, r1 - r0, w)
     windows = np.lib.stride_tricks.sliding_window_view(xp[:, r0:r1 + k - 1], (k, k), axis=(1, 2))
-    return windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, (r1 - r0) * (w - k + 1))
+    np.copyto(cols, windows.transpose(0, 3, 4, 1, 2))
+    return cols.reshape(c * k * k, -1)
 
 
-def _correlate(weights: np.ndarray, rows: np.ndarray, c0: int, w: int, store) -> None:
-    """Raw correlation sums of one padded image, block by block.
+def _correlate(weights: np.ndarray, images: np.ndarray, c0: int, w: int, store) -> None:
+    """Raw correlation sums of a batch of padded images, block by block.
 
-    Output pixel (y, x) reads ``rows[:, y:y + k, c0 + x:c0 + x + k]``.  Each
-    (Cout, r1 - r0, W) block of sums over output rows ``r0:r1`` goes to
-    ``store(acc, r0, r1)``, which may reuse ``acc``.
+    Output pixel (y, x) of image ``i`` reads
+    ``images[i, :, y:y + k, c0 + x:c0 + x + k]``.  Each (Cout, r1 - r0, W)
+    block of sums over output rows ``r0:r1`` goes to ``store(i, acc, r0, r1)``,
+    which may reuse ``acc``.  The blocks are the row bands of a single image
+    or the images of a batch; they run, ``store`` included, on the workers
+    of :func:`_on_workers`.
     """
     cout, cin, k, _ = weights.shape
-    h = rows.shape[1] - k + 1
+    n = len(images)
+    h = images.shape[2] - k + 1
     if k * k * cout <= cin:
-        # taps[ky, kx] is tap (ky, kx) of every output channel at every position of rows
-        taps = (weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-                @ rows.reshape(cin, -1)).reshape(k, k, cout, rows.shape[1], -1)
-        store(sum(taps[ky, kx, :, ky:ky + h, c0 + kx:c0 + kx + w]
-                  for ky in range(k) for kx in range(k)), 0, h)
+        wt = weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+
+        def head(i: int, _) -> None:
+            # taps[ky, kx] is tap (ky, kx) of every output channel at every position of image i
+            taps = (wt @ images[i].reshape(cin, -1)).reshape(k, k, cout, images.shape[2], -1)
+            store(i, sum(taps[ky, kx, :, ky:ky + h, c0 + kx:c0 + kx + w]
+                         for ky in range(k) for kx in range(k)), 0, h)
+
+        _on_workers(n, lambda: None, head)
         return
-    xp = rows[:, :, c0:c0 + w + k - 1]
+    xs = images[:, :, :, c0:c0 + w + k - 1]
     wmat = weights.reshape(cout, -1)
-    for r0, r1 in _row_bands(cin * k * k, h, w):
-        store((wmat @ _unfold(xp, k, r0, r1)).reshape(cout, r1 - r0, w), r0, r1)
+    depth = cin * k * k
+    rows, bands = _row_bands(depth, h, w)
+    blocks = [(0, [band]) for band in bands] if n == 1 else [(i, bands) for i in range(n)]
+
+    def block(b: int, buffers) -> None:
+        cols, sums = buffers
+        i, image_bands = blocks[b]
+        for r0, r1 in image_bands:
+            acc = sums[:cout * (r1 - r0) * w].reshape(cout, r1 - r0, w)
+            np.matmul(wmat, _unfold(xs[i], k, r0, r1, cols), out=acc.reshape(cout, -1))
+            store(i, acc, r0, r1)
+
+    _on_workers(len(blocks), lambda: (np.empty(depth * rows * w), np.empty(cout * rows * w)),
+                block)
 
 
-def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
+def _padded(x: np.ndarray, k: int, xp) -> np.ndarray:
+    """``xp``, the caller's replicate pad of ``x``, or that pad made here."""
+    if xp is None:
+        return pad_same(x, k)
+    n, c, h, w = x.shape
+    xp = np.asarray(xp, dtype=np.float64)
+    if xp.shape != (n, c, h + k - 1, w + k - 1):
+        raise ShapeError(f"padded input shape {xp.shape} does not match input {x.shape} "
+                         f"padded for a {k}x{k} kernel")
+    return xp
+
+
+def conv2d(x: np.ndarray, params: ConvParams, xp: np.ndarray | None = None) -> np.ndarray:
     """Same-size cross-correlation plus per-channel bias.
 
-    Input (N, Cin, H, W) -> output (N, Cout, H, W).
+    Input (N, Cin, H, W) -> output (N, Cout, H, W).  A caller that already
+    holds ``x`` replicate-padded by ``(k - 1) / 2`` passes it as ``xp``.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params)
@@ -203,9 +378,8 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     cout, _, k, _ = params.weights.shape
     out = np.empty((n, cout, h, w))
     bias = params.bias[:, None, None]
-    for o, xp in zip(out, pad_same(x, k)):
-        _correlate(params.weights, xp, 0, w,
-                   lambda acc, r0, r1, o=o: np.add(acc, bias, out=o[:, r0:r1]))
+    _correlate(params.weights, _padded(x, k, xp), 0, w,
+               lambda i, acc, r0, r1: np.add(acc, bias, out=out[i, :, r0:r1]))
     return out
 
 
@@ -226,20 +400,23 @@ def _fold_pad_grad(dxp: np.ndarray, h: int, w: int, p: int) -> np.ndarray:
 
 
 def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
-                input_grad: bool = True):
+                input_grad: bool = True, xp: np.ndarray | None = None):
     """Exact gradients ``(d_x, d_w, d_bias)`` of :func:`conv2d`.
 
-    Each image's upstream is copied into one reused zero-ringed
+    Each image's upstream is copied into a reused zero-ringed
     (Cout, H + 2(k - 1), W + 2(k - 1)) buffer and unfolded once per band of
     padded rows into ``U``.  ``W_flip^T @ U`` is the padded input's
     gradient, written in place and then folded onto the edge pixels the
     replicate padding read.  ``U @ xp^T``, with ``xp`` the padded input,
     holds the weight gradient with flipped taps:
     ``d_w[o, c, ky, kx] = sum_q U[(o, k-1-ky, k-1-kx), q] * xp[c, q]``.
+    The images are the blocks of :func:`_on_workers`; each worker sums its
+    own weight gradient, and the partials are added in worker order.
 
     With ``input_grad=False`` ``d_x`` is None and the weight gradient
     comes from the unfold of ``x`` instead, which is smaller for a layer
-    with few input channels (the first layer of the network).
+    with few input channels (the first layer of the network).  ``xp`` is
+    as for :func:`conv2d`; the forward pass's pad serves here too.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -249,26 +426,39 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     expected = (n, cout, h, w)
     if upstream.shape != expected:
         raise ShapeError(f"upstream shape {upstream.shape} does not match conv output {expected}")
-    xp = pad_same(x, k)
+    xp = _padded(x, k, xp)
     d_bias = upstream.sum(axis=(0, 2, 3))
     if not input_grad:
-        d_w = np.zeros((cout, cin * k * k))
-        for i in range(n):
-            for r0, r1 in _row_bands(d_w.shape[1], h, w):
-                d_w += upstream[i, :, r0:r1].reshape(cout, -1) @ _unfold(xp[i], k, r0, r1).T
-        return None, d_w.reshape(params.weights.shape), d_bias
+        depth = cin * k * k
+        rows, bands = _row_bands(depth, h, w)
+
+        def weight_grad(i: int, buffers) -> None:
+            cols, d_w = buffers
+            for r0, r1 in bands:
+                d_w += upstream[i, :, r0:r1].reshape(cout, -1) @ _unfold(xp[i], k, r0, r1, cols).T
+
+        parts = _on_workers(n, lambda: (np.empty(depth * rows * w), np.zeros((cout, depth))),
+                            weight_grad)
+        return None, _sum_partials(d_w for _, d_w in parts).reshape(params.weights.shape), d_bias
     hp, wp = h + k - 1, w + k - 1
-    ring = np.zeros((cout, hp + k - 1, wp + k - 1))
+    depth = cout * k * k
+    rows, bands = _row_bands(depth, hp, wp)
     w_flip = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
     d_xp = np.empty((n, cin, hp, wp))
-    d_wt = np.zeros((cout * k * k, cin))
-    for i in range(n):
+
+    def grads(i: int, buffers) -> None:
+        ring, cols, d_wt = buffers
         ring[:, k - 1:k - 1 + h, k - 1:k - 1 + w] = upstream[i]
-        for r0, r1 in _row_bands(cout * k * k, hp, wp):
-            u = _unfold(ring, k, r0, r1)
+        for r0, r1 in bands:
+            u = _unfold(ring, k, r0, r1, cols)
             np.matmul(w_flip, u, out=d_xp[i, :, r0:r1].reshape(cin, -1))
             d_wt += u @ xp[i, :, r0:r1].reshape(cin, -1).T
+
+    parts = _on_workers(n, lambda: (np.zeros((cout, hp + k - 1, wp + k - 1)),
+                                    np.empty(depth * rows * wp), np.zeros((depth, cin))),
+                        grads)
     # row (o, a, b) of d_wt holds tap (k-1-a, k-1-b)
+    d_wt = _sum_partials(d_wt for _, _, d_wt in parts)
     d_w = d_wt.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return _fold_pad_grad(d_xp, h, w, (k - 1) // 2), np.ascontiguousarray(d_w), d_bias
 

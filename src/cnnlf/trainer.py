@@ -182,7 +182,8 @@ def backward_network(model: NetworkModel, caches, d_out: np.ndarray) -> list:
         d_scale = d_shift = None
         if layer.bn is not None:
             d, d_scale, d_shift = tensor.batchnorm_backward(d, cache["bn_cache"])
-        d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], layer.conv, d, input_grad=i > 0)
+        d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], layer.conv, d, input_grad=i > 0,
+                                         xp=cache["conv_pad"])
         grads[i] = LayerGrads(d_w, d_b, d_scale, d_shift)
     return grads
 
@@ -291,7 +292,8 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
             batch = [items[i] for i in idx]
             view = model if fl_table is None else quantized_view(model, fl_table)
-            breakdown, grads = loss_eq1(view, batch, config)
+            with tensor._spend_blas_threads():
+                breakdown, grads = loss_eq1(view, batch, config)
             model = sgd_step(model, grads, lr, config.grad_clip_norm)
             epoch_terms += (breakdown.mse, breakdown.reg_w, breakdown.reg_s,
                             breakdown.reg_lda, breakdown.total)

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ from cnnlf.errors import ConfigError, ModelFormatError, ShapeError, Verification
 from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
 from cnnlf.codec import make_test_image, psnr
 
+from .conftest import blas_count
 from .oracles import dfp_forward_loops, round_half_away_int
 
 
@@ -55,14 +57,20 @@ def benchmark_shaped_model():
     return quantize_model(model, build_fl_table(model, calib))
 
 
-# run by a child interpreter: prints the digest of one filtered plane
+# run by a child interpreter: prints the worker count and the digest of one filtered
+# plane.  OpenBLAS caps OPENBLAS_NUM_THREADS at the core count, so the child sets the
+# count itself, and 3 gives 3 workers on any host.
 BLAS_CHILD = """
-import hashlib
+import hashlib, os
+from cnnlf import tensor
 from cnnlf.codec import make_test_image
 from cnnlf.dfp import dfp_forward
 from tests.test_dfp import benchmark_shaped_model
+controls = tensor._openblas_controls()
+if controls is not None:
+    controls[1](int(os.environ["OPENBLAS_NUM_THREADS"]))
 out = dfp_forward(benchmark_shaped_model(), make_test_image(48, 64, seed=13), 32)
-print(hashlib.sha256(out.tobytes()).hexdigest())
+print(tensor.worker_threads(), hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
@@ -91,7 +99,8 @@ def conformance_file(draw):
 
 @st.composite
 def small_dfp_case(draw):
-    """A random quantized model of 2 or 3 layers, a plane, a qp and a band size.
+    """A random quantized model of 2 or 3 layers, a plane, a qp, a band size and a
+    worker count.
 
     Each layer draws its own kernel side from {1, 3, 5}, so layers read their
     input at different pad offsets, and hidden widths reach 10, so 3x3 layers
@@ -132,7 +141,7 @@ def small_dfp_case(draw):
                                                     draw(st.integers(1, 9))))
     band_bytes = draw(st.sampled_from([1, 300, 2000, tensor.BAND_BYTES]))
     return model, plane.astype(np.uint8 if bit_depth == 8 else np.uint16), \
-        draw(st.integers(0, 51)), band_bytes
+        draw(st.integers(0, 51)), band_bytes, draw(st.sampled_from([1, 2, 3]))
 
 
 class TestQuantizeValue:
@@ -363,8 +372,8 @@ class TestDfpForward:
     @given(small_dfp_case())
     @settings(max_examples=200, deadline=None)
     def test_matches_integer_loop_oracle(self, case):
-        model, plane, qp, band_bytes = case
-        with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+        model, plane, qp, band_bytes, workers = case
+        with mock.patch.object(tensor, "BAND_BYTES", band_bytes), blas_count(workers):
             got = dfp_forward(model, plane, qp)
         assert np.array_equal(got, dfp_forward_loops(model, plane, qp))
 
@@ -388,13 +397,82 @@ class TestDfpForward:
         root = Path(__file__).resolve().parent.parent
         path = os.pathsep.join([str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])
         digests = []
-        for blas_threads in ("1", "2"):
+        # serial, 2 workers, and more workers than this host's cores with uneven bands
+        for blas_threads in ("1", "2", "3"):
             env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas_threads}
             done = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env, cwd=root,
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
-            digests.append(done.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+            workers, digest = done.stdout.split()
+            if tensor._openblas_controls() is not None:
+                assert workers == blas_threads
+            digests.append(digest)
+        assert len(digests[0]) == 64 and digests[0] == digests[1] == digests[2]
+
+
+class TestWorkers:
+    """The BLAS thread count a DFP forward spends on workers, and gives back."""
+
+    @pytest.fixture
+    def blas_get(self):
+        controls = tensor._openblas_controls()
+        if controls is None:
+            pytest.skip("no OpenBLAS thread control")
+        return controls[0]
+
+    def test_count_spent_inside_and_restored_on_return_and_raise(self, blas_get):
+        dm, _ = quantized_small_model()
+        plane = make_test_image(40, 40, seed=9)
+        seen = []
+        conv_layer = dfp._conv_layer
+
+        def spy(*args):
+            seen.append((blas_get(), tensor._BUDGET.workers()))
+            conv_layer(*args)
+
+        with blas_count(3):
+            with mock.patch.object(dfp, "_conv_layer", spy):
+                dfp_forward(dm, plane, 32)
+            assert blas_get() == 3 and tensor.worker_threads() == 3
+            assert set(seen) == {(1, 3)}
+            with mock.patch.object(dfp, "_conv_layer", side_effect=RuntimeError("layer")):
+                with pytest.raises(RuntimeError, match="layer"):
+                    dfp_forward(dm, plane, 32)
+            assert blas_get() == 3 and tensor._BUDGET.workers() == 1
+
+    def test_no_thread_control_gives_the_same_digest(self):
+        dm, _ = quantized_small_model()
+        plane = make_test_image(40, 56, seed=9)
+        with blas_count(2):
+            want = dfp_forward(dm, plane, 32)
+        with mock.patch.object(tensor, "_openblas_controls", lambda: None):
+            assert tensor.worker_threads() == 1
+            got = dfp_forward(dm, plane, 32)
+        assert np.array_equal(got, want)
+
+    def test_concurrent_forwards_save_and_restore_the_count_once(self, blas_get):
+        dm, _ = quantized_small_model()
+        plane = make_test_image(40, 40, seed=9)
+        want = dfp_forward(dm, plane, 32)
+        got = [None] * 4
+
+        def run(j):
+            got[j] = dfp_forward(dm, plane, 32)
+
+        interval = sys.getswitchinterval()
+        with blas_count(3):
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(j,)) for j in range(len(got))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert blas_get() == 3 and tensor._BUDGET._depth == 0
+        assert all(g is not None and np.array_equal(g, want) for g in got)
 
 
 class TestDFPModelChain:

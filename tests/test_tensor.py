@@ -11,16 +11,19 @@ from cnnlf.tensor import (BNParams, ConvParams, add_elementwise, batchnorm,
                           batchnorm_backward, batchnorm_forward, concat_channels,
                           conv2d, conv2d_grad, relu, relu_grad, round_half_away)
 
+from .conftest import blas_count
 from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_loops,
                       finite_difference, max_relative_error)
 
 
 @st.composite
 def conv_case(draw):
-    """Input, parameters, upstream gradient, a band size and whether to ask for the
-    input gradient, for one random convolution.  Planes may be smaller than the
-    kernel.  About half the 1x1 and 3x3 cases have ``k * k * cout <= cin``, the
-    channels-first path of the forward pass; ``cin`` goes up to 12 for that."""
+    """Input, parameters, upstream gradient, a band size, whether to ask for the
+    input gradient, whether to pass the padded input and a worker count, for one
+    random convolution.  Planes may be smaller than the kernel.  About half the
+    1x1 and 3x3 cases have ``k * k * cout <= cin``, the channels-first path of
+    the forward pass; ``cin`` goes up to 12 for that.  Three workers exceed the
+    images of every batch drawn and the bands of most planes."""
     k = draw(st.sampled_from([1, 3, 5]))
     n, cout = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     if k < 5 and draw(st.booleans()):
@@ -33,17 +36,20 @@ def conv_case(draw):
     params = ConvParams(rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout))
     band_bytes = draw(st.sampled_from([1, 300, tensor.BAND_BYTES]))
     input_grad = draw(st.booleans())
+    padded, workers = draw(st.booleans()), draw(st.sampled_from([1, 2, 3]))
     return (rng.normal(size=(n, cin, h, w)), params, rng.normal(size=(n, cout, h, w)),
-            band_bytes, input_grad)
+            band_bytes, input_grad, padded, workers)
 
 
 @given(conv_case())
 @settings(max_examples=100, deadline=None)
 def test_conv_and_grad_match_loop_oracles(case):
-    x, params, up, band_bytes, input_grad = case
-    with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
-        out = conv2d(x, params)
-        d_x, d_w, d_b = conv2d_grad(x, params, up, input_grad=input_grad)
+    x, params, up, band_bytes, input_grad, padded, workers = case
+    xp = tensor.pad_same(x, params.kernel_size) if padded else None
+    with (mock.patch.object(tensor, "BAND_BYTES", band_bytes), blas_count(workers),
+          tensor._spend_blas_threads()):
+        out = conv2d(x, params, xp=xp)
+        d_x, d_w, d_b = conv2d_grad(x, params, up, input_grad=input_grad, xp=xp)
     assert np.abs(out - conv2d_loops(x, params.weights, params.bias)).max() < 1e-12
     want_x, want_w, want_b = conv2d_grad_loops(x, params.weights, up)
     if input_grad:
@@ -139,6 +145,14 @@ class TestConv2dGrad:
         params = ConvParams(rng.normal(size=(3, 2, 3, 3)), np.zeros(3))
         with pytest.raises(ShapeError, match="does not match conv output"):
             conv2d_grad(x, params, np.zeros((1, 3, 4, 5)))
+
+    def test_padded_input_shape_mismatch(self, rng):
+        x = rng.normal(size=(1, 2, 5, 5))
+        params = ConvParams(rng.normal(size=(3, 2, 3, 3)), np.zeros(3))
+        with pytest.raises(ShapeError, match="padded input"):
+            conv2d_grad(x, params, np.zeros((1, 3, 5, 5)), xp=x)
+        with pytest.raises(ShapeError, match="padded input"):
+            conv2d(x, params, xp=tensor.pad_same(x, 5))
 
 
 class TestBatchnorm:

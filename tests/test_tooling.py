@@ -14,6 +14,7 @@ from cnnlf.dfp import (build_fl_table, dfp_forward, make_conformance, quantize_m
 from cnnlf.errors import ModelFormatError
 from cnnlf.model_io import load_model, model_hash, save_model
 from cnnlf.network import NetworkConfig, build_cnnf
+from cnnlf.tensor import worker_threads
 
 from .test_dfp import bias_fl_lowered, quantized_small_model
 
@@ -63,6 +64,9 @@ HEADER_DEFECTS = {
     "config-not-an-object": lambda h: {**h, "config": [3, 64]},
     "config-float-integer": lambda h: {**h, "config": {**h["config"], "bit_depth": 8.0}},
     "fl-concat-not-input-fl": lambda h: {**h, "fl_table": {**h["fl_table"], "fl_concat": 14}},
+    "fl-non-integer": lambda h: {**h, "fl_table": {**h["fl_table"], "layers": [
+        {**h["fl_table"]["layers"][0], "fl_o": h["fl_table"]["layers"][0]["fl_o"] + 0.9},
+        *h["fl_table"]["layers"][1:]]}},
 }
 
 
@@ -216,17 +220,23 @@ class TestCli:
         self._make_pipeline(workspace)
         write_pgm("in.pgm", make_test_image(48, 48, seed=9))
         assert self.run("infer", "--model", "md.clf", "--input", "in.pgm",
-                        "--qp", "37", "--out", "a.pgm", "--dfp") == 0
+                        "--qp", "37", "--out", "a.pgm", "--dfp", "--log", "log") == 0
         assert self.run("infer", "--model", "md.clf", "--input", "in.pgm",
                         "--qp", "37", "--out", "b.pgm", "--dfp") == 0
         assert (workspace / "a.pgm").read_bytes() == (workspace / "b.pgm").read_bytes()
+        (record,) = [json.loads(line) for line in (workspace / "log").read_text().splitlines()]
+        assert record["event"] == "infer" and record["dfp"] is True
+        assert record["workers"] == worker_threads() >= 1
 
     def test_infer_float_on_plane_narrower_than_kernel(self, workspace, tiny_model):
         save_model(tiny_model, "m.clf")
         write_pgm("in.pgm", make_test_image(1, 12, seed=9))
         assert self.run("infer", "--model", "m.clf", "--input", "in.pgm",
-                        "--qp", "22", "--out", "o.pgm") == 0
+                        "--qp", "22", "--out", "o.pgm", "--log", "log") == 0
         assert read_pgm("o.pgm").shape == (1, 12)
+        # the float path has no workers to report
+        (record,) = [json.loads(line) for line in (workspace / "log").read_text().splitlines()]
+        assert record["dfp"] is False and "workers" not in record
 
     def test_infer_dfp_flag_on_float_model_fails(self, workspace):
         self._make_pipeline(workspace)
@@ -256,7 +266,10 @@ class TestCli:
                   for i in range(2) for qp in (22, 37)]
         entries = make_conformance(dfp_model, corpus)
         write_conformance("v.bin", entries)
-        assert self.run("verify", "--model", "md.clf", "--vectors", "v.bin") == 0
+        assert self.run("verify", "--model", "md.clf", "--vectors", "v.bin", "--log", "log") == 0
+        (record,) = [json.loads(line) for line in (workspace / "log").read_text().splitlines()]
+        assert record["event"] == "verify" and record["vectors"] == 4
+        assert record["workers"] == worker_threads() >= 1
         # a perturbed model must fail verification with the dedicated code
         dfp_model.layers[-1].bias_m[:] += 1 << 12
         save_model(dfp_model, "bad.clf")
@@ -358,7 +371,7 @@ class TestCli:
                         "--out", "d.npz") == 5
 
     def test_threads_flag_and_config_key_rejected(self, workspace):
-        # BLAS is the only parallelism, so there is no worker count to set
+        # the worker count is BLAS's thread count, so there is no flag or key to set it
         with pytest.raises(SystemExit) as exc:
             self.run("verify", "--model", "m.clf", "--vectors", "v.bin", "--threads", "2")
         assert exc.value.code == 2

@@ -1,14 +1,18 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnnlf import tensor
 from cnnlf.errors import ConfigError, NonFiniteLossError
 from cnnlf.network import NetworkConfig, build_cnnf, forward_network
 from cnnlf.model_io import model_hash
 from cnnlf.trainer import (LossBreakdown, TrainConfig, global_grad_norm, lda_regularizer,
                            loss_eq1, quant_aware_finetune, quantized_view, sgd_step, train)
 
+from .conftest import blas_count
 from .oracles import finite_difference, lda_pairwise, lda_pairwise_loops, max_relative_error
 
 
@@ -263,6 +267,29 @@ class TestTrain:
         m2, h2 = train(build_cnnf(cfg, rng_seed=3, zero_init_output=False), ds, tc)
         assert model_hash(m1) == model_hash(m2)
         assert all(a.total == b.total for a, b in zip(h1, h2))
+
+    def test_two_workers_match_one_and_the_count_is_restored(self, rng):
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=8, per_layer_filters=(8, 6))
+        ds = self._dataset(rng)
+        tc = TrainConfig(batch_size=4, base_lr=0.005, epochs=2, lr_decay_epoch=2, rng_seed=17)
+        controls = tensor._openblas_controls()
+        runs = []
+        for workers in (1, 2):
+            with blas_count(workers):
+                runs.append(train(build_cnnf(cfg, rng_seed=3, zero_init_output=False), ds, tc))
+                assert controls is None or controls[0]() == workers
+                broken = build_cnnf(cfg, rng_seed=3)
+                broken.layers[0].conv.weights[0, 0, 0, 0] = np.inf
+                with pytest.raises(NonFiniteLossError), np.errstate(invalid="ignore"):
+                    train(broken, ds, tc)
+                assert controls is None or controls[0]() == workers
+        (m1, h1), (m2, h2) = runs
+        for a, b in zip(h1, h2):
+            for x, y in zip(astuple(a), astuple(b)):
+                assert abs(y - x) <= 1e-12 * abs(x)
+        for l1, l2 in zip(m1.layers, m2.layers):
+            x, y = l1.conv.weights, l2.conv.weights
+            assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
 
     def test_dataset_smaller_than_batch(self, rng):
         cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
