@@ -14,12 +14,10 @@ from .errors import (CnnlfError, ConfigError, DataError, ModelFormatError,
 from .network import (NetworkConfig, NetworkModel, build_cnnf, denormalize, filter_plane,
                       forward_float, normalize_inputs)
 from .tensor import BNParams, ConvParams
-from .trainer import LossBreakdown, TrainConfig, loss_eq1, lda_regularizer, \
-    quant_aware_finetune, sgd_step, train
-from .compress import (LowRankLayer, PruneReport, decompose_model, fold_batchnorm,
-                       prune_by_bn_scale, select_rank, svd_lowrank)
-from .dfp import (DFPFormat, DFPModel, FLTable, LayerFL, build_fl_table, dfp_forward,
-                  estimate_fl, quantize_model, quantize_value, dequantize_value,
+from .trainer import (TrainConfig, loss_eq1, lda_regularizer, quant_aware_finetune, sgd_step,
+                      train)
+from .compress import decompose_model, fold_batchnorm, prune_by_bn_scale
+from .dfp import (DFPModel, FLTable, LayerFL, build_fl_table, dfp_forward, quantize_model,
                   reference_fl_8layer)
 from .codec import (RDCurve, RDPoint, PatchSet, bd_rate, encode_intra_plane,
                     make_dataset, make_test_image, psnr)

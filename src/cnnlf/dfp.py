@@ -32,8 +32,8 @@ a subset of the same products, bounded by the same figure.  The output
 is therefore bit-identical for any summation order, BLAS build, BLAS
 thread count, band split or worker count, which is the point: encoder and
 decoder agree across platforms by construction.  :func:`dfp_forward`
-spends the BLAS thread count on workers: BLAS runs at one thread while
-each layer's row bands run on the workers (see :mod:`cnnlf.tensor`).
+runs inside :func:`cnnlf.tensor._spend_blas_threads`: BLAS runs at one
+thread while each layer's row bands run on the process's worker pool.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -54,8 +55,6 @@ BIAS_BITS = 32
 OUTPUT_BITS = 16
 INPUT_FL = 15
 HASH_NAME = "sha256"
-ACT_MIN = -(1 << (OUTPUT_BITS - 1))
-ACT_MAX = (1 << (OUTPUT_BITS - 1)) - 1
 # float64 holds every integer of smaller magnitude exactly
 EXACT_LIMIT = 2.0 ** 53
 
@@ -79,6 +78,9 @@ class DFPFormat:
         return (1 << (self.bit_width - 1)) - 1
 
 
+ACT_MIN, ACT_MAX = DFPFormat(OUTPUT_BITS, 0).min_mantissa, DFPFormat(OUTPUT_BITS, 0).max_mantissa
+
+
 def quantize_value(v, fmt: DFPFormat) -> np.ndarray:
     """Real value(s) to clamped integer mantissa(s), rounding half away from zero."""
     m = round_half_away(np.asarray(v, dtype=np.float64) * (2.0 ** fmt.fl))
@@ -99,7 +101,7 @@ def estimate_fl(values, bit_width: int) -> int:
         raise DataError("cannot estimate a fractional length from non-finite values")
     if a == 0.0:
         return bit_width - 1
-    limit = (1 << (bit_width - 1)) - 1
+    limit = DFPFormat(bit_width, 0).max_mantissa
     fl = bit_width - 1 - int(np.ceil(np.log2(a)))
     while round_half_away(a * 2.0 ** fl) > limit:
         fl -= 1
@@ -259,14 +261,12 @@ class DFPModel:
         if self.config.bit_depth > OUTPUT_BITS:
             raise ConfigError(f"bit depth {self.config.bit_depth} exceeds the "
                               f"{OUTPUT_BITS}-bit integer path")
-        wfmt_range = (-(1 << (WEIGHT_BITS - 1)), (1 << (WEIGHT_BITS - 1)) - 1)
-        bfmt_range = (-(1 << (BIAS_BITS - 1)), (1 << (BIAS_BITS - 1)) - 1)
         for i, layer in enumerate(self.layers):
-            if layer.weights_m.min() < wfmt_range[0] or layer.weights_m.max() > wfmt_range[1]:
-                raise ConfigError(f"layer {i + 1} weight mantissas exceed {WEIGHT_BITS}-bit range")
-            if layer.bias_m.size and (layer.bias_m.min() < bfmt_range[0]
-                                      or layer.bias_m.max() > bfmt_range[1]):
-                raise ConfigError(f"layer {i + 1} bias mantissas exceed {BIAS_BITS}-bit range")
+            for name, m, fmt in (("weight", layer.weights_m, DFPFormat(WEIGHT_BITS, 0)),
+                                 ("bias", layer.bias_m, DFPFormat(BIAS_BITS, 0))):
+                if m.size and (m.min() < fmt.min_mantissa or m.max() > fmt.max_mantissa):
+                    raise ConfigError(f"layer {i + 1} {name} mantissas exceed "
+                                      f"{fmt.bit_width}-bit range")
         for i, bound in enumerate(self.accumulator_bounds()):
             if bound >= EXACT_LIMIT:
                 raise ConfigError(
@@ -426,8 +426,8 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
 def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
     """Integer-exact filtering of one plane; bit-identical for any BLAS thread count.
 
-    The layers' row bands run on as many workers as BLAS had threads, with
-    BLAS at one thread meanwhile; the count is restored on return.
+    Inside :func:`cnnlf.tensor._spend_blas_threads` the layers' row bands run on
+    ``T`` workers of the process's pool with BLAS at one thread; ``T`` is restored after.
     ``threads`` is unused; it stays only because ``perfbench`` still passes it.
     """
     cfg = model.config
@@ -512,7 +512,7 @@ def write_conformance(path, entries, bit_depth: int = 8) -> None:
 
 
 def read_conformance(path) -> list:
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     if data[:4] != CONFORMANCE_MAGIC:
         raise ModelFormatError("not a conformance container (bad magic)", offset=0)
     try:

@@ -27,6 +27,7 @@ import io
 import json
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -123,7 +124,7 @@ def load_model(path):
     model whose exactness bound fails) is corrupt too.  Never returns a
     partially read model.
     """
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != MAGIC:
         raise ModelFormatError(f"{path}: not a model container (bad magic)", offset=0)
     (version,) = struct.unpack_from("<I", data, 4)

@@ -31,10 +31,10 @@ back with flipped taps:
 A DFP forward and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread
 and the blocks of each convolution, the row bands of one image or the
-images of a batch, run on ``min(T, blocks)`` threads.  The calling thread
-allocates every worker's buffers.  Elsewhere, and when no OpenBLAS thread
-control is found, everything runs on the calling thread and BLAS threads
-each GEMM.
+images of a batch, run on ``min(T, blocks)`` threads of the process's one
+pool (:func:`_on_workers`).  The calling thread allocates their buffers.
+Elsewhere, and when no OpenBLAS thread control is found, everything runs
+on the calling thread and BLAS threads each GEMM.
 
 The GEMM's summation order belongs to the BLAS build and its thread
 count, so float results can differ in the last bits between BLAS builds
@@ -49,6 +49,7 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import functools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -191,78 +192,55 @@ def _openblas_controls():
     return None
 
 
-class _WorkerBudget:
-    """The process's BLAS thread count ``T``, spent on conv workers by the threads inside it.
+_guard = threading.Lock()
+_inside = 0  # threads inside _spend_blas_threads
+_saved = 1  # T, as the first of them read it
+_local = threading.local()
 
-    The outermost :meth:`spend` reads ``T``, sets BLAS to one thread and
-    starts a pool of ``T`` workers; the last exit stops the pool and
-    restores ``T``, also when the body raises.  The lock and the depth
-    count make nested and concurrent entries save and restore ``T`` once.
-    A thread outside :meth:`spend` runs its blocks itself.
+
+@contextmanager
+def _spend_blas_threads():
+    """Hold BLAS at one thread while any thread is inside; inside, conv blocks run on ``T`` workers.
+
+    The first thread in reads ``T`` and sets BLAS to one thread; the last one
+    out restores ``T``, also when the body raises.  A nested entry does nothing.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._threads = 1
-        self._pool = None
-        self._local = threading.local()
-
-    @contextmanager
-    def spend(self):
-        controls = _openblas_controls()
-        with self._lock:
-            if self._depth == 0 and controls is not None:
-                self._threads = max(1, controls[0]())
-                if self._threads > 1:
-                    controls[1](1)
-                    self._pool = ThreadPoolExecutor(self._threads, thread_name_prefix="cnnlf")
-            self._depth += 1
-        nested = getattr(self._local, "depth", 0)
-        self._local.depth = nested + 1
-        try:
-            yield
-        finally:
-            self._local.depth = nested
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0 and self._threads > 1:
-                    self._pool.shutdown()
-                    self._pool = None
-                    controls[1](self._threads)
-                    self._threads = 1
-
-    def threads(self) -> int:
-        """``T`` as the next outermost :meth:`spend` would read it; 1 without thread control."""
-        controls = _openblas_controls()
-        with self._lock:
-            if self._depth:
-                return self._threads
-            return max(1, controls[0]()) if controls else 1
-
-    def workers(self) -> int:
-        """How many workers the calling thread may split its blocks over."""
-        return self._threads if getattr(self._local, "depth", 0) else 1
-
-    def run(self, work, n: int) -> None:
-        """``work(j)`` for every ``j < n``; on the pool when ``n > 1``, in a copy of the
-        caller's context, so ``np.errstate`` holds there too."""
-        if n == 1:
-            work(0)
-            return
-        futures = [self._pool.submit(contextvars.copy_context().run, work, j) for j in range(n)]
-        wait(futures)
-        for future in futures:
-            future.result()
-
-
-_BUDGET = _WorkerBudget()
-_spend_blas_threads = _BUDGET.spend
+    global _inside, _saved
+    controls = _openblas_controls()
+    if controls is None or getattr(_local, "inside", False):
+        yield
+        return
+    with _guard:
+        if _inside == 0:
+            _saved = max(1, controls[0]())
+            controls[1](1)
+        _inside += 1
+    _local.inside = True
+    try:
+        yield
+    finally:
+        _local.inside = False
+        with _guard:
+            _inside -= 1
+            if _inside == 0:
+                controls[1](_saved)
 
 
 def worker_threads() -> int:
     """The worker count ``T`` a DFP forward or a training step started now would run on."""
-    return _BUDGET.threads()
+    with _spend_blas_threads():
+        return _workers()
+
+
+def _workers() -> int:
+    """The calling thread's worker count: ``T`` inside :func:`_spend_blas_threads`, else 1."""
+    return _saved if getattr(_local, "inside", False) else 1
+
+
+@functools.cache
+def _pool(pid: int) -> ThreadPoolExecutor:
+    """The process's conv workers, started on first use; a forked child starts its own."""
+    return ThreadPoolExecutor(thread_name_prefix="cnnlf")
 
 
 def _on_workers(blocks: int, scratch, work) -> list:
@@ -270,16 +248,25 @@ def _on_workers(blocks: int, scratch, work) -> list:
 
     Worker ``j`` takes blocks ``j, j + n, ...`` with the ``buffers`` that
     ``scratch()`` made for it on the calling thread, so no worker allocates
-    its buffers.  Returns every worker's buffers, in worker order.
+    its buffers.  Several workers run on the process's pool, each in a copy
+    of the caller's context, so ``np.errstate`` holds there too.  Returns
+    every worker's buffers, in worker order.
     """
-    buffers = [scratch() for _ in range(max(1, min(_BUDGET.workers(), blocks)))]
+    buffers = [scratch() for _ in range(max(1, min(_workers(), blocks)))]
     n = len(buffers)
 
     def run(j: int) -> None:
         for i in range(j, blocks, n):
             work(i, buffers[j])
 
-    _BUDGET.run(run, n)
+    if n == 1:
+        run(0)
+        return buffers
+    pool = _pool(os.getpid())
+    futures = [pool.submit(contextvars.copy_context().run, run, j) for j in range(n)]
+    wait(futures)
+    for future in futures:
+        future.result()
     return buffers
 
 
@@ -292,7 +279,7 @@ def _row_bands(depth: int, h: int, w: int) -> tuple:
     """``(rows, bands)``: ``h`` output rows split into ``(r0, r1)`` bands of at most ``rows``
     rows, whose unfolded columns fit one worker's share of ``BAND_BYTES``; at least one
     band per worker where there are enough rows."""
-    workers = _BUDGET.workers()
+    workers = _workers()
     rows = min(-(-h // workers), max(1, BAND_BYTES // workers // (8 * depth * w)))
     return rows, [(r0, min(r0 + rows, h)) for r0 in range(0, h, max(1, rows))]
 

@@ -1,9 +1,11 @@
 import hashlib
+import multiprocessing
 import os
 import struct
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -427,7 +429,7 @@ class TestWorkers:
         conv_layer = dfp._conv_layer
 
         def spy(*args):
-            seen.append((blas_get(), tensor._BUDGET.workers()))
+            seen.append((blas_get(), tensor._workers()))
             conv_layer(*args)
 
         with blas_count(3):
@@ -438,7 +440,7 @@ class TestWorkers:
             with mock.patch.object(dfp, "_conv_layer", side_effect=RuntimeError("layer")):
                 with pytest.raises(RuntimeError, match="layer"):
                     dfp_forward(dm, plane, 32)
-            assert blas_get() == 3 and tensor._BUDGET.workers() == 1
+            assert blas_get() == 3 and tensor._workers() == 1 and tensor._inside == 0
 
     def test_no_thread_control_gives_the_same_digest(self):
         dm, _ = quantized_small_model()
@@ -471,8 +473,53 @@ class TestWorkers:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads)
-            assert blas_get() == 3 and tensor._BUDGET._depth == 0
+            assert blas_get() == 3 and tensor._inside == 0
         assert all(g is not None and np.array_equal(g, want) for g in got)
+
+    def test_nested_entry_keeps_blas_at_one_until_the_outer_exit(self, blas_get):
+        with blas_count(3):
+            with tensor._spend_blas_threads():
+                assert blas_get() == 1 and tensor._workers() == 3
+                with tensor._spend_blas_threads():
+                    assert blas_get() == 1 and tensor._workers() == 3
+                assert blas_get() == 1 and tensor._workers() == 3
+            assert blas_get() == 3 and tensor._workers() == 1
+
+    def test_repeated_forwards_reuse_one_pool(self, blas_get):
+        dm, _ = quantized_small_model()
+        plane = make_test_image(40, 40, seed=9)
+        submit = ThreadPoolExecutor.submit
+        pools = []
+
+        def spy(pool, *args):
+            pools[-1].add(pool)
+            return submit(pool, *args)
+
+        with blas_count(2), mock.patch.object(ThreadPoolExecutor, "submit", spy):
+            for _ in range(3):
+                pools.append(set())
+                dfp_forward(dm, plane, 32)
+        pool = tensor._pool(os.getpid())
+        assert pools == [{pool}] * 3 and not pool._shutdown
+
+    # the fork is the point; Python 3.12 warns about forking a process that has threads
+    @pytest.mark.filterwarnings("ignore:.*use of fork:DeprecationWarning")
+    def test_forked_child_starts_its_own_pool(self):
+        dm, _ = quantized_small_model()
+        plane = make_test_image(40, 40, seed=9)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        with blas_count(2):
+            want = hashlib.sha256(dfp_forward(dm, plane, 32).tobytes()).hexdigest()
+            child = ctx.Process(target=lambda: send.send(
+                hashlib.sha256(dfp_forward(dm, plane, 32).tobytes()).hexdigest()))
+            child.start()
+        try:
+            got = receive.recv() if receive.poll(60) else "no answer within 60 s"
+        finally:
+            child.kill()
+            child.join()
+        assert got == want
 
 
 class TestDFPModelChain:

@@ -6,9 +6,11 @@ integer path's output changed; if that is intended, regenerate the pairs
 and say why in CHANGES.md.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,14 @@ def test_pairs_cover_the_layer_kinds():
         assert all(bshift > 0 for bshift, _ in model.shifts()[0])
         assert model.config.bit_depth == b
         assert {e.plane.shape for e in entries} == {(1, 12), (17, 9), (24, 24)}
+
+
+def test_reading_a_pair_closes_both_files():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        golden_pair(8)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("bit_depth", BIT_DEPTHS)

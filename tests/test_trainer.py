@@ -148,7 +148,8 @@ class TestLossEq1:
         cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
         model = build_cnnf(cfg, rng_seed=3)
         model.layers[0].conv.weights[0, 0, 0, 0] = np.inf
-        with pytest.raises(NonFiniteLossError, match="'(mse|reg_w)'"):
+        with (pytest.raises(NonFiniteLossError, match="'(mse|reg_w)'"),
+              np.errstate(invalid="ignore")):
             loss_eq1(model, make_batch(rng, 4), train_cfg)
 
     def test_all_gradients_match_finite_differences(self, rng):
