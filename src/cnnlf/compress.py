@@ -137,7 +137,7 @@ def fold_batchnorm(model: NetworkModel) -> NetworkModel:
     """Absorb every BN layer into its conv (inference-mode folding).
 
     The folded conv computes ``scale/sqrt(var+eps) * (conv(x) - mean) + shift``
-    exactly, so inference outputs match the BN model's infer mode.
+    with the running statistics; this is the one form BN inference takes.
     """
     model = model.copy()
     for layer in model.layers:

@@ -188,7 +188,7 @@ def _calibration_max_abs(model: NetworkModel, calibration) -> list:
     for plane, qp in calibration:
         recon, qpmap = normalize_inputs(np.asarray(plane), qp, model.config)
         inp = np.stack([recon, qpmap])[None]
-        _, caches = forward_network(model, inp, mode="infer", keep_cache=True)
+        _, caches = forward_network(model, inp, keep_cache=True)
         for i, cache in enumerate(caches):
             maxima[i] = max(maxima[i], float(np.abs(cache["pre_relu"]).max()))
         count += 1
@@ -351,19 +351,12 @@ def input_mantissas(plane: np.ndarray, qp: int, config: NetworkConfig):
 
 
 def _round_shift(a: np.ndarray, shift: int) -> np.ndarray:
-    """In place: integer-valued float64 ``a`` over ``2^shift``, rounded half away from zero.
+    """Integer-valued float64 ``a`` over ``2^shift``, rounded half away from zero.
 
-    ``floor((|a| + 2^(shift-1)) * 2^-shift)`` with the sign restored.  Every
-    step is exact while ``|a| + 2^(shift-1) < 2^53``.
+    Exact while ``|a| + 2^(shift-1) < 2^53``: scaling by a power of two is
+    exact, and ``a * 2^-shift ± 1/2`` equals ``(a ± 2^(shift-1)) * 2^-shift``.
     """
-    if shift:
-        negative = np.signbit(a)
-        np.abs(a, out=a)
-        a += 2.0 ** (shift - 1)
-        a *= 2.0 ** -shift
-        np.floor(a, out=a)
-        np.negative(a, out=a, where=negative)
-    return a
+    return round_half_away(a * 2.0 ** -shift) if shift else a
 
 
 def _replicate_border(buf: np.ndarray, pad: int, h: int, w: int) -> None:
@@ -415,8 +408,7 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
             np.floor(acc, out=acc)
             np.minimum(acc, ACT_MAX, out=out[:, r0:r1])
         else:
-            _round_shift(acc, shift)
-            np.clip(acc, ACT_MIN, ACT_MAX, out=out[:, r0:r1])
+            np.clip(_round_shift(acc, shift), ACT_MIN, ACT_MAX, out=out[:, r0:r1])
 
     # whole buffer rows, so output column x reads columns pad - p + x .. pad + p + x
     _correlate(weights, src[None, :cin, pad - p:pad + h + p], pad - p, w, finish)
@@ -489,7 +481,7 @@ def corpus_digest(entries) -> str:
 
 
 def write_conformance(path, entries, bit_depth: int = 8) -> None:
-    """Binary conformance container; layout documented in the package README.
+    """Binary conformance container, laid out as follows.
 
     Header: magic ``CNFV``, u16 version, u16 hash-name length, hash name.
     Then u32 entry count; per entry u32 width, u32 height, u16 bit depth,

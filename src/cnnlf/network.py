@@ -7,6 +7,10 @@ but the last are followed by batch normalization and ReLU.  The last
 layer produces a single-channel residual that is added back onto the
 normalized reconstruction, so an all-zero network is an exact identity.
 
+:func:`forward_network` is the training forward, with BN on batch statistics.
+Inference folds BN into the convs first (:func:`cnnlf.compress.fold_batchnorm`),
+so no inference path runs a BN layer.
+
 One model serves every QP and, because it is single-plane, luma and
 chroma planes alike.
 """
@@ -176,10 +180,10 @@ def normalize_inputs(plane: np.ndarray, qp: int, config: NetworkConfig):
     return recon, qpmap
 
 
-def forward_network(model: NetworkModel, inp: np.ndarray, mode: str = "infer",
-                    keep_cache: bool = False):
-    """Run the conv chain plus residual add on a batched 2-channel input.
+def forward_network(model: NetworkModel, inp: np.ndarray, keep_cache: bool = False):
+    """The training forward: the conv chain plus residual add on a batched 2-channel input.
 
+    BN layers use batch statistics and update their running statistics.
     Returns ``(output, caches)`` where output is (N, 1, H, W).  With
     ``keep_cache`` each layer contributes the intermediates its backward
     pass needs.
@@ -196,28 +200,30 @@ def forward_network(model: NetworkModel, inp: np.ndarray, mode: str = "infer",
         x = tensor.conv2d(conv_in, layer.conv, xp=conv_pad)
         bn_cache = None
         if layer.bn is not None:
-            x, _, bn_cache = tensor.batchnorm_forward(x, layer.bn, mode)
+            x, _, bn_cache = tensor.batchnorm_forward(x, layer.bn)
         pre_relu = x
         if layer.relu:
             x = tensor.relu(x)
         if keep_cache:
             caches.append({"conv_in": conv_in, "conv_pad": conv_pad, "bn_cache": bn_cache,
                            "pre_relu": pre_relu})
-    out = tensor.add_elementwise(x, inp[:, :1])
-    return out, caches
+    return x + inp[:, :1], caches
 
 
 def forward_float(model: NetworkModel, recon: np.ndarray, qpmap: np.ndarray) -> np.ndarray:
     """Float inference on one plane; returns the unclamped filtered plane.
 
     ``recon`` and ``qpmap`` are the outputs of :func:`normalize_inputs`.
+    BN is folded into a copy of the model first, so ``model`` is not changed.
     """
     recon = np.asarray(recon, dtype=np.float64)
     qpmap = np.asarray(qpmap, dtype=np.float64)
     if recon.ndim != 2 or recon.shape != qpmap.shape:
         raise ShapeError(f"recon {recon.shape} and qpmap {qpmap.shape} must be planes of one size")
-    inp = tensor.concat_channels(recon[None, None], qpmap[None, None])
-    out, _ = forward_network(model, inp, mode="infer")
+    if model.has_bn:
+        from .compress import fold_batchnorm
+        model = fold_batchnorm(model)
+    out, _ = forward_network(model, np.stack([recon, qpmap])[None])
     return out[0, 0]
 
 

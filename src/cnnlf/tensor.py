@@ -1,10 +1,10 @@
 """Dense tensor math for the loop-filter network.
 
 Activations are float64 arrays in (N, C, H, W) order, kernels in
-(Cout, Cin, Kh, Kw).  Only the five layer kinds the filter network needs
-are provided: same-size convolution, batch normalization, ReLU, channel
-concatenation and elementwise addition, each with an exact analytic
-backward pass.
+(Cout, Cin, Kh, Kw).  Only the three layer kinds the filter network needs
+are provided: same-size convolution, train-mode batch normalization and
+ReLU, each with an exact analytic backward pass.  Inference folds BN into
+the convolutions (:func:`cnnlf.compress.fold_batchnorm`).
 
 Convolutions are stride-1 and same-size.  Borders are handled with
 replicate (edge) padding: an out-of-bounds tap reads the nearest edge
@@ -450,72 +450,52 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     return _fold_pad_grad(d_xp, h, w, (k - 1) // 2), np.ascontiguousarray(d_w), d_bias
 
 
-def batchnorm(x: np.ndarray, params: BNParams, mode: str = "infer"):
-    """Batch normalization.  Returns (output, batch_stats).
+def batchnorm_forward(x: np.ndarray, params: BNParams):
+    """Train-mode batch normalization.  Returns (output, batch_stats, cache).
 
-    ``mode='train'`` normalizes by batch statistics over (N, H, W), applies
-    scale/shift, and updates the running statistics in place; it requires a
-    batch of at least 2.  ``mode='infer'`` uses the stored running
-    statistics only.  Zero variance is harmless: epsilon keeps the
-    denominator positive.
+    Normalizes by the batch statistics over (N, H, W), applies scale/shift,
+    and updates the running statistics in place; it requires a batch of at
+    least 2.  Zero variance is harmless: epsilon keeps the denominator
+    positive.  The cache is what :func:`batchnorm_backward` needs.
     """
-    out, stats, _ = batchnorm_forward(x, params, mode)
-    return out, stats
-
-
-def batchnorm_forward(x: np.ndarray, params: BNParams, mode: str = "infer"):
-    """Like :func:`batchnorm` but also returns the cache used by the backward pass."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"batchnorm input must be 4-d (N,C,H,W), got shape {x.shape}")
     if x.shape[1] != params.channels:
         raise ShapeError(f"batchnorm input has {x.shape[1]} channels, params expect {params.channels}")
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise ShapeError(f"train-mode batchnorm needs batch size >= 2, got {x.shape[0]}")
-        mean = x.mean(axis=(0, 2, 3))
-    elif mode == "infer":
-        mean = params.running_mean
-    else:
-        raise ValueError(f"unknown batchnorm mode {mode!r}")
+    if x.shape[0] < 2:
+        raise ShapeError(f"train-mode batchnorm needs batch size >= 2, got {x.shape[0]}")
+    mean = x.mean(axis=(0, 2, 3))
     # The input is centered once and the centered tensor becomes xhat in
     # place; the variance sums its squares in the buffer the output reuses.
     xhat = x - mean[None, :, None, None]
     out = np.empty_like(xhat)
-    if mode == "train":
-        var = np.multiply(xhat, xhat, out=out).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
-        m = params.momentum
-        params.running_mean[:] = m * params.running_mean + (1.0 - m) * mean
-        params.running_var[:] = m * params.running_var + (1.0 - m) * var
-    else:
-        var = params.running_var
+    var = np.multiply(xhat, xhat, out=out).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
+    m = params.momentum
+    params.running_mean[:] = m * params.running_mean + (1.0 - m) * mean
+    params.running_var[:] = m * params.running_var + (1.0 - m) * var
     invstd = 1.0 / np.sqrt(var + params.epsilon)
     xhat *= invstd[None, :, None, None]
     np.multiply(params.scale[None, :, None, None], xhat, out=out)
     out += params.shift[None, :, None, None]
     stats = {"mean": mean.copy(), "var": var.copy()}
-    cache = (xhat, invstd, params.scale.copy(), mode)
+    cache = (xhat, invstd, params.scale.copy())
     return out, stats, cache
 
 
 def batchnorm_backward(upstream: np.ndarray, cache):
-    """Gradients of batchnorm w.r.t. input, scale and shift.
+    """Gradients of train-mode batchnorm w.r.t. input, scale and shift.
 
-    In infer mode the map is affine: ``d_x = upstream * scale * invstd``.
-    In train mode the batch statistics depend on the input as well.  The
+    The batch statistics depend on the input as well.  The
     usual three-term expression sums ``d_xhat = upstream * scale`` and
     ``d_xhat * xhat`` over (N, H, W); those sums are ``scale * d_shift`` and
     ``scale * d_scale``, so it reduces to
     ``d_x = scale * invstd * (upstream - d_shift / m - xhat * d_scale / m)``
     with m = N*H*W, which is computed in place without a ``d_xhat`` tensor.
     """
-    xhat, invstd, scale, mode = cache
+    xhat, invstd, scale = cache
     d_shift = upstream.sum(axis=(0, 2, 3))
     d_scale = np.einsum("nchw,nchw->c", upstream, xhat)
-    if mode == "infer":
-        d_x = upstream * scale[None, :, None, None]
-        d_x *= invstd[None, :, None, None]
-        return d_x, d_scale, d_shift
     n, _, h, w = upstream.shape
     m = float(n * h * w)
     d_x = xhat * (-d_scale / m)[None, :, None, None]
@@ -532,22 +512,3 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient of relu; the subgradient at exactly zero is taken as zero."""
     return upstream * (np.asarray(x) > 0.0)
-
-
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two activation tensors along the channel axis, ``a`` first."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 4 or b.ndim != 4:
-        raise ShapeError(f"concat expects 4-d tensors, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"concat needs matching N,H,W: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def add_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise add needs identical shapes: {a.shape} vs {b.shape}")
-    return a + b

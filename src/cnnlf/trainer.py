@@ -205,7 +205,7 @@ def loss_eq1(model: NetworkModel, batch, config: TrainConfig):
     if m != config.batch_size:
         raise ConfigError(f"batch has {m} samples, config expects {config.batch_size}")
     inp, target = _batch_to_tensors(batch, model.config)
-    out, caches = forward_network(model, inp, mode="train", keep_cache=True)
+    out, caches = forward_network(model, inp, keep_cache=True)
     resid = out - target
     mse = float((resid * resid).sum() / (2.0 * m))
     _check_finite(mse, "mse")

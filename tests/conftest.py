@@ -23,6 +23,18 @@ def tiny_model(tiny_config):
     return build_cnnf(tiny_config, rng_seed=77, zero_init_output=False)
 
 
+@pytest.fixture
+def tiny_bn_model(tiny_model, rng):
+    """``tiny_model`` with non-trivial BN statistics, so BN inference does real work."""
+    model = tiny_model.copy()
+    for layer in model.layers[:-1]:
+        layer.bn.running_mean[:] = rng.normal(size=layer.bn.channels)
+        layer.bn.running_var[:] = rng.uniform(0.2, 2.0, size=layer.bn.channels)
+        layer.bn.scale[:] = rng.normal(1.0, 0.4, size=layer.bn.channels)
+        layer.bn.shift[:] = rng.normal(size=layer.bn.channels)
+    return model
+
+
 @contextmanager
 def blas_count(n):
     """The process's BLAS thread count set to ``n`` for the block, then restored.

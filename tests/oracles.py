@@ -102,27 +102,37 @@ def lda_pairwise(weights, eps=1e-12):
     return 0.5 * np.abs(diff).sum(), g_flat.reshape(weights.shape)
 
 
-def batchnorm_backward_three_term(x, upstream, scale, running_mean, running_var, eps, mode):
-    """Batch-norm input, scale and shift gradients, with ``d_xhat`` materialized and,
-    in train mode, the full three-term expression over batch statistics."""
+def batchnorm_backward_three_term(x, upstream, scale, eps):
+    """Train-mode batch-norm input, scale and shift gradients, with ``d_xhat``
+    materialized and the full three-term expression over batch statistics."""
     axes = (0, 2, 3)
-    if mode == "train":
-        mean, var = x.mean(axis=axes), x.var(axis=axes)
-    else:
-        mean, var = running_mean, running_var
+    mean, var = x.mean(axis=axes), x.var(axis=axes)
     invstd = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
     d_shift = upstream.sum(axis=axes)
     d_scale = (upstream * xhat).sum(axis=axes)
     d_xhat = upstream * scale[None, :, None, None]
-    if mode == "infer":
-        return d_xhat * invstd[None, :, None, None], d_scale, d_shift
     m = x.size / x.shape[1]
     sum_dxhat = d_xhat.sum(axis=axes)
     sum_dxhat_xhat = (d_xhat * xhat).sum(axis=axes)
     d_x = (invstd[None, :, None, None] / m) * (
         m * d_xhat - sum_dxhat[None, :, None, None] - xhat * sum_dxhat_xhat[None, :, None, None])
     return d_x, d_scale, d_shift
+
+
+def bn_inference_forward(model, recon, qpmap):
+    """Float inference of one plane with BN run as its own step on the running statistics:
+    conv, ``scale * (x - mean) / sqrt(var + eps) + shift``, ReLU, then the residual add."""
+    x = np.stack([recon, qpmap])[None]
+    for layer in model.layers:
+        x = conv2d_loops(x, layer.conv.weights, layer.conv.bias)
+        bn = layer.bn
+        if bn is not None:
+            x = (bn.scale[:, None, None] * (x - bn.running_mean[:, None, None])
+                 / np.sqrt(bn.running_var + bn.epsilon)[:, None, None] + bn.shift[:, None, None])
+        if layer.relu:
+            x = np.maximum(x, 0.0)
+    return x[0, 0] + recon
 
 
 def bd_rate_trapezoid(anchor_rates, anchor_psnrs, test_rates, test_psnrs, samples=100001):

@@ -8,6 +8,8 @@ from cnnlf.model_io import model_hash
 from cnnlf.network import NetworkConfig, build_cnnf, forward_float
 from cnnlf.tensor import ConvParams
 
+from .oracles import bn_inference_forward
+
 
 def random_inputs(rng, n=3, size=12):
     return [(rng.uniform(size=(size, size)), np.full((size, size), rng.uniform()))
@@ -124,19 +126,12 @@ class TestPrune:
 
 
 class TestFoldBatchnorm:
-    def test_fold_matches_infer_forward(self, tiny_model, rng):
-        model = tiny_model.copy()
-        # give BN non-trivial statistics
-        for layer in model.layers[:-1]:
-            layer.bn.running_mean[:] = rng.normal(size=layer.bn.channels)
-            layer.bn.running_var[:] = rng.uniform(0.2, 2.0, size=layer.bn.channels)
-            layer.bn.scale[:] = rng.normal(1.0, 0.4, size=layer.bn.channels)
-            layer.bn.shift[:] = rng.normal(size=layer.bn.channels)
-        folded = fold_batchnorm(model)
+    def test_fold_matches_infer_forward(self, tiny_bn_model, rng):
+        folded = fold_batchnorm(tiny_bn_model)
         assert not folded.has_bn
         inputs = random_inputs(rng)
-        for a, b in zip(forward_all(model, inputs), forward_all(folded, inputs)):
-            assert np.abs(a - b).max() < 1e-10
+        for (r, q), a in zip(inputs, forward_all(folded, inputs)):
+            assert np.abs(a - bn_inference_forward(tiny_bn_model, r, q)).max() < 1e-10
 
     def test_fold_is_idempotent(self, tiny_model):
         folded = fold_batchnorm(tiny_model)

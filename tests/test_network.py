@@ -6,6 +6,8 @@ from cnnlf import tensor
 from cnnlf.network import (NetworkConfig, NetworkModel, build_cnnf, denormalize, filter_plane,
                            forward_float, forward_network, normalize_inputs)
 
+from .oracles import bn_inference_forward
+
 
 class TestBuild:
     def test_same_seed_bit_identical(self):
@@ -106,20 +108,21 @@ class TestForward:
             out = forward_float(tiny_model, rng.uniform(size=(h, w)), np.full((h, w), 0.4))
             assert out.shape == (h, w)
 
-    def test_matches_hand_chained_tensor_ops(self, tiny_model, rng):
+    def test_matches_hand_chained_tensor_ops(self, tiny_bn_model, rng):
         recon = rng.uniform(size=(8, 8))
         qpmap = np.full((8, 8), 37 / 51)
-        out = forward_float(tiny_model, recon, qpmap)
+        out = forward_float(tiny_bn_model, recon, qpmap)
 
-        x = tensor.concat_channels(recon[None, None], qpmap[None, None])
-        inp = x
-        for layer in tiny_model.layers:
+        x = np.stack([recon, qpmap])[None]
+        for layer in tiny_bn_model.layers:
             x = tensor.conv2d(x, layer.conv)
-            if layer.bn is not None:
-                x, _ = tensor.batchnorm(x, layer.bn, mode="infer")
+            bn = layer.bn
+            if bn is not None:
+                x = (bn.scale[:, None, None] * (x - bn.running_mean[:, None, None])
+                     / np.sqrt(bn.running_var + bn.epsilon)[:, None, None] + bn.shift[:, None, None])
             if layer.relu:
                 x = tensor.relu(x)
-        expected = tensor.add_elementwise(x, inp[:, :1])[0, 0]
+        expected = x[0, 0] + recon
         assert np.abs(out - expected).max() < 1e-12
 
     def test_shape_mismatch_raises(self, tiny_model, rng):
@@ -162,6 +165,22 @@ def test_full_pipeline_identity_with_zero_model(tiny_model):
         layer.conv.bias[:] = 0.0
     plane = np.arange(256, dtype=np.uint8).reshape(16, 16)
     assert np.array_equal(filter_plane(model, plane, 32), plane)
+
+
+def test_filter_plane_folds_bn_without_touching_the_model(tiny_bn_model):
+    cfg = tiny_bn_model.config
+    before = [[a.copy() for a in (l.bn.scale, l.bn.shift, l.bn.running_mean, l.bn.running_var)]
+              for l in tiny_bn_model.layers[:-1]]
+    plane = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    out = filter_plane(tiny_bn_model, plane, 32)
+    for layer, arrays in zip(tiny_bn_model.layers, before):
+        bn = layer.bn
+        for got, want in zip((bn.scale, bn.shift, bn.running_mean, bn.running_var), arrays):
+            assert np.array_equal(got, want)
+    recon, qpmap = normalize_inputs(plane, 32, cfg)
+    expected = denormalize(bn_inference_forward(tiny_bn_model, recon, qpmap), cfg)
+    assert np.array_equal(out, expected)
+    assert not np.array_equal(out, plane)
 
 
 def test_receptive_field():

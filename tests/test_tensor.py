@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from cnnlf import tensor
 from cnnlf.errors import ShapeError
-from cnnlf.tensor import (BNParams, ConvParams, add_elementwise, batchnorm,
-                          batchnorm_backward, batchnorm_forward, concat_channels,
-                          conv2d, conv2d_grad, relu, relu_grad, round_half_away)
+from cnnlf.tensor import (BNParams, ConvParams, batchnorm_backward, batchnorm_forward, conv2d,
+                          conv2d_grad, relu, relu_grad, round_half_away)
 
 from .conftest import blas_count
 from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_loops,
@@ -160,7 +159,7 @@ class TestBatchnorm:
         x = rng.normal(size=(4, 3, 8, 8))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
         params = BNParams.identity(3)
-        out, _ = batchnorm(x, params, mode="train")
+        out, _, _ = batchnorm_forward(x, params)
         # epsilon shrinks unit-variance data by 1 - 1/sqrt(1 + eps) ~ eps/2 per unit
         bound = (1.0 - 1.0 / np.sqrt(1.0 + params.epsilon)) * np.abs(x).max() + 1e-12
         assert np.abs(out - x).max() <= bound
@@ -170,7 +169,7 @@ class TestBatchnorm:
         params = BNParams.identity(3)
         params.scale[:] = 0.0
         params.shift[:] = [0.1, -0.2, 0.3]
-        out, _ = batchnorm(rng.normal(size=(4, 3, 6, 6)), params, mode="train")
+        out, _, _ = batchnorm_forward(rng.normal(size=(4, 3, 6, 6)), params)
         for c, beta in enumerate(params.shift):
             assert np.allclose(out[:, c], beta)
 
@@ -178,7 +177,7 @@ class TestBatchnorm:
         params = BNParams.identity(3)
         params.scale[:] = [1.5, -0.7, 0.2]
         params.shift[:] = [0.3, 0.0, -1.0]
-        out, _ = batchnorm(rng.normal(1.0, 3.0, size=(6, 3, 10, 10)), params, mode="train")
+        out, _, _ = batchnorm_forward(rng.normal(1.0, 3.0, size=(6, 3, 10, 10)), params)
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
         assert np.abs(mean - params.shift).max() < 1e-9
@@ -188,53 +187,42 @@ class TestBatchnorm:
     def test_running_stats_update(self, rng):
         params = BNParams.identity(2)
         x = rng.normal(2.0, 1.5, size=(4, 2, 5, 5))
-        _, stats = batchnorm(x, params, mode="train")
+        _, stats, _ = batchnorm_forward(x, params)
         assert np.allclose(params.running_mean, 0.9 * 0.0 + 0.1 * stats["mean"])
         assert np.allclose(params.running_var, 0.9 * 1.0 + 0.1 * stats["var"])
 
-    def test_infer_uses_running_stats(self, rng):
-        params = BNParams(np.array([2.0]), np.array([1.0]),
-                          np.array([3.0]), np.array([4.0]))
-        x = rng.normal(size=(1, 1, 4, 4))
-        out, _ = batchnorm(x, params, mode="infer")
-        expected = 2.0 * (x - 3.0) / np.sqrt(4.0 + params.epsilon) + 1.0
-        assert np.abs(out - expected).max() < 1e-12
-
     def test_zero_variance_never_raises(self):
         x = np.full((4, 1, 3, 3), 5.0)
-        out, _ = batchnorm(x, BNParams.identity(1), mode="train")
+        out, _, _ = batchnorm_forward(x, BNParams.identity(1))
         assert np.all(np.isfinite(out))
 
     def test_train_needs_batch_of_two(self, rng):
         with pytest.raises(ShapeError, match="batch size >= 2"):
-            batchnorm(rng.normal(size=(1, 2, 4, 4)), BNParams.identity(2), mode="train")
+            batchnorm_forward(rng.normal(size=(1, 2, 4, 4)), BNParams.identity(2))
 
-    @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_backward_matches_finite_differences(self, rng, mode):
+    def test_backward_matches_finite_differences(self, rng):
         x = rng.normal(size=(3, 2, 4, 4))
         params = BNParams(rng.normal(1.0, 0.3, size=2), rng.normal(size=2),
                           rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
         up = rng.normal(size=(3, 2, 4, 4))
 
         def loss():
-            out, _, _ = batchnorm_forward(x, params, mode)
+            out, _, _ = batchnorm_forward(x, params)
             return float((out * up).sum())
 
-        _, _, cache = batchnorm_forward(x, params, mode)
+        _, _, cache = batchnorm_forward(x, params)
         dx, dscale, dshift = batchnorm_backward(up, cache)
         assert max_relative_error(dx, finite_difference(loss, x)) < 1e-5
         assert max_relative_error(dscale, finite_difference(loss, params.scale)) < 1e-5
         assert max_relative_error(dshift, finite_difference(loss, params.shift)) < 1e-5
 
-    @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_backward_matches_three_term_oracle(self, rng, mode):
+    def test_backward_matches_three_term_oracle(self, rng):
         x = rng.normal(0.5, 2.0, size=(5, 4, 9, 7))
         params = BNParams(rng.normal(1.0, 0.5, size=4), rng.normal(size=4),
                           rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
         up = rng.normal(size=x.shape)
-        want = batchnorm_backward_three_term(x, up, params.scale, params.running_mean,
-                                             params.running_var, params.epsilon, mode)
-        _, _, cache = batchnorm_forward(x, params, mode)
+        want = batchnorm_backward_three_term(x, up, params.scale, params.epsilon)
+        _, _, cache = batchnorm_forward(x, params)
         for got, ref in zip(batchnorm_backward(up, cache), want):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -243,7 +231,7 @@ class TestBatchnorm:
         x = rng.normal(40.0, 0.01, size=(16, 5, 11, 9))
         params = BNParams.identity(5)
         before_mean, before_var = params.running_mean.copy(), params.running_var.copy()
-        _, stats = batchnorm(x, params, mode="train")
+        _, stats, _ = batchnorm_forward(x, params)
         mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
         for got, ref in ((stats["mean"], mean), (stats["var"], var),
                          (params.running_mean, 0.9 * before_mean + 0.1 * mean),
@@ -270,30 +258,6 @@ class TestPointwiseOps:
         up = np.array([[10.0, 10.0, 10.0]])
         assert np.array_equal(relu_grad(x, up), [[0.0, 0.0, 10.0]])
 
-    def test_concat_channel_order(self, rng):
-        a = rng.normal(size=(1, 1, 3, 3))
-        b = rng.normal(size=(1, 1, 3, 3))
-        out = concat_channels(a, b)
-        assert out.shape == (1, 2, 3, 3)
-        assert np.array_equal(out[:, 0], a[:, 0])
-        assert np.array_equal(out[:, 1], b[:, 0])
-
-    def test_concat_spatial_mismatch(self, rng):
-        with pytest.raises(ShapeError, match="matching N,H,W"):
-            concat_channels(rng.normal(size=(1, 1, 3, 3)), rng.normal(size=(1, 1, 4, 3)))
-
-    def test_add_zero_is_identity(self, rng):
-        x = rng.normal(size=(1, 2, 4, 4))
-        assert np.array_equal(add_elementwise(x, np.zeros_like(x)), x)
-
-    def test_add_negation_is_zero(self, rng):
-        x = rng.normal(size=(1, 2, 4, 4))
-        assert not add_elementwise(x, -x).any()
-
-    def test_add_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError, match="identical shapes"):
-            add_elementwise(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 5)))
-
 
 class TestRounding:
     @given(st.integers(-10000, 10000))
@@ -315,5 +279,5 @@ def test_forward_outputs_stay_finite(rng):
     params = ConvParams(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
     out = conv2d(x, params)
     assert np.all(np.isfinite(out))
-    bn_out, _ = batchnorm(out, BNParams.identity(4), mode="train")
+    bn_out, _, _ = batchnorm_forward(out, BNParams.identity(4))
     assert np.all(np.isfinite(bn_out))

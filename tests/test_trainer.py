@@ -361,8 +361,8 @@ class TestQuantAwareFinetune:
             assert np.array_equal(got.conv.bias, want.conv.bias)
         from cnnlf.trainer import _batch_to_tensors
         inp, _ = _batch_to_tensors(make_batch(rng, 4), model.config)
-        out_view, _ = forward_network(view, inp, mode="infer")
-        out_dequantized, _ = forward_network(dequantized, inp, mode="infer")
+        out_view, _ = forward_network(view, inp)
+        out_dequantized, _ = forward_network(dequantized, inp)
         assert np.array_equal(out_view, out_dequantized)
 
     def test_finetune_reduces_quantized_mse(self, rng):
@@ -375,7 +375,7 @@ class TestQuantAwareFinetune:
         def quantized_mse(m):
             from cnnlf.trainer import _batch_to_tensors
             inp, target = _batch_to_tensors(ds, m.config)
-            out, _ = forward_network(quantized_view(m, table), inp, mode="infer")
+            out, _ = forward_network(quantized_view(m, table), inp)
             return float(((out - target) ** 2).sum())
 
         before = quantized_mse(model)
