@@ -242,6 +242,15 @@ def cmd_quantize(args, log):
     return EXIT_OK
 
 
+def _load_for_inference(path):
+    """The model at ``path``, a float model with its BN folded once, here, rather than
+    by every :func:`cnnlf.network.filter_plane` call."""
+    model = load_model(path)
+    if isinstance(model, NetworkModel) and model.has_bn:
+        model = fold_batchnorm(model)
+    return model
+
+
 def _filter_with(model, plane, qp):
     if isinstance(model, DFPModel):
         return dfp_forward(model, plane, qp)
@@ -249,7 +258,7 @@ def _filter_with(model, plane, qp):
 
 
 def cmd_infer(args, log):
-    model = load_model(args.model)
+    model = _load_for_inference(args.model)
     plane = read_pgm(args.input)
     if args.dfp and not isinstance(model, DFPModel):
         raise ConfigError("--dfp needs a quantized model file")
@@ -264,7 +273,7 @@ def cmd_infer(args, log):
 
 
 def cmd_eval(args, log):
-    model = load_model(args.model)
+    model = _load_for_inference(args.model)
     planes = _load_planes(args)
     qps = _parse_qps(args.qps)
     if len(qps) < 4:

@@ -48,7 +48,8 @@ import numpy as np
 from .errors import ConfigError, DataError, ModelFormatError, VerificationError
 from .network import (Layer, NetworkConfig, NetworkModel, _check_chain, _check_inputs,
                       forward_network, normalize_inputs)
-from .tensor import ConvParams, _correlate, _spend_blas_threads, round_half_away
+from .tensor import (ConvParams, _correlate, _replicate_border, _spend_blas_threads,
+                     round_half_away)
 
 WEIGHT_BITS = 8
 BIAS_BITS = 32
@@ -182,7 +183,12 @@ def reference_fl_8layer() -> FLTable:
 
 
 def _calibration_max_abs(model: NetworkModel, calibration) -> list:
-    """Max |conv output| per layer (before ReLU) over all calibration planes."""
+    """Max |conv output| per layer over all calibration planes.
+
+    Reads each layer's conv output ``z`` from the caches of
+    :func:`cnnlf.network.forward_network`; on a BN-folded model that is the
+    pre-ReLU activation.
+    """
     maxima = [0.0] * len(model.layers)
     count = 0
     for plane, qp in calibration:
@@ -190,7 +196,7 @@ def _calibration_max_abs(model: NetworkModel, calibration) -> list:
         inp = np.stack([recon, qpmap])[None]
         _, caches = forward_network(model, inp, keep_cache=True)
         for i, cache in enumerate(caches):
-            maxima[i] = max(maxima[i], float(np.abs(cache["pre_relu"]).max()))
+            maxima[i] = max(maxima[i], float(np.abs(cache["z"]).max()))
         count += 1
     if count == 0:
         raise ConfigError("calibration set is empty")
@@ -359,16 +365,6 @@ def _round_shift(a: np.ndarray, shift: int) -> np.ndarray:
     return round_half_away(a * 2.0 ** -shift) if shift else a
 
 
-def _replicate_border(buf: np.ndarray, pad: int, h: int, w: int) -> None:
-    """In place: fill the ``pad``-wide ring of ``buf`` around its (h, w) interior from its edge."""
-    if pad:
-        rows = slice(pad, pad + h)
-        buf[:, rows, :pad] = buf[:, rows, pad:pad + 1]
-        buf[:, rows, pad + w:] = buf[:, rows, pad + w - 1:pad + w]
-        buf[:, :pad] = buf[:, pad:pad + 1]
-        buf[:, pad + h:] = buf[:, pad + h - 1:pad + h]
-
-
 def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bshift: int,
                 shift: int) -> None:
     """One conv layer from padded buffer ``src`` into padded buffer ``dst``.
@@ -412,7 +408,7 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
 
     # whole buffer rows, so output column x reads columns pad - p + x .. pad + p + x
     _correlate(weights, src[None, :cin, pad - p:pad + h + p], pad - p, w, finish)
-    _replicate_border(dst[:cout], pad, h, w)
+    _replicate_border(dst[:cout], pad)
 
 
 def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
@@ -431,7 +427,7 @@ def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -
     src, dst = (np.empty((depth, h + 2 * pad, w + 2 * pad)) for _ in range(2))
     src[0, pad:pad + h, pad:pad + w] = recon_m
     src[1, pad:pad + h, pad:pad + w] = qp_m
-    _replicate_border(src[:2], pad, h, w)
+    _replicate_border(src[:2], pad)
     layer_shifts, sum_shift = model.shifts()
     with _spend_blas_threads():
         for layer, (bshift, shift) in zip(model.layers, layer_shifts):

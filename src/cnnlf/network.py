@@ -184,30 +184,29 @@ def forward_network(model: NetworkModel, inp: np.ndarray, keep_cache: bool = Fal
     """The training forward: the conv chain plus residual add on a batched 2-channel input.
 
     BN layers use batch statistics and update their running statistics.
+    Each layer's BN and ReLU run as one epilogue (:func:`cnnlf.tensor.bn_relu`)
+    that writes straight into the next layer's replicate-padded input.
     Returns ``(output, caches)`` where output is (N, 1, H, W).  With
-    ``keep_cache`` each layer contributes the intermediates its backward
-    pass needs.
+    ``keep_cache`` each layer contributes a dict of what its backward pass
+    needs: ``conv_pad`` (its padded input) and ``conv_in`` (a view of its
+    interior), the conv output ``z``, the activation ``y`` (a view of the
+    next layer's ``conv_pad``, or ``z`` itself for a plain last layer),
+    ``relu``, and ``stats``, BN's ``(mean, invstd, scale)`` or None.
     """
     if inp.ndim != 4 or inp.shape[1] != 2:
         raise ShapeError(f"network input must be (N,2,H,W), got {inp.shape}")
-    x = inp
+    pads = [(layer.conv.kernel_size - 1) // 2 for layer in model.layers] + [0]
+    conv_pad = tensor.pad_same(inp, model.layers[0].conv.kernel_size)
     caches = [] if keep_cache else None
-    for layer in model.layers:
-        # the backward pass reuses the conv's padded input; conv_in is a view into it
-        conv_pad = tensor.pad_same(x, layer.conv.kernel_size)
-        p = (layer.conv.kernel_size - 1) // 2
+    for i, layer in enumerate(model.layers):
+        p = pads[i]
         conv_in = conv_pad[:, :, p:conv_pad.shape[2] - p, p:conv_pad.shape[3] - p]
-        x = tensor.conv2d(conv_in, layer.conv, xp=conv_pad)
-        bn_cache = None
-        if layer.bn is not None:
-            x, _, bn_cache = tensor.batchnorm_forward(x, layer.bn)
-        pre_relu = x
-        if layer.relu:
-            x = tensor.relu(x)
+        z = tensor.conv2d(conv_in, layer.conv, xp=conv_pad)
+        out, act = tensor.bn_relu(z, layer.bn, layer.relu, pads[i + 1])
         if keep_cache:
-            caches.append({"conv_in": conv_in, "conv_pad": conv_pad, "bn_cache": bn_cache,
-                           "pre_relu": pre_relu})
-    return x + inp[:, :1], caches
+            caches.append({"conv_in": conv_in, "conv_pad": conv_pad, **act})
+        conv_pad = out
+    return out + inp[:, :1], caches
 
 
 def forward_float(model: NetworkModel, recon: np.ndarray, qpmap: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Dense tensor math for the loop-filter network.
 
 Activations are float64 arrays in (N, C, H, W) order, kernels in
-(Cout, Cin, Kh, Kw).  Only the three layer kinds the filter network needs
-are provided: same-size convolution, train-mode batch normalization and
-ReLU, each with an exact analytic backward pass.  Inference folds BN into
-the convolutions (:func:`cnnlf.compress.fold_batchnorm`).
+(Cout, Cin, Kh, Kw).  Only the layer kinds the filter network needs are
+provided, each with an exact analytic backward pass: same-size convolution,
+and the activation epilogue that follows it (:func:`bn_relu`), train-mode
+batch normalization and then ReLU, each optional.  The epilogue writes
+straight into the next layer's padded input and keeps no normalized or
+pre-ReLU copy; its backward pass recomputes them from the conv output and
+the activation.  Inference folds BN into the convolutions
+(:func:`cnnlf.compress.fold_batchnorm`), so there only the ReLU remains.
 
 Convolutions are stride-1 and same-size.  Borders are handled with
 replicate (edge) padding: an out-of-bounds tap reads the nearest edge
@@ -30,18 +34,21 @@ back with flipped taps:
 
 A DFP forward and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread
-and the blocks of each convolution, the row bands of one image or the
-images of a batch, run on ``min(T, blocks)`` threads of the process's one
-pool (:func:`_on_workers`).  The calling thread allocates their buffers.
+and the blocks of each convolution (the row bands of one image or the
+images of a batch) and of each epilogue (its images) run on
+``min(T, blocks)`` threads of the process's one pool
+(:func:`_on_workers`).  The calling thread allocates their buffers.
 Elsewhere, and when no OpenBLAS thread control is found, everything runs
 on the calling thread and BLAS threads each GEMM.
 
 The GEMM's summation order belongs to the BLAS build and its thread
 count, so float results can differ in the last bits between BLAS builds
 or thread settings.  The weight gradient also sums one partial per
-worker, so its bits may depend on the worker count.  Bit-exactness
-across platforms, thread and worker counts is the contract of the
-integer path in :mod:`cnnlf.dfp`, not of this one.
+worker, so its bits may depend on the worker count.  BN's batch
+statistics and its scale and shift gradients sum one row per image, added
+in image order, so their bits do not.  Bit-exactness across platforms,
+thread and worker counts is the contract of the integer path in
+:mod:`cnnlf.dfp`, not of this one.
 """
 
 from __future__ import annotations
@@ -164,12 +171,28 @@ def _check_input(x: np.ndarray, params: ConvParams) -> None:
         raise ShapeError(f"conv input has {cin} channels but weights expect {params.in_channels}")
 
 
+def _replicate_border(buf: np.ndarray, pad: int) -> None:
+    """In place: fill the ``pad``-wide ring of the two trailing axes of ``buf`` from the
+    edge of its interior."""
+    if pad:
+        h, w = buf.shape[-2] - 2 * pad, buf.shape[-1] - 2 * pad
+        rows = slice(pad, pad + h)
+        buf[..., rows, :pad] = buf[..., rows, pad:pad + 1]
+        buf[..., rows, pad + w:] = buf[..., rows, pad + w - 1:pad + w]
+        buf[..., :pad, :] = buf[..., pad:pad + 1, :]
+        buf[..., pad + h:, :] = buf[..., pad + h - 1:pad + h, :]
+
+
 def pad_same(x: np.ndarray, k: int) -> np.ndarray:
     """Replicate-pad the two trailing spatial axes by (k - 1) / 2 on each side."""
     p = (k - 1) // 2
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge")
+    h, w = x.shape[-2:]
+    xp = np.empty(x.shape[:-2] + (h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[..., p:p + h, p:p + w] = x
+    _replicate_border(xp, p)
+    return xp
 
 
 @functools.cache
@@ -450,65 +473,140 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     return _fold_pad_grad(d_xp, h, w, (k - 1) // 2), np.ascontiguousarray(d_w), d_bias
 
 
-def batchnorm_forward(x: np.ndarray, params: BNParams):
-    """Train-mode batch normalization.  Returns (output, batch_stats, cache).
+def _batch_moments(z: np.ndarray) -> tuple:
+    """Per-channel mean and biased variance of ``z`` over (N, H, W).
 
-    Normalizes by the batch statistics over (N, H, W), applies scale/shift,
-    and updates the running statistics in place; it requires a batch of at
-    least 2.  Zero variance is harmless: epsilon keeps the denominator
-    positive.  The cache is what :func:`batchnorm_backward` needs.
+    Each image's channel sums, and then its squares centred on the batch mean,
+    are one row per image, formed on the workers and added in image order.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"batchnorm input must be 4-d (N,C,H,W), got shape {x.shape}")
-    if x.shape[1] != params.channels:
-        raise ShapeError(f"batchnorm input has {x.shape[1]} channels, params expect {params.channels}")
-    if x.shape[0] < 2:
-        raise ShapeError(f"train-mode batchnorm needs batch size >= 2, got {x.shape[0]}")
-    mean = x.mean(axis=(0, 2, 3))
-    # The input is centered once and the centered tensor becomes xhat in
-    # place; the variance sums its squares in the buffer the output reuses.
-    xhat = x - mean[None, :, None, None]
-    out = np.empty_like(xhat)
-    var = np.multiply(xhat, xhat, out=out).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
-    m = params.momentum
-    params.running_mean[:] = m * params.running_mean + (1.0 - m) * mean
-    params.running_var[:] = m * params.running_var + (1.0 - m) * var
-    invstd = 1.0 / np.sqrt(var + params.epsilon)
-    xhat *= invstd[None, :, None, None]
-    np.multiply(params.scale[None, :, None, None], xhat, out=out)
-    out += params.shift[None, :, None, None]
-    stats = {"mean": mean.copy(), "var": var.copy()}
-    cache = (xhat, invstd, params.scale.copy())
-    return out, stats, cache
+    n, c = z.shape[:2]
+    flat = z.reshape(n, c, -1)
+    m = n * flat.shape[2]
+    rows = np.empty((n, c))
+
+    def sums(i: int, _) -> None:
+        rows[i] = flat[i].sum(axis=1)
+
+    def squares(i: int, centred: np.ndarray) -> None:
+        np.subtract(flat[i], mean[:, None], out=centred)
+        rows[i] = np.vecdot(centred, centred)
+
+    _on_workers(n, lambda: None, sums)
+    mean = rows.sum(axis=0) / m
+    _on_workers(n, lambda: np.empty(flat.shape[1:]), squares)
+    return mean, rows.sum(axis=0) / m
 
 
-def batchnorm_backward(upstream: np.ndarray, cache):
-    """Gradients of train-mode batchnorm w.r.t. input, scale and shift.
+def bn_relu(z: np.ndarray, bn: BNParams | None, relu: bool, pad: int = 0):
+    """The activation epilogue of a conv layer: train-mode BN, then ReLU, each optional.
 
-    The batch statistics depend on the input as well.  The
-    usual three-term expression sums ``d_xhat = upstream * scale`` and
-    ``d_xhat * xhat`` over (N, H, W); those sums are ``scale * d_shift`` and
-    ``scale * d_scale``, so it reduces to
-    ``d_x = scale * invstd * (upstream - d_shift / m - xhat * d_scale / m)``
-    with m = N*H*W, which is computed in place without a ``d_xhat`` tensor.
+    ``z`` is the (N, C, H, W) conv output.  Returns ``(out, cache)``: ``out`` is
+    the next layer's padded input, a fresh (N, C, H + 2 pad, W + 2 pad) buffer
+    whose interior holds ``max(z * a + b, 0)`` and whose ``pad``-wide ring
+    replicates its edge.  With BN ``a = scale * invstd`` and
+    ``b = shift - mean * a`` over the batch statistics, which update the
+    running statistics once; a batch of at least 2 is needed, and epsilon
+    makes zero variance harmless.  Without BN ``a = 1``, ``b = 0``; without
+    ReLU the ``max`` goes; with neither and no ring ``out`` is ``z``.  The
+    images are the blocks of :func:`_on_workers`.  ``cache`` holds what
+    :func:`bn_relu_grad` needs: ``z``, the activation ``y`` (a view of
+    ``out``'s interior), ``relu`` and ``stats``, ``(mean, invstd, scale)`` or None.
     """
-    xhat, invstd, scale = cache
-    d_shift = upstream.sum(axis=(0, 2, 3))
-    d_scale = np.einsum("nchw,nchw->c", upstream, xhat)
-    n, _, h, w = upstream.shape
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 4:
+        raise ShapeError(f"activation input must be 4-d (N,C,H,W), got shape {z.shape}")
+    n, c, h, w = z.shape
+    stats = None
+    if bn is not None:
+        if c != bn.channels:
+            raise ShapeError(f"batchnorm input has {c} channels, params expect {bn.channels}")
+        if n < 2:
+            raise ShapeError(f"train-mode batchnorm needs batch size >= 2, got {n}")
+        mean, var = _batch_moments(z)
+        m = bn.momentum
+        bn.running_mean[:] = m * bn.running_mean + (1.0 - m) * mean
+        bn.running_var[:] = m * bn.running_var + (1.0 - m) * var
+        invstd = 1.0 / np.sqrt(var + bn.epsilon)
+        stats = (mean, invstd, bn.scale.copy())
+        a = bn.scale * invstd
+        b = (bn.shift - mean * a)[:, None, None]
+        a = a[:, None, None]
+    elif not relu and pad == 0:
+        return z, {"z": z, "y": z, "relu": False, "stats": None}
+    out = np.empty((n, c, h + 2 * pad, w + 2 * pad))
+    y = out[:, :, pad:pad + h, pad:pad + w]
+
+    def finish(i: int, scratch: np.ndarray) -> None:
+        # the affine steps run in the contiguous scratch; only the last one
+        # writes the strided interior of ``out``
+        src = z[i]
+        if stats is not None:
+            src = np.multiply(src, a, out=scratch)
+            np.add(src, b, out=src if relu else y[i])
+        if relu:
+            np.maximum(src, 0.0, out=y[i])
+        elif stats is None:
+            np.copyto(y[i], src)
+        _replicate_border(out[i], pad)
+
+    _on_workers(n, lambda: np.empty((c, h, w)), finish)
+    return out, {"z": z, "y": y, "relu": relu, "stats": stats}
+
+
+def bn_relu_grad(upstream: np.ndarray, cache: dict):
+    """Gradients ``(d_z, d_scale, d_shift)`` of :func:`bn_relu`; the last two are None without BN.
+
+    The ReLU passes ``g = upstream * (y > 0)``; ``y > 0`` is the set of
+    positive pre-activations, so the subgradient at exactly zero is zero.  BN's
+    three-term expression, whose sums of ``d_xhat = g * scale`` and
+    ``d_xhat * xhat`` are ``scale * d_shift`` and ``scale * d_scale``, reduces to
+    ``d_z = scale * invstd * (g - d_shift / m - xhat * d_scale / m)``, m = N*H*W.
+    Two per-image passes on the workers form it with no stored ``xhat``: the
+    first writes ``g`` into ``d_z`` and sums the image's rows of ``d_shift`` and
+    ``d_scale`` against ``z - mean`` recomputed in a scratch buffer (``invstd``
+    then scales the summed ``d_scale``); the second finishes ``d_z`` in place.
+    """
+    z, y, relu, stats = cache["z"], cache["y"], cache["relu"], cache["stats"]
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != z.shape:
+        raise ShapeError(f"upstream shape {upstream.shape} does not match activation {z.shape}")
+    if stats is None and not relu:
+        return upstream, None, None
+    n, c, h, w = z.shape
+    d_z = np.empty_like(z)
+    rows = np.empty((2, n, c))
+    if stats is not None:
+        mean, invstd, scale = (s[:, None, None] for s in stats)
+
+    def first(i: int, buffers) -> None:
+        scratch, mask = buffers
+        if relu:
+            np.multiply(upstream[i], np.greater(y[i], 0.0, out=mask), out=d_z[i])
+        else:
+            np.copyto(d_z[i], upstream[i])
+        if stats is not None:
+            centred = np.subtract(z[i], mean, out=scratch).reshape(c, -1)
+            g = d_z[i].reshape(c, -1)
+            rows[0, i] = g.sum(axis=1)
+            rows[1, i] = np.vecdot(g, centred)
+
+    _on_workers(n, lambda: (np.empty((c, h, w)), np.empty((c, h, w), dtype=bool)), first)
+    if stats is None:
+        return d_z, None, None
+    d_shift, d_scale = rows.sum(axis=1)
+    d_scale *= stats[1]
     m = float(n * h * w)
-    d_x = xhat * (-d_scale / m)[None, :, None, None]
-    d_x += upstream
-    d_x -= (d_shift / m)[None, :, None, None]
-    d_x *= (scale * invstd)[None, :, None, None]
-    return d_x, d_scale, d_shift
+    per_centred = invstd * (d_scale / m)[:, None, None]
+    offset = (d_shift / m)[:, None, None]
+    gain = scale * invstd
 
+    def second(i: int, correction: np.ndarray) -> None:
+        # correction = xhat * d_scale / m + d_shift / m
+        np.subtract(z[i], mean, out=correction)
+        correction *= per_centred
+        correction += offset
+        d_z[i] -= correction
+        d_z[i] *= gain
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of relu; the subgradient at exactly zero is taken as zero."""
-    return upstream * (np.asarray(x) > 0.0)
+    _on_workers(n, lambda: np.empty((c, h, w)), second)
+    return d_z, d_scale, d_shift

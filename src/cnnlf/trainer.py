@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLossError, ShapeError
+from .errors import ConfigError, DataError, NonFiniteLossError, ShapeError
 from . import tensor
-from .network import Layer, NetworkModel, forward_network, normalize_inputs
+from .network import Layer, NetworkModel, _check_inputs, forward_network
 
 FILTER_NORM_EPSILON = 1e-12
 
@@ -155,33 +155,48 @@ def lda_regularizer(layer_weights: np.ndarray):
 
 
 def _batch_to_tensors(batch, config: "NetworkModel.config"):
-    """Stack (decoded, original, qp) patch triples into network inputs/targets."""
-    inputs = []
-    targets = []
-    for decoded, original, qp in batch:
-        recon, qpmap = normalize_inputs(decoded, qp, config)
-        inputs.append(np.stack([recon, qpmap])[None])
-        targets.append((np.asarray(original, dtype=np.float64) / config.pixel_max)[None, None])
-    return np.concatenate(inputs, axis=0), np.concatenate(targets, axis=0)
+    """Stack (decoded, original, qp) patch triples into network inputs/targets.
+
+    The whole batch is stacked and its range checked at once; a batch that
+    fails is checked patch by patch, so the error names the first bad patch.
+    """
+    decoded, original, qps = zip(*batch)
+    try:
+        decoded, original = np.stack(decoded), np.stack(original)
+    except ValueError:
+        raise ShapeError("the patches of a batch must all have one shape") from None
+    qps = np.asarray(qps)
+    pmax = config.pixel_max
+    if (decoded.ndim != 3 or decoded.min() < 0 or decoded.max() > pmax
+            or qps.min() < 0 or qps.max() > config.qp_max):
+        for j, (plane, qp) in enumerate(zip(decoded, qps)):
+            try:
+                _check_inputs(plane, qp, config)
+            except (ShapeError, DataError) as exc:
+                raise type(exc)(f"patch {j}: {exc}") from None
+    inp = np.empty((len(decoded), 2) + decoded.shape[1:])
+    np.divide(decoded, pmax, out=inp[:, 0])
+    inp[:, 1] = (qps / config.qp_max)[:, None, None]
+    return inp, (original / pmax)[:, None]
 
 
 def backward_network(model: NetworkModel, caches, d_out: np.ndarray) -> list:
     """Backprop ``d_out`` (gradient at the residual output) through the conv chain.
 
-    Returns the per-layer gradients.  The gradient w.r.t. the 2-channel
-    network input is not formed: no caller needs it, so the first layer
-    computes its weight gradient only.
+    ``caches`` are those of :func:`cnnlf.network.forward_network`.  Each layer
+    runs its epilogue's backward (:func:`cnnlf.tensor.bn_relu_grad`), which
+    takes the ReLU mask from the stored activation and recomputes BN's
+    ``xhat`` from the conv output, and then the conv's.  Returns the per-layer
+    gradients.  The gradient w.r.t. the 2-channel network input is not
+    formed: no caller needs it, so the first layer computes its weight
+    gradient only.
     """
     grads: list = [None] * len(model.layers)
     d = d_out
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         cache = caches[i]
-        if layer.relu:
-            d = tensor.relu_grad(cache["pre_relu"], d)
-        d_scale = d_shift = None
-        if layer.bn is not None:
-            d, d_scale, d_shift = tensor.batchnorm_backward(d, cache["bn_cache"])
+        d, d_scale, d_shift = tensor.bn_relu_grad(d, cache)
         d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], layer.conv, d, input_grad=i > 0,
                                          xp=cache["conv_pad"])
         grads[i] = LayerGrads(d_w, d_b, d_scale, d_shift)

@@ -121,9 +121,28 @@ class TestForward:
                 x = (bn.scale[:, None, None] * (x - bn.running_mean[:, None, None])
                      / np.sqrt(bn.running_var + bn.epsilon)[:, None, None] + bn.shift[:, None, None])
             if layer.relu:
-                x = tensor.relu(x)
+                x = np.maximum(x, 0.0)
         expected = x[0, 0] + recon
         assert np.abs(out - expected).max() < 1e-12
+
+    def test_training_cache_holds_two_activation_sized_arrays_per_bn_layer(self, tiny_model,
+                                                                           rng):
+        """The caches keep a BN layer's conv output and the next layer's padded input,
+        and no normalized or pre-ReLU copy: distinct base buffers of at least
+        N*C*H*W float64 values, C the smallest BN width, number two per BN layer."""
+        n, h, w = 4, 9, 11
+        _, caches = forward_network(tiny_model, rng.uniform(size=(n, 2, h, w)), keep_cache=True)
+        bases = {}
+        for cache in caches:
+            for value in cache.values():
+                for array in value if isinstance(value, tuple) else (value,):
+                    if isinstance(array, np.ndarray):
+                        while array.base is not None:
+                            array = array.base
+                        bases[id(array)] = array.nbytes
+        bn_layers = [layer for layer in tiny_model.layers if layer.bn is not None]
+        smallest = n * min(layer.bn.channels for layer in bn_layers) * h * w * 8
+        assert sum(nbytes >= smallest for nbytes in bases.values()) <= 2 * len(bn_layers)
 
     def test_shape_mismatch_raises(self, tiny_model, rng):
         with pytest.raises(ShapeError):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cnnlf import tensor
 from cnnlf.errors import ShapeError
-from cnnlf.tensor import (BNParams, ConvParams, batchnorm_backward, batchnorm_forward, conv2d,
-                          conv2d_grad, relu, relu_grad, round_half_away)
+from cnnlf.tensor import (BNParams, ConvParams, bn_relu, bn_relu_grad, conv2d, conv2d_grad,
+                          round_half_away)
 
 from .conftest import blas_count
 from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_loops,
@@ -155,11 +155,13 @@ class TestConv2dGrad:
 
 
 class TestBatchnorm:
+    """Train-mode BN without ReLU, as :func:`bn_relu` runs it for a BN layer with ``relu=False``."""
+
     def test_identity_on_normalized_input(self, rng):
         x = rng.normal(size=(4, 3, 8, 8))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
         params = BNParams.identity(3)
-        out, _, _ = batchnorm_forward(x, params)
+        out, _ = bn_relu(x, params, relu=False)
         # epsilon shrinks unit-variance data by 1 - 1/sqrt(1 + eps) ~ eps/2 per unit
         bound = (1.0 - 1.0 / np.sqrt(1.0 + params.epsilon)) * np.abs(x).max() + 1e-12
         assert np.abs(out - x).max() <= bound
@@ -169,7 +171,7 @@ class TestBatchnorm:
         params = BNParams.identity(3)
         params.scale[:] = 0.0
         params.shift[:] = [0.1, -0.2, 0.3]
-        out, _, _ = batchnorm_forward(rng.normal(size=(4, 3, 6, 6)), params)
+        out, _ = bn_relu(rng.normal(size=(4, 3, 6, 6)), params, relu=False)
         for c, beta in enumerate(params.shift):
             assert np.allclose(out[:, c], beta)
 
@@ -177,7 +179,7 @@ class TestBatchnorm:
         params = BNParams.identity(3)
         params.scale[:] = [1.5, -0.7, 0.2]
         params.shift[:] = [0.3, 0.0, -1.0]
-        out, _, _ = batchnorm_forward(rng.normal(1.0, 3.0, size=(6, 3, 10, 10)), params)
+        out, _ = bn_relu(rng.normal(1.0, 3.0, size=(6, 3, 10, 10)), params, relu=False)
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
         assert np.abs(mean - params.shift).max() < 1e-9
@@ -187,18 +189,20 @@ class TestBatchnorm:
     def test_running_stats_update(self, rng):
         params = BNParams.identity(2)
         x = rng.normal(2.0, 1.5, size=(4, 2, 5, 5))
-        _, stats, _ = batchnorm_forward(x, params)
-        assert np.allclose(params.running_mean, 0.9 * 0.0 + 0.1 * stats["mean"])
-        assert np.allclose(params.running_var, 0.9 * 1.0 + 0.1 * stats["var"])
+        _, cache = bn_relu(x, params, relu=False)
+        mean, invstd, _ = cache["stats"]
+        var = 1.0 / invstd ** 2 - params.epsilon
+        assert np.allclose(params.running_mean, 0.9 * 0.0 + 0.1 * mean)
+        assert np.allclose(params.running_var, 0.9 * 1.0 + 0.1 * var)
 
     def test_zero_variance_never_raises(self):
         x = np.full((4, 1, 3, 3), 5.0)
-        out, _, _ = batchnorm_forward(x, BNParams.identity(1))
+        out, _ = bn_relu(x, BNParams.identity(1), relu=False)
         assert np.all(np.isfinite(out))
 
     def test_train_needs_batch_of_two(self, rng):
         with pytest.raises(ShapeError, match="batch size >= 2"):
-            batchnorm_forward(rng.normal(size=(1, 2, 4, 4)), BNParams.identity(2))
+            bn_relu(rng.normal(size=(1, 2, 4, 4)), BNParams.identity(2), relu=False)
 
     def test_backward_matches_finite_differences(self, rng):
         x = rng.normal(size=(3, 2, 4, 4))
@@ -207,11 +211,11 @@ class TestBatchnorm:
         up = rng.normal(size=(3, 2, 4, 4))
 
         def loss():
-            out, _, _ = batchnorm_forward(x, params)
+            out, _ = bn_relu(x, params, relu=False)
             return float((out * up).sum())
 
-        _, _, cache = batchnorm_forward(x, params)
-        dx, dscale, dshift = batchnorm_backward(up, cache)
+        _, cache = bn_relu(x, params, relu=False)
+        dx, dscale, dshift = bn_relu_grad(up, cache)
         assert max_relative_error(dx, finite_difference(loss, x)) < 1e-5
         assert max_relative_error(dscale, finite_difference(loss, params.scale)) < 1e-5
         assert max_relative_error(dshift, finite_difference(loss, params.shift)) < 1e-5
@@ -222,41 +226,118 @@ class TestBatchnorm:
                           rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
         up = rng.normal(size=x.shape)
         want = batchnorm_backward_three_term(x, up, params.scale, params.epsilon)
-        _, _, cache = batchnorm_forward(x, params)
-        for got, ref in zip(batchnorm_backward(up, cache), want):
+        _, cache = bn_relu(x, params, relu=False)
+        for got, ref in zip(bn_relu_grad(up, cache), want):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_running_stats_match_numpy_mean_and_var(self, rng):
         # a large mean over a small spread: a variance from uncentered sums would drift
         x = rng.normal(40.0, 0.01, size=(16, 5, 11, 9))
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
         params = BNParams.identity(5)
         before_mean, before_var = params.running_mean.copy(), params.running_var.copy()
-        _, stats, _ = batchnorm_forward(x, params)
-        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-        for got, ref in ((stats["mean"], mean), (stats["var"], var),
+        _, cache = bn_relu(x, params, relu=False)
+        # momentum 0 makes the running statistics the batch statistics, bit for bit
+        batch = BNParams(np.ones(5), np.zeros(5), np.zeros(5), np.ones(5), momentum=0.0)
+        bn_relu(x, batch, relu=False)
+        for got, ref in ((cache["stats"][0], mean), (batch.running_mean, mean),
+                         (batch.running_var, var),
                          (params.running_mean, 0.9 * before_mean + 0.1 * mean),
                          (params.running_var, 0.9 * before_var + 0.1 * var)):
             assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
 
 
+KINDS = {"bn+relu": (True, True), "bn": (True, False), "relu": (False, True)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_epilogue_gradients_match_finite_differences(rng, kind):
+    """Every gradient of the epilogue against central differences, with an exact
+    zero at the ReLU, whose subgradient is zero: one pre-activation of the
+    ReLU-only case, and a whole channel (scale and shift 0) with BN."""
+    with_bn, relu = KINDS[kind]
+    z = rng.normal(size=(3, 3, 4, 5))
+    z[1, 2, 2, 3] = 0.0
+    params = None
+    if with_bn:
+        params = BNParams(rng.normal(1.0, 0.3, size=3), rng.normal(size=3),
+                          rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+        params.scale[1] = params.shift[1] = 0.0
+    up = rng.normal(size=z.shape)
+
+    def loss():
+        out, _ = bn_relu(z, params, relu)
+        return float((out * up).sum())
+
+    out, cache = bn_relu(z, params, relu)
+    if relu:
+        assert out.min() == 0.0
+    d_z, d_scale, d_shift = bn_relu_grad(up, cache)
+    smooth = np.ones(z.shape, dtype=bool)
+    if not with_bn:
+        assert d_z[1, 2, 2, 3] == 0.0 and d_scale is None and d_shift is None
+        smooth[1, 2, 2, 3] = False
+    assert max_relative_error(d_z[smooth], finite_difference(loss, z)[smooth]) < 1e-5
+    if with_bn:
+        # channel 1 sits at the kink only with the ReLU; its scale and shift are
+        # perturbed off it there, so only the others are compared with differences
+        keep = [0, 2] if relu else [0, 1, 2]
+        if relu:
+            assert d_scale[1] == d_shift[1] == 0.0 and not d_z[:, 1].any()
+        for got, array in ((d_scale, params.scale), (d_shift, params.shift)):
+            assert max_relative_error(got[keep], finite_difference(loss, array)[keep]) < 1e-5
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_epilogue_is_the_same_at_any_worker_count(rng, kind):
+    """Output, running statistics and gradients at 1, 2 and 3 workers.  The BN
+    sums are per-image rows added in image order, so they agree bit for bit."""
+    with_bn, relu = KINDS[kind]
+    z = rng.normal(0.3, 2.0, size=(5, 4, 7, 6))
+    up = rng.normal(size=z.shape)
+    bn = BNParams(rng.normal(1.0, 0.5, size=4), rng.normal(size=4), rng.normal(size=4),
+                  rng.uniform(0.5, 2.0, size=4)) if with_bn else None
+    runs = []
+    for workers in (1, 2, 3):
+        params = bn.copy() if with_bn else None
+        with blas_count(workers), tensor._spend_blas_threads():
+            out, cache = bn_relu(z, params, relu, pad=1)
+            grads = bn_relu_grad(up, cache)
+        stats = (params.running_mean, params.running_var) if with_bn else ()
+        runs.append([out, *stats, *(g for g in grads if g is not None)])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+    out = runs[0][0]
+    assert np.array_equal(out, tensor.pad_same(out[:, :, 1:-1, 1:-1], 3))
+    if with_bn and relu:
+        mask = out[:, :, 1:-1, 1:-1] > 0.0
+        want = batchnorm_backward_three_term(z, up * mask, bn.scale, bn.epsilon)
+        for got, ref in zip(runs[0][3:], want):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestPointwiseOps:
+    """ReLU without BN, as :func:`bn_relu` runs it for a BN-folded layer."""
+
     def test_relu_all_negative(self):
-        assert not relu(np.full((1, 1, 2, 2), -3.0)).any()
+        assert not bn_relu(np.full((1, 1, 2, 2), -3.0), None, True)[0].any()
 
     def test_relu_all_positive_is_identity(self, rng):
         x = np.abs(rng.normal(size=(2, 3, 4, 4))) + 0.1
-        assert np.array_equal(relu(x), x)
+        assert np.array_equal(bn_relu(x, None, True)[0], x)
 
     def test_relu_matches_elementwise_oracle(self, rng):
         x = rng.normal(size=(2, 2, 5, 5))
         expected = np.array([[[[max(v, 0.0) for v in row] for row in ch] for ch in b]
                              for b in x])
-        assert np.array_equal(relu(x), expected)
+        assert np.array_equal(bn_relu(x, None, True)[0], expected)
 
-    def test_relu_grad_masks_nonpositive(self, rng):
-        x = np.array([[-1.0, 0.0, 2.0]])
-        up = np.array([[10.0, 10.0, 10.0]])
-        assert np.array_equal(relu_grad(x, up), [[0.0, 0.0, 10.0]])
+    def test_relu_grad_masks_nonpositive(self):
+        x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
+        up = np.full(x.shape, 10.0)
+        _, cache = bn_relu(x, None, True)
+        assert np.array_equal(bn_relu_grad(up, cache)[0], [[[[0.0, 0.0, 10.0]]]])
 
 
 class TestRounding:
@@ -279,5 +360,5 @@ def test_forward_outputs_stay_finite(rng):
     params = ConvParams(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
     out = conv2d(x, params)
     assert np.all(np.isfinite(out))
-    bn_out, _, _ = batchnorm_forward(out, BNParams.identity(4))
+    bn_out, _ = bn_relu(out, BNParams.identity(4), relu=True)
     assert np.all(np.isfinite(bn_out))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from cnnlf import cli, compress
 from cnnlf.cli import main
 from cnnlf.codec import load_patchset, make_test_image, read_pgm, write_pgm
 from cnnlf.compress import decompose_model, fold_batchnorm, prune_by_bn_scale
@@ -259,6 +260,33 @@ class TestCli:
                         "--out-dir", "ev", "--seed", "3") == 0
         bd = float((workspace / "ev" / "bdrate.txt").read_text())
         assert bd == 0.0
+
+    def test_eval_folds_bn_once_and_keeps_its_output(self, workspace, tiny_bn_model,
+                                                     monkeypatch):
+        model = tiny_bn_model.copy()
+        # a small residual keeps the filtered RD curve inside the anchor's quality range
+        model.layers[-1].conv.weights *= 0.01
+        model.layers[-1].conv.bias[:] = 0.0
+        save_model(model, "bn.clf")
+        argv = ("eval", "--model", "bn.clf", "--synthetic", "2", "--synthetic-size", "40x40",
+                "--qps", "22,27,32,37", "--seed", "3", "--out-dir")
+        folds = []
+
+        def counting_fold(model):
+            folds.append(model.has_bn)
+            return fold_batchnorm(model)
+
+        monkeypatch.setattr(cli, "fold_batchnorm", counting_fold)
+        monkeypatch.setattr(compress, "fold_batchnorm", counting_fold)
+        assert self.run(*argv, "once") == 0
+        assert folds == [True]
+        # without the fold at load, filter_plane folds the BN model for every plane x QP
+        monkeypatch.setattr(cli, "_load_for_inference", load_model)
+        assert self.run(*argv, "per-plane") == 0
+        assert folds == [True] * 9
+        for name in ("bdrate.txt", "filtered.csv"):
+            once = (workspace / "once" / name).read_bytes()
+            assert once == (workspace / "per-plane" / name).read_bytes()
 
     def test_verify_pass_and_fail_exit_codes(self, workspace, dfp_model):
         save_model(dfp_model, "md.clf")

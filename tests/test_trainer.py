@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnlf import tensor
-from cnnlf.errors import ConfigError, NonFiniteLossError
-from cnnlf.network import NetworkConfig, build_cnnf, forward_network
+from cnnlf.errors import ConfigError, DataError, NonFiniteLossError, ShapeError
+from cnnlf.network import NetworkConfig, build_cnnf, forward_network, normalize_inputs
 from cnnlf.model_io import model_hash
-from cnnlf.trainer import (LossBreakdown, TrainConfig, global_grad_norm, lda_regularizer,
-                           loss_eq1, quant_aware_finetune, quantized_view, sgd_step, train)
+from cnnlf.trainer import (LossBreakdown, TrainConfig, _batch_to_tensors, global_grad_norm,
+                           lda_regularizer, loss_eq1, quant_aware_finetune, quantized_view,
+                           sgd_step, train)
 
 from .conftest import blas_count
 from .oracles import finite_difference, lda_pairwise, lda_pairwise_loops, max_relative_error
@@ -176,6 +177,35 @@ class TestLossEq1:
                                           finite_difference(loss, layer.bn.scale), floor) < 1e-4
                 assert max_relative_error(g.bn_shift,
                                           finite_difference(loss, layer.bn.shift), floor) < 1e-4
+
+
+class TestBatchToTensors:
+    def test_matches_per_patch_normalization(self, rng):
+        cfg = NetworkConfig()
+        batch = make_batch(rng, 5, qps=(0, 22, 51))
+        inp, target = _batch_to_tensors(batch, cfg)
+        assert inp.shape == (5, 2, 8, 8) and target.shape == (5, 1, 8, 8)
+        for j, (decoded, original, qp) in enumerate(batch):
+            recon, qpmap = normalize_inputs(decoded, qp, cfg)
+            assert np.array_equal(inp[j, 0], recon) and np.array_equal(inp[j, 1], qpmap)
+            assert np.array_equal(target[j, 0], original / cfg.pixel_max)
+
+    @pytest.mark.parametrize("pixel, qp, match", [(256, 22, "patch 2: pixel values"),
+                                                  (-1, 22, "patch 2: pixel values"),
+                                                  (0, 52, "patch 2: qp 52")])
+    def test_bad_patch_is_named_with_a_data_error(self, rng, pixel, qp, match):
+        batch = [(d.astype(np.int64), o, q) for d, o, q in make_batch(rng, 4)]
+        decoded, original, _ = batch[2]
+        decoded[1, 1] = pixel
+        batch[2] = (decoded, original, qp)
+        with pytest.raises(DataError, match=match):
+            _batch_to_tensors(batch, NetworkConfig())
+
+    def test_ragged_batch_is_a_shape_error(self, rng):
+        batch = make_batch(rng, 3)
+        batch[1] = (batch[1][0][:6], batch[1][1][:6], 22)
+        with pytest.raises(ShapeError, match="one shape"):
+            _batch_to_tensors(batch, NetworkConfig())
 
 
 class TestSgdStep:
@@ -359,7 +389,6 @@ class TestQuantAwareFinetune:
         for got, want in zip(view.layers, dequantized.layers):
             assert np.array_equal(got.conv.weights, want.conv.weights)
             assert np.array_equal(got.conv.bias, want.conv.bias)
-        from cnnlf.trainer import _batch_to_tensors
         inp, _ = _batch_to_tensors(make_batch(rng, 4), model.config)
         out_view, _ = forward_network(view, inp)
         out_dequantized, _ = forward_network(dequantized, inp)
@@ -373,7 +402,6 @@ class TestQuantAwareFinetune:
                          lambda_w=0, lambda_s=0, lambda_lda=0, rng_seed=1)
 
         def quantized_mse(m):
-            from cnnlf.trainer import _batch_to_tensors
             inp, target = _batch_to_tensors(ds, m.config)
             out, _ = forward_network(quantized_view(m, table), inp)
             return float(((out - target) ** 2).sum())
