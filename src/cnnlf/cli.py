@@ -197,9 +197,7 @@ def cmd_prune(args, log):
 
 
 def cmd_lowrank(args, log):
-    model = _require_float_model(load_model(args.model), "lowrank")
-    if model.has_bn:
-        model = fold_batchnorm(model)
+    model = fold_batchnorm(_require_float_model(load_model(args.model), "lowrank"))
     ranks = None
     if args.ranks:
         ranks = [int(r) for r in args.ranks.split(",")]
@@ -212,9 +210,7 @@ def cmd_lowrank(args, log):
 
 
 def cmd_quantize(args, log):
-    model = _require_float_model(load_model(args.model), "quantize")
-    if model.has_bn:
-        model = fold_batchnorm(model)
+    model = fold_batchnorm(_require_float_model(load_model(args.model), "quantize"))
     ds = load_patchset(args.dataset)
     count = min(args.calib_count, len(ds)) if args.calib_count else len(ds)
     calibration = [(ds.decoded[i], ds.qps[i]) for i in range(count)]
@@ -246,9 +242,7 @@ def _load_for_inference(path):
     """The model at ``path``, a float model with its BN folded once, here, rather than
     by every :func:`cnnlf.network.filter_plane` call."""
     model = load_model(path)
-    if isinstance(model, NetworkModel) and model.has_bn:
-        model = fold_batchnorm(model)
-    return model
+    return fold_batchnorm(model) if isinstance(model, NetworkModel) else model
 
 
 def _filter_with(model, plane, qp):

@@ -138,7 +138,10 @@ def fold_batchnorm(model: NetworkModel) -> NetworkModel:
 
     The folded conv computes ``scale/sqrt(var+eps) * (conv(x) - mean) + shift``
     with the running statistics; this is the one form BN inference takes.
+    A model without BN is returned as it is.
     """
+    if not model.has_bn:
+        return model
     model = model.copy()
     for layer in model.layers:
         if layer.bn is None:

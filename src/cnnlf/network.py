@@ -219,10 +219,8 @@ def forward_float(model: NetworkModel, recon: np.ndarray, qpmap: np.ndarray) -> 
     qpmap = np.asarray(qpmap, dtype=np.float64)
     if recon.ndim != 2 or recon.shape != qpmap.shape:
         raise ShapeError(f"recon {recon.shape} and qpmap {qpmap.shape} must be planes of one size")
-    if model.has_bn:
-        from .compress import fold_batchnorm
-        model = fold_batchnorm(model)
-    out, _ = forward_network(model, np.stack([recon, qpmap])[None])
+    from .compress import fold_batchnorm
+    out, _ = forward_network(fold_batchnorm(model), np.stack([recon, qpmap])[None])
     return out[0, 0]
 
 

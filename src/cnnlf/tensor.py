@@ -473,6 +473,11 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     return _fold_pad_grad(d_xp, h, w, (k - 1) // 2), np.ascontiguousarray(d_w), d_bias
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a * b).sum(axis=1)`` of two 2-d arrays, one BLAS dot per row with no product array."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
+
+
 def _batch_moments(z: np.ndarray) -> tuple:
     """Per-channel mean and biased variance of ``z`` over (N, H, W).
 
@@ -489,7 +494,7 @@ def _batch_moments(z: np.ndarray) -> tuple:
 
     def squares(i: int, centred: np.ndarray) -> None:
         np.subtract(flat[i], mean[:, None], out=centred)
-        rows[i] = np.vecdot(centred, centred)
+        rows[i] = _row_dots(centred, centred)
 
     _on_workers(n, lambda: None, sums)
     mean = rows.sum(axis=0) / m
@@ -588,7 +593,7 @@ def bn_relu_grad(upstream: np.ndarray, cache: dict):
             centred = np.subtract(z[i], mean, out=scratch).reshape(c, -1)
             g = d_z[i].reshape(c, -1)
             rows[0, i] = g.sum(axis=1)
-            rows[1, i] = np.vecdot(g, centred)
+            rows[1, i] = _row_dots(g, centred)
 
     _on_workers(n, lambda: (np.empty((c, h, w)), np.empty((c, h, w), dtype=bool)), first)
     if stats is None:

@@ -157,27 +157,23 @@ def lda_regularizer(layer_weights: np.ndarray):
 def _batch_to_tensors(batch, config: "NetworkModel.config"):
     """Stack (decoded, original, qp) patch triples into network inputs/targets.
 
-    The whole batch is stacked and its range checked at once; a batch that
-    fails is checked patch by patch, so the error names the first bad patch.
+    Each patch is checked by :func:`cnnlf.network._check_inputs`, so an error
+    names the first bad patch; the checked batch is then normalised at once.
     """
     decoded, original, qps = zip(*batch)
     try:
         decoded, original = np.stack(decoded), np.stack(original)
     except ValueError:
         raise ShapeError("the patches of a batch must all have one shape") from None
-    qps = np.asarray(qps)
-    pmax = config.pixel_max
-    if (decoded.ndim != 3 or decoded.min() < 0 or decoded.max() > pmax
-            or qps.min() < 0 or qps.max() > config.qp_max):
-        for j, (plane, qp) in enumerate(zip(decoded, qps)):
-            try:
-                _check_inputs(plane, qp, config)
-            except (ShapeError, DataError) as exc:
-                raise type(exc)(f"patch {j}: {exc}") from None
+    for j, (plane, qp) in enumerate(zip(decoded, qps)):
+        try:
+            _check_inputs(plane, qp, config)
+        except (ShapeError, DataError) as exc:
+            raise type(exc)(f"patch {j}: {exc}") from None
     inp = np.empty((len(decoded), 2) + decoded.shape[1:])
-    np.divide(decoded, pmax, out=inp[:, 0])
-    inp[:, 1] = (qps / config.qp_max)[:, None, None]
-    return inp, (original / pmax)[:, None]
+    np.divide(decoded, config.pixel_max, out=inp[:, 0])
+    inp[:, 1] = (np.asarray(qps) / config.qp_max)[:, None, None]
+    return inp, (original / config.pixel_max)[:, None]
 
 
 def backward_network(model: NetworkModel, caches, d_out: np.ndarray) -> list:

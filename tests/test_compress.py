@@ -138,6 +138,10 @@ class TestFoldBatchnorm:
         again = fold_batchnorm(folded)
         assert model_hash(folded) == model_hash(again)
 
+    def test_model_without_bn_is_returned_as_is(self, tiny_model):
+        folded = fold_batchnorm(tiny_model)
+        assert fold_batchnorm(folded) is folded
+
 
 class TestSvdLowRank:
     def test_exact_rank_one_layer(self, rng):

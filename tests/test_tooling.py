@@ -279,11 +279,12 @@ class TestCli:
         monkeypatch.setattr(cli, "fold_batchnorm", counting_fold)
         monkeypatch.setattr(compress, "fold_batchnorm", counting_fold)
         assert self.run(*argv, "once") == 0
-        assert folds == [True]
+        # the loaded model is folded once; filter_plane then gets a model without BN
+        assert folds.count(True) == 1
         # without the fold at load, filter_plane folds the BN model for every plane x QP
         monkeypatch.setattr(cli, "_load_for_inference", load_model)
         assert self.run(*argv, "per-plane") == 0
-        assert folds == [True] * 9
+        assert folds.count(True) == 9
         for name in ("bdrate.txt", "filtered.csv"):
             once = (workspace / "once" / name).read_bytes()
             assert once == (workspace / "per-plane" / name).read_bytes()

@@ -192,7 +192,8 @@ class TestBatchToTensors:
 
     @pytest.mark.parametrize("pixel, qp, match", [(256, 22, "patch 2: pixel values"),
                                                   (-1, 22, "patch 2: pixel values"),
-                                                  (0, 52, "patch 2: qp 52")])
+                                                  (0, 52, "patch 2: qp 52"),
+                                                  (0, float("nan"), "patch 2: qp nan")])
     def test_bad_patch_is_named_with_a_data_error(self, rng, pixel, qp, match):
         batch = [(d.astype(np.int64), o, q) for d, o, q in make_batch(rng, 4)]
         decoded, original, _ = batch[2]
