@@ -15,20 +15,23 @@ residual add saturates at 16 bits, and denormalization is an integer
 scale-and-shift.
 
 The mantissas are carried in float64, so each layer runs the float
-forward correlation of :mod:`cnnlf.tensor`: one BLAS GEMM per band of
-output rows over the unfolded (im2col) input.  This is exact:
+forward correlation of :mod:`cnnlf.tensor`: per band of output rows, an
+accumulator started at the aligned bias into which BLAS adds one GEMM per
+kernel tap (beta = 1), reading the input buffer in place.  This is exact:
 every product is an integer of at most 2^22 in magnitude, and
 ``DFPModel`` proves when it is built that every accumulator, bias and
 rounding offset included, stays below 2^53 (see
-``DFPModel.accumulator_bounds``).  Every partial sum a GEMM forms, in
-whatever order it adds the products, is bounded by the same figure, so
-it is an integer below 2^53 and float64 holds it without rounding.  A
-ReLU layer computes with its weights and bias pre-scaled by ``2^-shift``;
-scaling by a power of two is exact, so each of its partial sums is such
-an integer times ``2^-shift`` and exact as well.  A layer that contracts
-channels before taps (``k * k * Cout <= Cin``) first forms per-tap sums
-over the input channels and then adds the taps; each of those is a sum of
-a subset of the same products, bounded by the same figure.  The output
+``DFPModel.accumulator_bounds``).  Every partial sum formed on the way,
+inside one GEMM or across the taps BLAS accumulates, in whatever order, is
+the bias plus a subset of the products, bounded by the same figure, so it
+is an integer below 2^53 and float64 holds it without rounding; the same
+holds where ``np.matmul`` forms a tap's products and they are added after.
+A ReLU layer computes with its weights and bias pre-scaled by
+``2^-shift``; scaling by a power of two is exact, so each of its partial
+sums is such an integer times ``2^-shift`` and exact as well.  A layer that
+contracts channels before taps (``k * k * Cout <= Cin``) first forms per-tap
+sums over the input channels and then adds the taps; each of those is a sum
+of a subset of the same products, bounded by the same figure.  The output
 is therefore bit-identical for any summation order, BLAS build, BLAS
 thread count, band split or worker count, which is the point: encoder and
 decoder agree across platforms by construction.  :func:`dfp_forward`
@@ -375,18 +378,20 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
     requantized output into the interior of ``dst`` and then replicates
     ``dst``'s ring.
 
-    A ReLU layer folds the rounding offset and the shift into its
-    parameters, ``W * 2^-s`` and ``(b * 2^bshift + 2^(s-1)) * 2^-s``, so
-    its requantization is ``min(floor(max(acc, 1/2)), ACT_MAX)``.  Other
-    layers add the aligned bias, round half away from zero and saturate.
-    The sums come from :func:`cnnlf.tensor._correlate`, which runs ``finish`` on its
-    workers.
+    The sums come from :func:`cnnlf.tensor._correlate`: each row band's
+    accumulator starts at the aligned bias and BLAS adds one GEMM per tap
+    into it, reading ``src`` in place; the columns past W of each
+    accumulator row are junk.  ``finish`` requantizes a band on the worker
+    that summed it.  A ReLU layer folds the rounding offset and the shift
+    into its parameters, ``W * 2^-s`` and ``(b * 2^bshift + 2^(s-1)) * 2^-s``,
+    so its requantization is ``floor(clip(acc, 1/2, ACT_MAX))``.  Other
+    layers round half away from zero and saturate.
     """
     cout, cin, k, _ = layer.weights_m.shape
     h, w = src.shape[1] - 2 * pad, src.shape[2] - 2 * pad
     p = (k - 1) // 2
     weights = layer.weights_m.astype(np.float64)
-    bias = np.ldexp(layer.bias_m.astype(np.float64), bshift)[:, None, None]
+    bias = np.ldexp(layer.bias_m.astype(np.float64), bshift)
     if layer.relu:
         if shift:
             bias += 2.0 ** (shift - 1)
@@ -395,19 +400,19 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
     out = dst[:cout, pad:pad + h, pad:pad + w]
 
     def finish(_, acc: np.ndarray, r0: int, r1: int) -> None:
-        acc += bias
         if layer.relu:
             # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1)) is
             # non-negative, so rounding half away is floor(max(acc, 1/2)); at s = 0 that is
-            # max(a, 0) for integer a
-            np.maximum(acc, 0.5, out=acc)
-            np.floor(acc, out=acc)
-            np.minimum(acc, ACT_MAX, out=out[:, r0:r1])
+            # max(a, 0) for integer a.  floor(min(v, ACT_MAX)) = min(floor(v), ACT_MAX) for the
+            # integer ACT_MAX, so one clip applies both bounds; it covers acc's whole rows, junk
+            # included, which is faster than a strided view of the first W columns.
+            np.clip(acc, 0.5, ACT_MAX, out=acc)
+            np.floor(acc[:, :, :w], out=out[:, r0:r1])
         else:
-            np.clip(_round_shift(acc, shift), ACT_MIN, ACT_MAX, out=out[:, r0:r1])
+            np.clip(_round_shift(acc[:, :, :w], shift), ACT_MIN, ACT_MAX, out=out[:, r0:r1])
 
     # whole buffer rows, so output column x reads columns pad - p + x .. pad + p + x
-    _correlate(weights, src[None, :cin, pad - p:pad + h + p], pad - p, w, finish)
+    _correlate(weights, bias, src[None, :cin, pad - p:pad + h + p], pad - p, w, finish)
     _replicate_border(dst[:cout], pad)
 
 

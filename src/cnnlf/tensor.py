@@ -18,19 +18,27 @@ under convolution, which the channel-pruning bias fold in
 :mod:`cnnlf.compress` relies on for bit-exact output preservation.
 
 The forward convolution of one padded image, float or DFP, is
-:func:`_correlate`: one GEMM per band of output rows over unfolded (im2col)
-patches (Chellapilla et al., 2006), or, if ``k * k * Cout <= Cin`` (an
-output head), one GEMM contracting the channels first and a sum of the
-k * k shifted tap planes.  :func:`conv2d` adds the bias to its sums;
-:mod:`cnnlf.dfp` runs it on integer mantissas and requantizes them.
+:func:`_correlate`, which lowers nothing (kn2row-aa, Anderson et al.,
+arXiv:1709.03395; MEC, Cho & Brand, arXiv:1706.06873).  A row band of
+outputs is a (Cout, N) accumulator, started at the bias, into which BLAS
+adds one GEMM per tap (:func:`_gemm`, beta = 1):
+``acc += W[:, :, ky, kx] @ B``, with ``B`` a zero-copy (Cin, N) view of the
+image's padded channels at the channel stride, starting ``ky`` rows and
+``kx`` columns into the band.  Accumulator column ``y * rs + x`` is output
+(y, x), ``rs`` the padded row stride, so ``N = (rows - 1) * rs + W``; the
+columns ``x >= W`` are junk sums that wrap into the next row, which no store
+reads, and no view reaches past its image.  If ``k * k * Cout <= Cin`` (an
+output head) one GEMM instead contracts the channels of a band and its
+``k - 1`` halo rows for all taps at once, and the k * k shifted tap planes
+are added.  :mod:`cnnlf.dfp` runs the same engine on integer mantissas and
+requantizes the sums.
 
-The backward pass unfolds each image's upstream gradient once, zero-ringed
-by ``k - 1``, and that unfold ``U`` serves both gradients.  The input
-gradient is the flipped, transposed kernel times ``U`` (the adjoint
-correlation); the weight gradient is ``U`` times the padded input, read
-back with flipped taps:
-``d_w[o, c, ky, kx] = sum_q U[(o, k-1-ky, k-1-kx), q] * xp[c, q]`` over the
-``(H + k - 1) * (W + k - 1)`` padded positions ``q``.
+The backward pass puts each image's upstream gradient in a zero-ringed
+buffer at the padded row stride, so its junk columns are zero.  The input
+gradient is the correlation of that ring with the flipped, transposed taps,
+by the same tap GEMMs; the weight gradient of tap (ky, kx) is one GEMM of
+the upstream against the tap view of the padded input:
+``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U`` the (Cout, N) upstream.
 
 A DFP forward and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread
@@ -42,13 +50,14 @@ Elsewhere, and when no OpenBLAS thread control is found, everything runs
 on the calling thread and BLAS threads each GEMM.
 
 The GEMM's summation order belongs to the BLAS build and its thread
-count, so float results can differ in the last bits between BLAS builds
-or thread settings.  The weight gradient also sums one partial per
-worker, so its bits may depend on the worker count.  BN's batch
-statistics and its scale and shift gradients sum one row per image, added
-in image order, so their bits do not.  Bit-exactness across platforms,
-thread and worker counts is the contract of the integer path in
-:mod:`cnnlf.dfp`, not of this one.
+count, and without BLAS's ``dgemm`` each tap's products are formed by
+``np.matmul`` and then added, so float results can differ in the last bits
+between BLAS builds or thread settings.  The weight gradient also sums one
+partial per worker, so its bits may depend on the worker count.  BN's
+batch statistics, its scale and shift gradients and the conv bias gradient
+sum one row per image, added in image order, so their bits do not.
+Bit-exactness across platforms, thread and worker counts is the contract
+of the integer path in :mod:`cnnlf.dfp`, not of this one.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,11 +79,12 @@ from .errors import ShapeError
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
-# Size of the unfolded row bands in flight, one per worker, each the right
-# operand of one GEMM: large enough to keep BLAS efficient, small enough to
-# stay in cache.  With 64 3x3 input channels and one worker it holds 8 rows
-# of a 208-pixel plane.
-BAND_BYTES = 8 << 20
+# One worker's band buffer: the (Cout, rows, row stride) accumulator of a
+# convolution's row band, into which its tap GEMMs add.  Sized to a 2 MiB L2:
+# 19 rows of a 64-channel 208-pixel plane, so a luma plane is 8 bands at
+# 2 workers.  Fewer, longer GEMMs pay less call overhead, which rules out
+# smaller bands.
+BAND_BYTES = 2 << 20
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
@@ -195,13 +206,22 @@ def pad_same(x: np.ndarray, k: int) -> np.ndarray:
     return xp
 
 
-@functools.cache
-def _openblas_controls():
-    """``(get, set)`` of the thread count of the OpenBLAS numpy links, or None.
+class _OpenBLAS(NamedTuple):
+    """Handles into the OpenBLAS that numpy links: its thread count and, if exported, dgemm."""
 
-    numpy's wheels bundle scipy-openblas, whose 64-bit interface exports
-    both functions.  With any other BLAS nothing is found and its thread
-    count is left alone.
+    get: object
+    set: object
+    dgemm: object
+
+
+@functools.cache
+def _openblas() -> _OpenBLAS | None:
+    """The thread-count handles and ``dgemm`` of the OpenBLAS numpy links, or None.
+
+    numpy's wheels bundle scipy-openblas, whose 64-bit interface exports all
+    three; ``dgemm`` is None where this build lacks its CBLAS symbol.  With
+    any other BLAS nothing is found, its thread count is left alone and
+    :func:`_gemm` runs on ``np.matmul``.
     """
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
@@ -211,8 +231,71 @@ def _openblas_controls():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
+        dgemm = getattr(lib, "scipy_cblas_dgemm64_", None)
+        if dgemm is not None:
+            i64, ptr, real = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+            dgemm.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [real, ptr, i64, ptr, i64,
+                                                               real, ptr, i64]
+            dgemm.restype = None
+        return _OpenBLAS(get, put, dgemm)
     return None
+
+
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+
+
+def _blas_layout(v: np.ndarray) -> tuple:
+    """``(trans, ld)``: how row-major CBLAS reads the 2-d float64 view ``v``.
+
+    A view with a unit column stride is read as stored, one with a unit row
+    stride as the transpose of what is stored; ``ld`` is the distance in
+    elements between stored rows.  Raises :class:`ShapeError` on any other
+    view and on a leading dimension shorter than the stored rows.
+    """
+    if v.dtype != np.float64 or v.ndim != 2:
+        raise ShapeError(f"GEMM operand must be a 2-d float64 view, got {v.dtype} {v.shape}")
+    (rows, cols), (s0, s1) = v.shape, v.strides
+    if cols == 1 or s1 == 8:
+        trans, stride, length, width = _NO_TRANS, s0, rows, cols
+    elif rows == 1 or s0 == 8:
+        trans, stride, length, width = _TRANS, s1, cols, rows
+    else:
+        raise ShapeError(f"GEMM operand strides {v.strides} have no unit-element stride")
+    if length == 1:
+        stride = 8 * width  # never stepped
+    ld = stride // 8
+    if stride % 8 or ld < max(1, width):
+        raise ShapeError(f"GEMM operand leading dimension {stride / 8:g} is shorter than "
+                         f"its stored rows of {width}")
+    return trans, ld
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, accumulate: bool) -> None:
+    """``c = a @ b``, or ``c += a @ b`` with ``accumulate``, on 2-d float64 views in place.
+
+    BLAS reads the views where they lie: the pointer is ``view.ctypes.data``,
+    the leading dimension the row stride, and a view with a unit row stride
+    is passed transposed.  ``accumulate`` is dgemm's beta = 1, so the sum
+    forms inside BLAS and no product array exists.  ``c`` needs a unit column
+    stride.  Without ``dgemm`` (see :func:`_openblas`) the same runs as
+    ``np.matmul`` followed by ``+=``.  Views BLAS cannot read raise
+    :class:`ShapeError` before anything runs.
+    """
+    (m, k), (k_b, n) = a.shape, b.shape
+    if k_b != k or c.shape != (m, n):
+        raise ShapeError(f"GEMM shapes {a.shape} @ {b.shape} -> {c.shape} do not chain")
+    (trans_a, lda), (trans_b, ldb), (trans_c, ldc) = (_blas_layout(v) for v in (a, b, c))
+    if trans_c != _NO_TRANS or not c.flags.writeable:
+        raise ShapeError(f"GEMM output strides {c.strides} are not a writeable unit-column view")
+    blas = _openblas()
+    if blas is None or blas.dgemm is None:
+        if accumulate:
+            c += np.matmul(a, b)
+        else:
+            np.matmul(a, b, out=c)
+        return
+    blas.dgemm(_ROW_MAJOR, trans_a, trans_b, m, n, k, 1.0, a.ctypes.data, lda,
+               b.ctypes.data, ldb, 1.0 if accumulate else 0.0, c.ctypes.data, ldc)
 
 
 _guard = threading.Lock()
@@ -229,14 +312,14 @@ def _spend_blas_threads():
     out restores ``T``, also when the body raises.  A nested entry does nothing.
     """
     global _inside, _saved
-    controls = _openblas_controls()
-    if controls is None or getattr(_local, "inside", False):
+    blas = _openblas()
+    if blas is None or getattr(_local, "inside", False):
         yield
         return
     with _guard:
         if _inside == 0:
-            _saved = max(1, controls[0]())
-            controls[1](1)
+            _saved = max(1, blas.get())
+            blas.set(1)
         _inside += 1
     _local.inside = True
     try:
@@ -246,7 +329,7 @@ def _spend_blas_threads():
         with _guard:
             _inside -= 1
             if _inside == 0:
-                controls[1](_saved)
+                blas.set(_saved)
 
 
 def worker_threads() -> int:
@@ -298,70 +381,91 @@ def _sum_partials(partials) -> np.ndarray:
     return functools.reduce(np.add, partials)
 
 
-def _row_bands(depth: int, h: int, w: int) -> tuple:
-    """``(rows, bands)``: ``h`` output rows split into ``(r0, r1)`` bands of at most ``rows``
-    rows, whose unfolded columns fit one worker's share of ``BAND_BYTES``; at least one
-    band per worker where there are enough rows."""
-    workers = _workers()
-    rows = min(-(-h // workers), max(1, BAND_BYTES // workers // (8 * depth * w)))
-    return rows, [(r0, min(r0 + rows, h)) for r0 in range(0, h, max(1, rows))]
+def _row_bands(h: int, row_bytes: int, workers: int) -> list:
+    """Rows ``0:h`` split evenly into ``(r0, r1)`` bands of at most ``-(-h // count)`` rows.
 
-
-def _unfold(xp: np.ndarray, k: int, r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
-    """im2col of output rows ``r0:r1`` of one padded (C, H + k - 1, W + k - 1) image.
-
-    Writes the ``(C * k * k, (r1 - r0) * W)`` columns, in ``(c, ky, kx)``
-    order to match ``weights.reshape(Cout, -1)``, to the front of the flat
-    buffer ``buf`` and returns them.
+    A band's buffers take ``row_bytes`` per row, and ``count`` is the least
+    multiple of ``workers`` whose bands fit ``BAND_BYTES``, or ``h`` one-row bands.
     """
-    c, _, wp = xp.shape
-    w = wp - k + 1
-    cols = buf[:c * k * k * (r1 - r0) * w].reshape(c, k, k, r1 - r0, w)
-    windows = np.lib.stride_tricks.sliding_window_view(xp[:, r0:r1 + k - 1], (k, k), axis=(1, 2))
-    np.copyto(cols, windows.transpose(0, 3, 4, 1, 2))
-    return cols.reshape(c * k * k, -1)
+    count = -(-h // max(1, BAND_BYTES // row_bytes))
+    count = min(h, -(-count // workers) * workers)
+    return [(j * h // count, (j + 1) * h // count) for j in range(count)]
 
 
-def _correlate(weights: np.ndarray, images: np.ndarray, c0: int, w: int, store) -> None:
-    """Raw correlation sums of a batch of padded images, block by block.
+def _correlate(weights: np.ndarray, bias: np.ndarray, images: np.ndarray, c0: int, w: int,
+               store) -> None:
+    """Correlation sums plus ``bias`` of a batch of padded images, block by block.
 
     Output pixel (y, x) of image ``i`` reads
-    ``images[i, :, y:y + k, c0 + x:c0 + x + k]``.  Each (Cout, r1 - r0, W)
-    block of sums over output rows ``r0:r1`` goes to ``store(i, acc, r0, r1)``,
-    which may reuse ``acc``.  The blocks are the row bands of a single image
-    or the images of a batch; they run, ``store`` included, on the workers
-    of :func:`_on_workers`.
+    ``images[i, :, y:y + k, c0 + x:c0 + x + k]``.  Each sum starts from its
+    channel's ``bias``.  The sums
+    over output rows ``r0:r1`` go to ``store(i, acc, r0, r1)`` as the first
+    W columns of the (Cout, r1 - r0, >= W) block ``acc``, whose other columns
+    are junk, finite for finite images; ``store`` may change ``acc``.  The
+    blocks are the row bands of a single image or the images of a batch; they
+    run, ``store`` included, on the workers of :func:`_on_workers`.
     """
     cout, cin, k, _ = weights.shape
-    n = len(images)
-    h = images.shape[2] - k + 1
-    if k * k * cout <= cin:
-        wt = weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-
-        def head(i: int, _) -> None:
-            # taps[ky, kx] is tap (ky, kx) of every output channel at every position of image i
-            taps = (wt @ images[i].reshape(cin, -1)).reshape(k, k, cout, images.shape[2], -1)
-            store(i, sum(taps[ky, kx, :, ky:ky + h, c0 + kx:c0 + kx + w]
-                         for ky in range(k) for kx in range(k)), 0, h)
-
-        _on_workers(n, lambda: None, head)
-        return
-    xs = images[:, :, :, c0:c0 + w + k - 1]
-    wmat = weights.reshape(cout, -1)
-    depth = cin * k * k
-    rows, bands = _row_bands(depth, h, w)
+    n, _, hk, width = images.shape
+    h = hk - k + 1
+    if images.strides[3] != 8:
+        raise ShapeError(f"image strides {images.strides} have no unit column stride")
+    rs = images.strides[2] // 8
+    start_value = bias[:, None, None]
+    # taps[ky, kx] is the (Cout, Cin) matrix of tap (ky, kx)
+    taps = weights.transpose(2, 3, 0, 1).copy()
+    head = k * k * cout <= cin
+    row_bytes = 8 * (k * k * cout * rs + cout * w if head else cout * rs)
+    bands = _row_bands(h, row_bytes, _workers() if n == 1 else 1)
+    rows = -(-h // len(bands))
     blocks = [(0, [band]) for band in bands] if n == 1 else [(i, bands) for i in range(n)]
+    # image i as a (Cin, (H - 1) * rs + width) view: row y of channel c is
+    # [c, y * rs:y * rs + width], so no view reaches past the image
+    flats = [np.lib.stride_tricks.as_strided(image, (cin, (hk - 1) * rs + width),
+                                             (image.strides[0], 8), writeable=False)
+             for image in images]
 
-    def block(b: int, buffers) -> None:
-        cols, sums = buffers
+    def tap_sums(b: int, acc_buf: np.ndarray) -> None:
         i, image_bands = blocks[b]
+        flat = flats[i]
         for r0, r1 in image_bands:
-            acc = sums[:cout * (r1 - r0) * w].reshape(cout, r1 - r0, w)
-            np.matmul(wmat, _unfold(xs[i], k, r0, r1, cols), out=acc.reshape(cout, -1))
+            # column y' * rs + x' of acc is output (r0 + y', x'); the columns x' >= W are
+            # junk, and the GEMMs leave those of the last row at the bias
+            acc = acc_buf[:cout * (r1 - r0) * rs].reshape(cout, r1 - r0, rs)
+            np.copyto(acc, start_value)
+            cols = (r1 - r0 - 1) * rs + w
+            sums = acc.reshape(cout, -1)[:, :cols]
+            for ky in range(k):
+                for kx in range(k):
+                    start = (r0 + ky) * rs + c0 + kx
+                    _gemm(taps[ky, kx], flat[:, start:start + cols], sums, True)
             store(i, acc, r0, r1)
 
-    _on_workers(len(blocks), lambda: (np.empty(depth * rows * w), np.empty(cout * rows * w)),
-                block)
+    def head_sums(b: int, buffers) -> None:
+        # one GEMM contracts the channels of the band's rows and k - 1 halo rows for every
+        # tap; the k * k shifted tap planes are then added
+        plane_buf, acc_buf = buffers
+        i, image_bands = blocks[b]
+        flat = flats[i]
+        for r0, r1 in image_bands:
+            span = r1 - r0 + k - 1
+            planes = plane_buf[:k * k * cout * span * rs].reshape(k * k * cout, -1)
+            cols = (span - 1) * rs + c0 + w + k - 1
+            _gemm(taps.reshape(k * k * cout, cin), flat[:, r0 * rs:r0 * rs + cols],
+                  planes[:, :cols], False)
+            planes = planes.reshape(k, k, cout, span, rs)
+            acc = acc_buf[:cout * (r1 - r0) * w].reshape(cout, r1 - r0, w)
+            np.copyto(acc, start_value)
+            for ky in range(k):
+                for kx in range(k):
+                    acc += planes[ky, kx, :, ky:ky + r1 - r0, c0 + kx:c0 + kx + w]
+            store(i, acc, r0, r1)
+
+    if head:
+        _on_workers(len(blocks), lambda: (np.empty(k * k * cout * (rows + k - 1) * rs),
+                                          np.empty(cout * rows * w)), head_sums)
+    else:
+        _on_workers(len(blocks), lambda: np.empty(cout * rows * rs), tap_sums)
 
 
 def _padded(x: np.ndarray, k: int, xp) -> np.ndarray:
@@ -369,7 +473,7 @@ def _padded(x: np.ndarray, k: int, xp) -> np.ndarray:
     if xp is None:
         return pad_same(x, k)
     n, c, h, w = x.shape
-    xp = np.asarray(xp, dtype=np.float64)
+    xp = np.ascontiguousarray(xp, dtype=np.float64)
     if xp.shape != (n, c, h + k - 1, w + k - 1):
         raise ShapeError(f"padded input shape {xp.shape} does not match input {x.shape} "
                          f"padded for a {k}x{k} kernel")
@@ -387,46 +491,47 @@ def conv2d(x: np.ndarray, params: ConvParams, xp: np.ndarray | None = None) -> n
     n, _, h, w = x.shape
     cout, _, k, _ = params.weights.shape
     out = np.empty((n, cout, h, w))
-    bias = params.bias[:, None, None]
-    _correlate(params.weights, _padded(x, k, xp), 0, w,
-               lambda i, acc, r0, r1: np.add(acc, bias, out=out[i, :, r0:r1]))
+    _correlate(params.weights, params.bias, _padded(x, k, xp), 0, w,
+               lambda i, acc, r0, r1: np.copyto(out[i, :, r0:r1], acc[:, :, :w]))
     return out
 
 
-def _fold_pad_grad(dxp: np.ndarray, h: int, w: int, p: int) -> np.ndarray:
-    """Collapse gradients in the replicate-padded ring onto their source edge pixels.
+def _fold_pad_grad(dxp: np.ndarray, h: int, w: int, p: int) -> None:
+    """In place: collapse the gradients in the replicate-padded ring of the (C, H + 2p, W + 2p)
+    ``dxp`` onto the edge pixels they were read from.
 
     Replication clips each axis independently, so folding columns first and
-    rows second is exact.  Works in place on ``dxp``.
+    rows second is exact.
     """
     if p == 0:
-        return dxp
-    dxp[:, :, :, p] += dxp[:, :, :, :p].sum(axis=3)
-    dxp[:, :, :, w + p - 1] += dxp[:, :, :, w + p:].sum(axis=3)
-    d = dxp[:, :, :, p:p + w]
-    d[:, :, p] += d[:, :, :p].sum(axis=2)
-    d[:, :, h + p - 1] += d[:, :, h + p:].sum(axis=2)
-    return d[:, :, p:p + h, :]
+        return
+    dxp[:, :, p] += dxp[:, :, :p].sum(axis=2)
+    dxp[:, :, w + p - 1] += dxp[:, :, w + p:].sum(axis=2)
+    d = dxp[:, :, p:p + w]
+    d[:, p] += d[:, :p].sum(axis=1)
+    d[:, h + p - 1] += d[:, h + p:].sum(axis=1)
 
 
 def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
                 input_grad: bool = True, xp: np.ndarray | None = None):
     """Exact gradients ``(d_x, d_w, d_bias)`` of :func:`conv2d`.
 
-    Each image's upstream is copied into a reused zero-ringed
-    (Cout, H + 2(k - 1), W + 2(k - 1)) buffer and unfolded once per band of
-    padded rows into ``U``.  ``W_flip^T @ U`` is the padded input's
-    gradient, written in place and then folded onto the edge pixels the
-    replicate padding read.  ``U @ xp^T``, with ``xp`` the padded input,
-    holds the weight gradient with flipped taps:
-    ``d_w[o, c, ky, kx] = sum_q U[(o, k-1-ky, k-1-kx), q] * xp[c, q]``.
-    The images are the blocks of :func:`_on_workers`; each worker sums its
-    own weight gradient, and the partials are added in worker order.
+    Each image's upstream is copied into a reused zero-ringed buffer at the
+    padded row stride ``W + k - 1``: ``k - 1`` zero rows above and below,
+    ``k - 1`` zero columns before each row, which also pad the row before.
+    Its ``(H - 1) * (W + k - 1) + W`` columns from (k - 1, k - 1) on are
+    ``U``, the upstream with zero junk columns, and
+    ``d_w[:, :, ky, kx] = U @ B^T`` with ``B`` the padded input's columns
+    from ``ky * (W + k - 1) + kx`` on (the tap view of :func:`_correlate`).
+    The padded input's gradient is the correlation of the ring with the
+    flipped, transposed taps, summed by :func:`_gemm` in place band by band
+    and then folded onto the edge pixels the replicate padding read.  The
+    images are the blocks of :func:`_on_workers`: each worker sums its own
+    weight gradient, and the partials are added in worker order; each image
+    gives one row of ``d_bias``, and the rows are added in image order.
 
-    With ``input_grad=False`` ``d_x`` is None and the weight gradient
-    comes from the unfold of ``x`` instead, which is smaller for a layer
-    with few input channels (the first layer of the network).  ``xp`` is
-    as for :func:`conv2d`; the forward pass's pad serves here too.
+    With ``input_grad=False`` ``d_x`` is None.  ``xp`` is as for
+    :func:`conv2d`; the forward pass's pad serves here too.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -437,40 +542,46 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     if upstream.shape != expected:
         raise ShapeError(f"upstream shape {upstream.shape} does not match conv output {expected}")
     xp = _padded(x, k, xp)
-    d_bias = upstream.sum(axis=(0, 2, 3))
-    if not input_grad:
-        depth = cin * k * k
-        rows, bands = _row_bands(depth, h, w)
-
-        def weight_grad(i: int, buffers) -> None:
-            cols, d_w = buffers
-            for r0, r1 in bands:
-                d_w += upstream[i, :, r0:r1].reshape(cout, -1) @ _unfold(xp[i], k, r0, r1, cols).T
-
-        parts = _on_workers(n, lambda: (np.empty(depth * rows * w), np.zeros((cout, depth))),
-                            weight_grad)
-        return None, _sum_partials(d_w for _, d_w in parts).reshape(params.weights.shape), d_bias
     hp, wp = h + k - 1, w + k - 1
-    depth = cout * k * k
-    rows, bands = _row_bands(depth, hp, wp)
-    w_flip = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-    d_xp = np.empty((n, cin, hp, wp))
+    cols = (h - 1) * wp + w
+    u0 = (k - 1) * wp + k - 1
+    # flipped[a, b] is the (Cin, Cout) transpose of tap (k - 1 - a, k - 1 - b)
+    flipped = params.weights[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).copy()
+    d_xp = np.empty((n, cin, hp, wp)) if input_grad else None
+    bands = _row_bands(hp, 8 * cin * wp, 1)
+    d_bias = np.empty((n, cout))
 
     def grads(i: int, buffers) -> None:
-        ring, cols, d_wt = buffers
-        ring[:, k - 1:k - 1 + h, k - 1:k - 1 + w] = upstream[i]
+        ring, d_wt = buffers
+        ring[:, k - 1:k - 1 + h, k - 1:wp] = upstream[i]
+        ring_flat = ring.reshape(cout, -1)
+        u = ring_flat[:, u0:u0 + cols]
+        d_bias[i] = u.sum(axis=1)
+        xp_flat = xp[i].reshape(cin, -1)
+        for ky in range(k):
+            for kx in range(k):
+                start = ky * wp + kx
+                _gemm(u, xp_flat[:, start:start + cols].T, d_wt[ky, kx], True)
+        if d_xp is None:
+            return
+        d_flat = d_xp[i].reshape(cin, -1)
         for r0, r1 in bands:
-            u = _unfold(ring, k, r0, r1, cols)
-            np.matmul(w_flip, u, out=d_xp[i, :, r0:r1].reshape(cin, -1))
-            d_wt += u @ xp[i, :, r0:r1].reshape(cin, -1).T
+            for a in range(k):
+                for b in range(k):
+                    start = (r0 + a) * wp + b
+                    _gemm(flipped[a, b], ring_flat[:, start:start + (r1 - r0) * wp],
+                          d_flat[:, r0 * wp:r1 * wp], a or b)
+        _fold_pad_grad(d_xp[i], h, w, (k - 1) // 2)
 
-    parts = _on_workers(n, lambda: (np.zeros((cout, hp + k - 1, wp + k - 1)),
-                                    np.empty(depth * rows * wp), np.zeros((depth, cin))),
-                        grads)
-    # row (o, a, b) of d_wt holds tap (k-1-a, k-1-b)
-    d_wt = _sum_partials(d_wt for _, _, d_wt in parts)
-    d_w = d_wt.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-    return _fold_pad_grad(d_xp, h, w, (k - 1) // 2), np.ascontiguousarray(d_w), d_bias
+    # the ring has one zero row more, read by the last row's wrap past its right edge
+    parts = _on_workers(n, lambda: (np.zeros((cout, h + 2 * k - 1, wp)),
+                                    np.zeros((k, k, cout, cin))), grads)
+    d_w = _sum_partials(d_wt for _, d_wt in parts).transpose(2, 3, 0, 1)
+    d_x = None
+    if d_xp is not None:
+        p = (k - 1) // 2
+        d_x = d_xp[:, :, p:p + h, p:p + w]
+    return d_x, np.ascontiguousarray(d_w), d_bias.sum(axis=0)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,14 +43,25 @@ def blas_count(n):
     A DFP forward or a training step inside runs its conv blocks on ``n``
     workers.  Without OpenBLAS thread control the count stays as it is.
     """
-    controls = tensor._openblas_controls()
-    if controls is None:
+    blas = tensor._openblas()
+    if blas is None:
         yield
         return
-    get, put = controls
-    before = get()
-    put(n)
+    before = blas.get()
+    blas.set(n)
     try:
         yield
     finally:
-        put(before)
+        blas.set(before)
+
+
+@contextmanager
+def without_dgemm(disabled=True):
+    """With ``disabled``, the block's GEMMs run on ``np.matmul`` as with a BLAS lacking
+    ``dgemm``; the thread control stays."""
+    blas = tensor._openblas()
+    if not disabled or blas is None:
+        yield
+        return
+    with mock.patch.object(tensor, "_openblas", lambda: blas._replace(dgemm=None)):
+        yield

@@ -68,9 +68,9 @@ from cnnlf import tensor
 from cnnlf.codec import make_test_image
 from cnnlf.dfp import dfp_forward
 from tests.test_dfp import benchmark_shaped_model
-controls = tensor._openblas_controls()
-if controls is not None:
-    controls[1](int(os.environ["OPENBLAS_NUM_THREADS"]))
+blas = tensor._openblas()
+if blas is not None:
+    blas.set(int(os.environ["OPENBLAS_NUM_THREADS"]))
 out = dfp_forward(benchmark_shaped_model(), make_test_image(48, 64, seed=13), 32)
 print(tensor.worker_threads(), hashlib.sha256(out.tobytes()).hexdigest())
 """
@@ -406,7 +406,7 @@ class TestDfpForward:
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             workers, digest = done.stdout.split()
-            if tensor._openblas_controls() is not None:
+            if tensor._openblas() is not None:
                 assert workers == blas_threads
             digests.append(digest)
         assert len(digests[0]) == 64 and digests[0] == digests[1] == digests[2]
@@ -417,10 +417,10 @@ class TestWorkers:
 
     @pytest.fixture
     def blas_get(self):
-        controls = tensor._openblas_controls()
-        if controls is None:
+        blas = tensor._openblas()
+        if blas is None:
             pytest.skip("no OpenBLAS thread control")
-        return controls[0]
+        return blas.get
 
     def test_count_spent_inside_and_restored_on_return_and_raise(self, blas_get):
         dm, _ = quantized_small_model()
@@ -447,7 +447,7 @@ class TestWorkers:
         plane = make_test_image(40, 56, seed=9)
         with blas_count(2):
             want = dfp_forward(dm, plane, 32)
-        with mock.patch.object(tensor, "_openblas_controls", lambda: None):
+        with mock.patch.object(tensor, "_openblas", lambda: None):
             assert tensor.worker_threads() == 1
             got = dfp_forward(dm, plane, 32)
         assert np.array_equal(got, want)

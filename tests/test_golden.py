@@ -18,6 +18,8 @@ import pytest
 from cnnlf.dfp import corpus_digest, read_conformance, replay_conformance
 from cnnlf.model_io import load_model, save_model
 
+from .conftest import without_dgemm
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 BIT_DEPTHS = (8, 16)
@@ -64,6 +66,14 @@ def test_reading_a_pair_closes_both_files():
 def test_golden_pair_replays(bit_depth):
     model, entries = golden_pair(bit_depth)
     replay_conformance(model, entries)
+
+
+@pytest.mark.parametrize("bit_depth", BIT_DEPTHS)
+def test_golden_pair_replays_without_dgemm(bit_depth):
+    # the tap GEMMs then run on np.matmul and add its products separately
+    model, entries = golden_pair(bit_depth)
+    with without_dgemm():
+        replay_conformance(model, entries)
 
 
 @pytest.mark.parametrize("bit_depth", BIT_DEPTHS)

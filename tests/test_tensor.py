@@ -10,7 +10,7 @@ from cnnlf.errors import ShapeError
 from cnnlf.tensor import (BNParams, ConvParams, bn_relu, bn_relu_grad, conv2d, conv2d_grad,
                           round_half_away)
 
-from .conftest import blas_count
+from .conftest import blas_count, without_dgemm
 from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_loops,
                       finite_difference, max_relative_error)
 
@@ -18,11 +18,12 @@ from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_l
 @st.composite
 def conv_case(draw):
     """Input, parameters, upstream gradient, a band size, whether to ask for the
-    input gradient, whether to pass the padded input and a worker count, for one
-    random convolution.  Planes may be smaller than the kernel.  About half the
-    1x1 and 3x3 cases have ``k * k * cout <= cin``, the channels-first path of
-    the forward pass; ``cin`` goes up to 12 for that.  Three workers exceed the
-    images of every batch drawn and the bands of most planes."""
+    input gradient, whether to pass the padded input, a worker count and whether
+    to use BLAS's ``dgemm`` (else ``np.matmul``), for one random convolution.
+    Planes may be smaller than the kernel.  About half the 1x1 and 3x3 cases
+    have ``k * k * cout <= cin``, the channels-first path of the forward pass;
+    ``cin`` goes up to 12 for that.  Three workers exceed the images of every
+    batch drawn and the bands of most planes."""
     k = draw(st.sampled_from([1, 3, 5]))
     n, cout = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     if k < 5 and draw(st.booleans()):
@@ -37,16 +38,16 @@ def conv_case(draw):
     input_grad = draw(st.booleans())
     padded, workers = draw(st.booleans()), draw(st.sampled_from([1, 2, 3]))
     return (rng.normal(size=(n, cin, h, w)), params, rng.normal(size=(n, cout, h, w)),
-            band_bytes, input_grad, padded, workers)
+            band_bytes, input_grad, padded, workers, draw(st.booleans()))
 
 
 @given(conv_case())
 @settings(max_examples=100, deadline=None)
 def test_conv_and_grad_match_loop_oracles(case):
-    x, params, up, band_bytes, input_grad, padded, workers = case
+    x, params, up, band_bytes, input_grad, padded, workers, dgemm = case
     xp = tensor.pad_same(x, params.kernel_size) if padded else None
     with (mock.patch.object(tensor, "BAND_BYTES", band_bytes), blas_count(workers),
-          tensor._spend_blas_threads()):
+          without_dgemm(not dgemm), tensor._spend_blas_threads()):
         out = conv2d(x, params, xp=xp)
         d_x, d_w, d_b = conv2d_grad(x, params, up, input_grad=input_grad, xp=xp)
     assert np.abs(out - conv2d_loops(x, params.weights, params.bias)).max() < 1e-12
@@ -59,6 +60,70 @@ def test_conv_and_grad_match_loop_oracles(case):
     for got, want in ((d_w, want_w), (d_b, want_b)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
+
+
+def gemm_operands(rng):
+    """Named (a, b) pairs of integer-valued 5x7 and 7x9 views: contiguous, offset into a
+    wider array, every other row of one, and transposed."""
+    big = rng.integers(-50, 50, size=(48, 64)).astype(np.float64)
+    a_views = {"contiguous": np.ascontiguousarray(big[:5, :7]), "offset": big[3:8, 10:17],
+               "strided": big[1:11:2, 2:9], "transposed": big[20:27, 30:35].T}
+    b_views = {"contiguous": np.ascontiguousarray(big[:7, :9]), "offset": big[5:12, 40:49],
+               "strided": big[12:26:2, 20:29], "transposed": big[30:39, 50:57].T}
+    return [(f"{na} @ {nb}", a, b) for na, a in a_views.items() for nb, b in b_views.items()]
+
+
+@pytest.mark.parametrize("dgemm", [True, False], ids=["dgemm", "matmul"])
+@pytest.mark.parametrize("accumulate", [False, True], ids=["set", "accumulate"])
+def test_gemm_on_views_equals_matmul_exactly(rng, dgemm, accumulate):
+    # integer sums below 2^53 are exact in any order, so the bits must agree
+    for name, a, b in gemm_operands(rng):
+        out = rng.integers(-50, 50, size=(9, 20)).astype(np.float64)
+        before = out.copy()
+        c = out[2:7, 4:13]
+        with without_dgemm(not dgemm):
+            tensor._gemm(a, b, c, accumulate)
+        want = before.copy()
+        want[2:7, 4:13] = np.matmul(a, b) + (before[2:7, 4:13] if accumulate else 0.0)
+        assert np.array_equal(out, want), name
+
+
+def test_gemm_refuses_views_blas_cannot_read_and_never_calls_it(rng):
+    calls = []
+    blas = tensor._openblas() or tensor._OpenBLAS(None, None, None)
+    fake = blas._replace(dgemm=lambda *args: calls.append(args))
+    big = rng.normal(size=(8, 16))
+    square = np.ones((4, 4))
+    bad = {
+        "a's inner stride is 2 elements": (big[:4, :8:2], square, np.zeros((4, 4))),
+        "b's rows run backwards": (square, big[3::-1, :4], np.zeros((4, 4))),
+        "c's inner stride is 2 elements": (square, square, np.zeros((4, 8))[:, ::2]),
+        "c is transposed": (square, square, np.zeros((4, 4)).T),
+        "a's rows overlap": (np.lib.stride_tricks.as_strided(big, (4, 4), (16, 8)), square,
+                             np.zeros((4, 4))),
+        "b's transposed rows overlap": (square, np.lib.stride_tricks.as_strided(
+            big, (4, 4), (8, 16)), np.zeros((4, 4))),
+    }
+    with mock.patch.object(tensor, "_openblas", lambda: fake):
+        for name, (a, b, c) in bad.items():
+            with pytest.raises(ShapeError):
+                tensor._gemm(a, b, c, True)
+            assert calls == [], name
+        tensor._gemm(square, square, np.zeros((4, 4)), False)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_row_bands_split_a_plane_evenly_in_multiples_of_the_workers(workers):
+    row_bytes = 64 * 210 * 8  # a 64-channel accumulator row of a 208-pixel plane
+    for h in (1, 2, 5, 35, 60, 120, 1000):
+        bands = tensor._row_bands(h, row_bytes, workers)
+        sizes = [r1 - r0 for r0, r1 in bands]
+        assert bands[0][0] == 0 and bands[-1][1] == h
+        assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        assert len(bands) == h or len(bands) % workers == 0
+        assert max(sizes) == 1 or max(sizes) * row_bytes <= tensor.BAND_BYTES
 
 
 class TestConv2d:

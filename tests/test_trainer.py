@@ -304,17 +304,17 @@ class TestTrain:
         cfg = NetworkConfig(num_conv_layers=3, base_filters=8, per_layer_filters=(8, 6))
         ds = self._dataset(rng)
         tc = TrainConfig(batch_size=4, base_lr=0.005, epochs=2, lr_decay_epoch=2, rng_seed=17)
-        controls = tensor._openblas_controls()
+        blas = tensor._openblas()
         runs = []
         for workers in (1, 2):
             with blas_count(workers):
                 runs.append(train(build_cnnf(cfg, rng_seed=3, zero_init_output=False), ds, tc))
-                assert controls is None or controls[0]() == workers
+                assert blas is None or blas.get() == workers
                 broken = build_cnnf(cfg, rng_seed=3)
                 broken.layers[0].conv.weights[0, 0, 0, 0] = np.inf
                 with pytest.raises(NonFiniteLossError), np.errstate(invalid="ignore"):
                     train(broken, ds, tc)
-                assert controls is None or controls[0]() == workers
+                assert blas is None or blas.get() == workers
         (m1, h1), (m2, h2) = runs
         for a, b in zip(h1, h2):
             for x, y in zip(astuple(a), astuple(b)):
