@@ -27,11 +27,14 @@ image's padded channels at the channel stride, starting ``ky`` rows and
 ``kx`` columns into the band.  Accumulator column ``y * rs + x`` is output
 (y, x), ``rs`` the padded row stride, so ``N = (rows - 1) * rs + W``; the
 columns ``x >= W`` are junk sums that wrap into the next row, which no store
-reads, and no view reaches past its image.  If ``k * k * Cout <= Cin`` (an
-output head) one GEMM instead contracts the channels of a band and its
-``k - 1`` halo rows for all taps at once, and the k * k shifted tap planes
-are added.  :mod:`cnnlf.dfp` runs the same engine on integer mantissas and
-requantizes the sums.
+reads, and no view reaches past its image.  Thin layers, where the k * k
+tap GEMMs would be degenerate, unfold their thin operand instead (kn2row's
+rule for thin channel counts): if ``k * k * Cout <= Cin`` (an output head)
+one GEMM contracts the channels of a band and its ``k - 1`` halo rows for
+all taps at once, and the k * k shifted tap planes are added; if
+``k * k * Cin <= Cout`` (a first layer) the input is unfolded to
+``k * k * Cin`` rows for one GEMM.  :mod:`cnnlf.dfp` runs the same engine on
+integer mantissas and requantizes the sums.
 
 The backward pass puts each image's upstream gradient in a zero-ringed
 buffer at the padded row stride, so its junk columns are zero.  The input
@@ -39,25 +42,27 @@ gradient is the correlation of that ring with the flipped, transposed taps,
 by the same tap GEMMs; the weight gradient of tap (ky, kx) is one GEMM of
 the upstream against the tap view of the padded input:
 ``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U`` the (Cout, N) upstream.
+Thin layers unfold their thin operand here too (:func:`conv2d_grad`).
 
 A DFP forward and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread
 and the blocks of each convolution (the row bands of one image or the
 images of a batch) and of each epilogue (its images) run on
-``min(T, blocks)`` threads of the process's one pool
-(:func:`_on_workers`).  The calling thread allocates their buffers.
-Elsewhere, and when no OpenBLAS thread control is found, everything runs
-on the calling thread and BLAS threads each GEMM.
+``min(T, blocks)`` threads of the process's one pool, each claiming the
+next unclaimed block (:func:`_on_workers`).  The calling thread allocates
+their buffers.  Elsewhere, and when no OpenBLAS thread control is found,
+everything runs on the calling thread and BLAS threads each GEMM.
 
 The GEMM's summation order belongs to the BLAS build and its thread
 count, and without BLAS's ``dgemm`` each tap's products are formed by
 ``np.matmul`` and then added, so float results can differ in the last bits
-between BLAS builds or thread settings.  The weight gradient also sums one
-partial per worker, so its bits may depend on the worker count.  BN's
-batch statistics, its scale and shift gradients and the conv bias gradient
-sum one row per image, added in image order, so their bits do not.
-Bit-exactness across platforms, thread and worker counts is the contract
-of the integer path in :mod:`cnnlf.dfp`, not of this one.
+between BLAS builds or thread settings.  Every sum over the images of a
+batch (the weight and bias gradients, BN's batch statistics and its scale
+and shift gradients) takes one partial per image, formed alike by any
+worker and added in image order, so a training step gives the same bits
+at any worker count and in any schedule.  Bit-exactness across platforms
+and BLAS builds is the contract of the integer path in :mod:`cnnlf.dfp`,
+not of this one.
 """
 
 from __future__ import annotations
@@ -349,36 +354,54 @@ def _pool(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(thread_name_prefix="cnnlf")
 
 
-def _on_workers(blocks: int, scratch, work) -> list:
-    """Run ``work(i, buffers)`` for every block ``i < blocks`` on ``n = min(T, blocks)`` workers.
+def _on_workers(blocks: int, scratch, work) -> None:
+    """Run ``work(i, buffers)`` once for every block ``i < blocks`` on ``n = min(T, blocks)`` workers.
 
-    Worker ``j`` takes blocks ``j, j + n, ...`` with the ``buffers`` that
-    ``scratch()`` made for it on the calling thread, so no worker allocates
-    its buffers.  Several workers run on the process's pool, each in a copy
-    of the caller's context, so ``np.errstate`` holds there too.  Returns
-    every worker's buffers, in worker order.
+    Each worker claims the next unclaimed block from a shared counter until
+    none is left, so a worker the host slows down takes fewer blocks instead
+    of holding the others at the end.  A worker runs its blocks with the
+    ``buffers`` that ``scratch()`` made for it on the calling thread, so no
+    worker allocates them; which worker runs a block must not change its
+    result.  Several workers run on the process's pool, each in a copy of the
+    caller's context, so ``np.errstate`` holds there too.  The caller waits
+    for all of them and then raises the first block's exception, if any.
     """
-    buffers = [scratch() for _ in range(max(1, min(_workers(), blocks)))]
-    n = len(buffers)
-
-    def run(j: int) -> None:
-        for i in range(j, blocks, n):
-            work(i, buffers[j])
-
+    n = max(1, min(_workers(), blocks))
     if n == 1:
-        run(0)
-        return buffers
+        buffers = scratch()
+        for i in range(blocks):
+            work(i, buffers)
+        return
+    claims, lock = iter(range(blocks)), threading.Lock()
+
+    def run(buffers) -> None:
+        while True:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            work(i, buffers)
+
     pool = _pool(os.getpid())
-    futures = [pool.submit(contextvars.copy_context().run, run, j) for j in range(n)]
+    futures = [pool.submit(contextvars.copy_context().run, run, scratch()) for _ in range(n)]
     wait(futures)
     for future in futures:
         future.result()
-    return buffers
 
 
-def _sum_partials(partials) -> np.ndarray:
-    """The workers' partial sums added in worker order, so one worker count gives one result."""
-    return functools.reduce(np.add, partials)
+def _unfold_taps(flat: np.ndarray, start: int, k: int, rs: int, cols: int,
+                 buf: np.ndarray) -> np.ndarray:
+    """The (k * k * C, cols) unfold of the (C, L) view ``flat``, written into ``buf``.
+
+    Row ``(ky, kx, c)`` is ``flat[c, s:s + cols]`` with ``s = start + ky * rs + kx``,
+    the tap view of a plane at row stride ``rs``; no read may pass row ``c``'s end.
+    """
+    c = flat.shape[0]
+    taps = np.lib.stride_tricks.as_strided(flat[:, start:], (k, k, c, cols),
+                                           (8 * rs, 8, flat.strides[0], 8), writeable=False)
+    out = buf[:k * k * c * cols].reshape(k, k, c, cols)
+    np.copyto(out, taps)
+    return out.reshape(k * k * c, cols)
 
 
 def _row_bands(h: int, row_bytes: int, workers: int) -> list:
@@ -404,6 +427,12 @@ def _correlate(weights: np.ndarray, bias: np.ndarray, images: np.ndarray, c0: in
     are junk, finite for finite images; ``store`` may change ``acc``.  The
     blocks are the row bands of a single image or the images of a batch; they
     run, ``store`` included, on the workers of :func:`_on_workers`.
+
+    A band takes one of three forms.  With ``k * k * Cout <= Cin`` (an output
+    head) one GEMM contracts the channels for every tap at once.  Else, with
+    ``k * k * Cin <= Cout`` (a first layer), the few input channels are
+    unfolded to ``k * k * Cin`` rows (:func:`_unfold_taps`) for one GEMM.
+    Else each tap is one GEMM.
     """
     cout, cin, k, _ = weights.shape
     n, _, hk, width = images.shape
@@ -415,7 +444,13 @@ def _correlate(weights: np.ndarray, bias: np.ndarray, images: np.ndarray, c0: in
     # taps[ky, kx] is the (Cout, Cin) matrix of tap (ky, kx)
     taps = weights.transpose(2, 3, 0, 1).copy()
     head = k * k * cout <= cin
-    row_bytes = 8 * (k * k * cout * rs + cout * w if head else cout * rs)
+    first = not head and k * k * cin <= cout
+    # row (o, (ky, kx, c)) of the unfolded weights
+    unfolded_taps = weights.transpose(0, 2, 3, 1).reshape(cout, -1) if first else None
+    if head:
+        row_bytes = 8 * (k * k * cout * rs + cout * w)
+    else:
+        row_bytes = 8 * (cout + (k * k * cin if first else 0)) * rs
     bands = _row_bands(h, row_bytes, _workers() if n == 1 else 1)
     rows = -(-h // len(bands))
     blocks = [(0, [band]) for band in bands] if n == 1 else [(i, bands) for i in range(n)]
@@ -425,7 +460,8 @@ def _correlate(weights: np.ndarray, bias: np.ndarray, images: np.ndarray, c0: in
                                              (image.strides[0], 8), writeable=False)
              for image in images]
 
-    def tap_sums(b: int, acc_buf: np.ndarray) -> None:
+    def tap_sums(b: int, buffers) -> None:
+        acc_buf, unfold_buf = buffers
         i, image_bands = blocks[b]
         flat = flats[i]
         for r0, r1 in image_bands:
@@ -435,10 +471,14 @@ def _correlate(weights: np.ndarray, bias: np.ndarray, images: np.ndarray, c0: in
             np.copyto(acc, start_value)
             cols = (r1 - r0 - 1) * rs + w
             sums = acc.reshape(cout, -1)[:, :cols]
-            for ky in range(k):
-                for kx in range(k):
-                    start = (r0 + ky) * rs + c0 + kx
-                    _gemm(taps[ky, kx], flat[:, start:start + cols], sums, True)
+            if first:
+                _gemm(unfolded_taps, _unfold_taps(flat, r0 * rs + c0, k, rs, cols, unfold_buf),
+                      sums, True)
+            else:
+                for ky in range(k):
+                    for kx in range(k):
+                        start = (r0 + ky) * rs + c0 + kx
+                        _gemm(taps[ky, kx], flat[:, start:start + cols], sums, True)
             store(i, acc, r0, r1)
 
     def head_sums(b: int, buffers) -> None:
@@ -465,7 +505,9 @@ def _correlate(weights: np.ndarray, bias: np.ndarray, images: np.ndarray, c0: in
         _on_workers(len(blocks), lambda: (np.empty(k * k * cout * (rows + k - 1) * rs),
                                           np.empty(cout * rows * w)), head_sums)
     else:
-        _on_workers(len(blocks), lambda: np.empty(cout * rows * rs), tap_sums)
+        _on_workers(len(blocks), lambda: (np.empty(cout * rows * rs),
+                                          np.empty(k * k * cin * rows * rs) if first else None),
+                    tap_sums)
 
 
 def _padded(x: np.ndarray, k: int, xp) -> np.ndarray:
@@ -525,13 +567,23 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     from ``ky * (W + k - 1) + kx`` on (the tap view of :func:`_correlate`).
     The padded input's gradient is the correlation of the ring with the
     flipped, transposed taps, summed by :func:`_gemm` in place band by band
-    and then folded onto the edge pixels the replicate padding read.  The
-    images are the blocks of :func:`_on_workers`: each worker sums its own
-    weight gradient, and the partials are added in worker order; each image
-    gives one row of ``d_bias``, and the rows are added in image order.
+    and then folded onto the edge pixels the replicate padding read.
 
-    With ``input_grad=False`` ``d_x`` is None.  ``xp`` is as for
-    :func:`conv2d`; the forward pass's pad serves here too.
+    Thin layers unfold their thin operand (:func:`_unfold_taps`) and run one
+    GEMM where the taps would run k * k degenerate ones.  With
+    ``k * k * Cin <= Cout`` (a first layer) ``d_w`` is ``U`` against the
+    ``k * k * Cin``-row unfold of the padded input.  With
+    ``k * k * Cout <= Cin`` (an output head) the ring is unfolded to
+    ``k * k * Cout`` rows ``R``, row (a, b, o) starting at ``a * (W + k - 1) + b``,
+    so the padded input's gradient is the flipped taps times ``R`` and
+    ``d_w`` the padded input times ``R^T``, whose column (a, b, o) is tap
+    (k - 1 - a, k - 1 - b).
+
+    The images are the blocks of :func:`_on_workers`.  Each image gives one
+    partial of ``d_w`` and one row of ``d_bias``, and both are added in image
+    order, so the gradients do not depend on the worker count.  With
+    ``input_grad=False`` ``d_x`` is None.  ``xp`` is as for :func:`conv2d`;
+    the forward pass's pad serves here too.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -545,38 +597,63 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     hp, wp = h + k - 1, w + k - 1
     cols = (h - 1) * wp + w
     u0 = (k - 1) * wp + k - 1
+    head = k * k * cout <= cin
+    first = not head and k * k * cin <= cout
     # flipped[a, b] is the (Cin, Cout) transpose of tap (k - 1 - a, k - 1 - b)
     flipped = params.weights[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).copy()
+    # one d_w partial per image: (Cin, (a, b, o)) for a head, (Cout, (ky, kx, c)) for a
+    # first layer, else (ky, kx, Cout, Cin)
+    if head:
+        flipped_rows = flipped.transpose(2, 0, 1, 3).reshape(cin, -1)
+        parts, unfold_size = np.empty((n, cin, k * k * cout)), k * k * cout * hp * wp
+    elif first:
+        parts, unfold_size = np.empty((n, cout, k * k * cin)), k * k * cin * cols
+    else:
+        parts, unfold_size = np.empty((n, k, k, cout, cin)), 0
     d_xp = np.empty((n, cin, hp, wp)) if input_grad else None
     bands = _row_bands(hp, 8 * cin * wp, 1)
     d_bias = np.empty((n, cout))
 
     def grads(i: int, buffers) -> None:
-        ring, d_wt = buffers
+        ring, unfold_buf = buffers
         ring[:, k - 1:k - 1 + h, k - 1:wp] = upstream[i]
         ring_flat = ring.reshape(cout, -1)
         u = ring_flat[:, u0:u0 + cols]
         d_bias[i] = u.sum(axis=1)
         xp_flat = xp[i].reshape(cin, -1)
-        for ky in range(k):
-            for kx in range(k):
-                start = ky * wp + kx
-                _gemm(u, xp_flat[:, start:start + cols].T, d_wt[ky, kx], True)
+        if head:
+            ring_rows = _unfold_taps(ring_flat, 0, k, wp, hp * wp, unfold_buf)
+            _gemm(xp_flat, ring_rows.T, parts[i], False)
+        elif first:
+            _gemm(u, _unfold_taps(xp_flat, 0, k, wp, cols, unfold_buf).T, parts[i], False)
+        else:
+            for ky in range(k):
+                for kx in range(k):
+                    start = ky * wp + kx
+                    _gemm(u, xp_flat[:, start:start + cols].T, parts[i, ky, kx], False)
         if d_xp is None:
             return
         d_flat = d_xp[i].reshape(cin, -1)
-        for r0, r1 in bands:
-            for a in range(k):
-                for b in range(k):
-                    start = (r0 + a) * wp + b
-                    _gemm(flipped[a, b], ring_flat[:, start:start + (r1 - r0) * wp],
-                          d_flat[:, r0 * wp:r1 * wp], a or b)
+        if head:
+            _gemm(flipped_rows, ring_rows, d_flat, False)
+        else:
+            for r0, r1 in bands:
+                for a in range(k):
+                    for b in range(k):
+                        start = (r0 + a) * wp + b
+                        _gemm(flipped[a, b], ring_flat[:, start:start + (r1 - r0) * wp],
+                              d_flat[:, r0 * wp:r1 * wp], a or b)
         _fold_pad_grad(d_xp[i], h, w, (k - 1) // 2)
 
     # the ring has one zero row more, read by the last row's wrap past its right edge
-    parts = _on_workers(n, lambda: (np.zeros((cout, h + 2 * k - 1, wp)),
-                                    np.zeros((k, k, cout, cin))), grads)
-    d_w = _sum_partials(d_wt for _, d_wt in parts).transpose(2, 3, 0, 1)
+    _on_workers(n, lambda: (np.zeros((cout, h + 2 * k - 1, wp)), np.empty(unfold_size)), grads)
+    d_w = parts.sum(axis=0)
+    if head:
+        d_w = d_w.reshape(cin, k, k, cout)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+    elif first:
+        d_w = d_w.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+    else:
+        d_w = d_w.transpose(2, 3, 0, 1)
     d_x = None
     if d_xp is not None:
         p = (k - 1) // 2

@@ -185,14 +185,17 @@ def backward_network(model: NetworkModel, caches, d_out: np.ndarray) -> list:
     ``xhat`` from the conv output, and then the conv's.  Returns the per-layer
     gradients.  The gradient w.r.t. the 2-channel network input is not
     formed: no caller needs it, so the first layer computes its weight
-    gradient only.
+    gradient only.  ``caches`` is consumed from the end: once a layer's
+    epilogue backward has read its ``z`` and ``y``, they go, and with ``y``
+    the next layer's padded input, so the step's peak holds no dead activation.
     """
     grads: list = [None] * len(model.layers)
     d = d_out
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
-        cache = caches[i]
+        cache = caches.pop()
         d, d_scale, d_shift = tensor.bn_relu_grad(d, cache)
+        del cache["z"], cache["y"]
         d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], layer.conv, d, input_grad=i > 0,
                                          xp=cache["conv_pad"])
         grads[i] = LayerGrads(d_w, d_b, d_scale, d_shift)

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -20,17 +23,23 @@ def conv_case(draw):
     """Input, parameters, upstream gradient, a band size, whether to ask for the
     input gradient, whether to pass the padded input, a worker count and whether
     to use BLAS's ``dgemm`` (else ``np.matmul``), for one random convolution.
-    Planes may be smaller than the kernel.  About half the 1x1 and 3x3 cases
-    have ``k * k * cout <= cin``, the channels-first path of the forward pass;
-    ``cin`` goes up to 12 for that.  Three workers exceed the images of every
-    batch drawn and the bands of most planes."""
+    Planes may be smaller than the kernel.  A third of the cases are output
+    heads (``k * k * cout <= cin``, ``cout = 1`` unless k = 1) and a third
+    first layers (``cin <= 2``, ``k * k * cin <= cout``), the two thin forms
+    that unfold their thin operand; the rest run one GEMM per tap.  Three
+    workers exceed the images of every batch drawn and the bands of most
+    planes."""
     k = draw(st.sampled_from([1, 3, 5]))
-    n, cout = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    if k < 5 and draw(st.booleans()):
-        cout = min(cout, 12 // (k * k))
-        cin = draw(st.integers(k * k * cout, 12))
+    n = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(["taps", "head", "first"]))
+    if form == "head":
+        cout = draw(st.integers(1, 4)) if k == 1 else 1
+        cin = draw(st.integers(k * k * cout, k * k * cout + 6))
+    elif form == "first":
+        cin = 1 if k == 5 else draw(st.integers(1, 2))
+        cout = draw(st.integers(k * k * cin, k * k * cin + 3))
     else:
-        cin = draw(st.integers(1, 12))
+        cin, cout = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     params = ConvParams(rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout))
@@ -124,6 +133,58 @@ def test_row_bands_split_a_plane_evenly_in_multiples_of_the_workers(workers):
         assert max(sizes) - min(sizes) <= 1
         assert len(bands) == h or len(bands) % workers == 0
         assert max(sizes) == 1 or max(sizes) * row_bytes <= tensor.BAND_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_on_workers_runs_each_block_once_and_raises_a_blocks_error(workers):
+    caller = threading.get_ident()
+    with blas_count(workers), tensor._spend_blas_threads():
+        t = tensor._workers()
+        assert tensor._openblas() is None or t == workers
+        for blocks in (0, 1, t, 3 * t + 1):
+            made, done = [], []
+
+            def scratch():
+                assert threading.get_ident() == caller
+                made.append([])
+                return made[-1]
+
+            def work(i, buffers):
+                time.sleep(0.001)
+                buffers.append(i)
+                done.append(i)
+
+            tensor._on_workers(blocks, scratch, work)
+            assert sorted(done) == list(range(blocks))
+            assert len(made) == max(1, min(t, blocks))
+            assert sorted(i for buffers in made for i in buffers) == list(range(blocks))
+            time.sleep(0.02)
+            assert len(done) == blocks
+
+        started = []
+
+        def failing(i, _):
+            started.append(i)
+            time.sleep(0.001)
+            if i == 1:
+                raise ValueError("block 1 failed")
+
+        with pytest.raises(ValueError, match="block 1 failed"):
+            tensor._on_workers(3 * t + 1, lambda: None, failing)
+        ran = len(started)
+        time.sleep(0.02)
+        assert len(started) == ran and 1 in started
+
+        # a lost claim would run a block twice or not at all
+        counts = np.zeros(2000, dtype=np.int64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tensor._on_workers(len(counts), lambda: None,
+                               lambda i, _: counts.__setitem__(i, counts[i] + 1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(counts == 1)
 
 
 class TestConv2d:
