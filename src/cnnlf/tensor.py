@@ -355,7 +355,7 @@ def _pool(pid: int) -> ThreadPoolExecutor:
 
 
 def _on_workers(blocks: int, scratch, work) -> None:
-    """Run ``work(i, buffers)`` once for every block ``i < blocks`` on ``n = min(T, blocks)`` workers.
+    """Run ``work(i, buffers)`` once per block ``i < blocks`` on ``n = min(T, blocks)`` workers.
 
     Each worker claims the next unclaimed block from a shared counter until
     none is left, so a worker the host slows down takes fewer blocks instead
@@ -364,7 +364,7 @@ def _on_workers(blocks: int, scratch, work) -> None:
     worker allocates them; which worker runs a block must not change its
     result.  Several workers run on the process's pool, each in a copy of the
     caller's context, so ``np.errstate`` holds there too.  The caller waits
-    for all of them and then raises the first block's exception, if any.
+    for all of them and then raises a failed block's exception, if any.
     """
     n = max(1, min(_workers(), blocks))
     if n == 1:
@@ -394,7 +394,8 @@ def _unfold_taps(flat: np.ndarray, start: int, k: int, rs: int, cols: int,
     """The (k * k * C, cols) unfold of the (C, L) view ``flat``, written into ``buf``.
 
     Row ``(ky, kx, c)`` is ``flat[c, s:s + cols]`` with ``s = start + ky * rs + kx``,
-    the tap view of a plane at row stride ``rs``; no read may pass row ``c``'s end.
+    the tap view of a plane at row stride ``rs``.  ``flat`` needs a unit column
+    stride, and no read may pass row ``c``'s end.
     """
     c = flat.shape[0]
     taps = np.lib.stride_tricks.as_strided(flat[:, start:], (k, k, c, cols),
