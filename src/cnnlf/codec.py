@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .network import NetworkConfig
 from .tensor import round_half_away
 
 BLOCK = 8
@@ -287,8 +288,12 @@ def write_pgm(path, plane: np.ndarray) -> None:
 
 def read_yuv_descriptor(path) -> dict:
     """Sidecar text file with one key=value per line: width, height, frames."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: descriptor is not UTF-8 text (byte {exc.start})") from None
     desc = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -371,12 +376,22 @@ def save_patchset(path, patchset: PatchSet) -> None:
 
 
 def load_patchset(path) -> PatchSet:
-    """Read a patch set written by :func:`save_patchset`; raise DataError if malformed."""
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            arrays = {name: z[name] for name in z.files}
-    except (ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        raise DataError(f"{path}: not a patch set archive ({exc})") from None
+    """Read a patch set written by :func:`save_patchset`; raise DataError if malformed.
+
+    Pixels must lie in ``[0, pixel_max]`` and QPs in ``[0, qp_max]``, the
+    input contract of :func:`cnnlf.network._check_inputs`, at 16 bits for
+    ``uint16`` pixels and 8 bits otherwise.  A file that cannot be opened
+    raises ``OSError``.
+    """
+    with open(path, "rb") as f:
+        try:
+            with np.load(f, allow_pickle=False) as z:
+                arrays = {name: z[name] for name in z.files}
+        # a corrupt member header can also make zipfile seek before the file's start
+        # (OSError) or name a compression method it lacks (NotImplementedError)
+        except (ValueError, TypeError, EOFError, OSError, NotImplementedError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise DataError(f"{path}: not a patch set archive ({exc})") from None
     for name in PATCHSET_ARRAYS:
         if name not in arrays:
             raise DataError(f"{path}: patch set has no {name!r} array")
@@ -384,6 +399,18 @@ def load_patchset(path) -> PatchSet:
     decoded, original = arrays["decoded"], arrays["original"]
     if len(set(lengths.values())) != 1 or decoded.ndim != 3 or decoded.shape != original.shape:
         raise DataError(f"{path}: patch set arrays disagree in length or shape: {lengths}")
+    for name in ("qps", "y0", "x0"):
+        if arrays[name].ndim != 1 or arrays[name].dtype.kind not in "iu":
+            raise DataError(f"{path}: {name!r} is not a 1-d integer array")
+    config = NetworkConfig(bit_depth=16 if decoded.dtype == np.uint16 else 8)
+    for name, limit in (("decoded", config.pixel_max), ("original", config.pixel_max),
+                        ("qps", config.qp_max)):
+        values = arrays[name]
+        if values.dtype.kind not in "iuf":
+            raise DataError(f"{path}: {name!r} holds {values.dtype}, not numbers")
+        if values.size and not (values.min() >= 0 and values.max() <= limit):
+            raise DataError(f"{path}: {name!r} values outside [0, {limit}]: "
+                            f"min={values.min()}, max={values.max()}")
     qps = [int(q) for q in arrays["qps"]]
     prov = [PatchProvenance(str(i), int(y), int(x), q)
             for i, y, x, q in zip(arrays["image_ids"], arrays["y0"], arrays["x0"], qps)]

@@ -14,13 +14,13 @@ biases are aligned by exact left shift, accumulators are requantized to
 residual add saturates at 16 bits, and denormalization is an integer
 scale-and-shift.
 
-The mantissas are carried in float64, so each layer runs the float
-forward correlation of :mod:`cnnlf.tensor`: per band of output rows, an
-accumulator started at the aligned bias into which BLAS adds one GEMM per
-kernel tap (beta = 1), reading the input buffer in place.  This is exact:
-every product is an integer of at most 2^22 in magnitude, and
-``DFPModel`` proves when it is built that every accumulator, bias and
-rounding offset included, stays below 2^53 (see
+The mantissas are carried in float64, and each layer runs the float
+forward's band body (:meth:`cnnlf.tensor._Conv.band`): per band of output
+rows, the rows of the next layer's padded buffer start at the aligned bias
+and BLAS adds one GEMM per kernel tap (beta = 1) into them, reading the
+input buffer in place.  This is exact: every product is an integer of at
+most 2^22 in magnitude, and ``DFPModel`` proves when it is built that every
+accumulator, bias and rounding offset included, stays below 2^53 (see
 ``DFPModel.accumulator_bounds``).  Every partial sum formed on the way,
 inside one GEMM or across the taps BLAS accumulates, in whatever order, is
 the bias plus a subset of the products, bounded by the same figure, so it
@@ -31,16 +31,26 @@ A ReLU layer computes with its weights and bias pre-scaled by
 sums is such an integer times ``2^-shift`` and exact as well.  A layer that
 contracts channels before taps (``k * k * Cout <= Cin``) first forms per-tap
 sums over the input channels and then adds the taps; each of those is a sum
-of a subset of the same products, bounded by the same figure.  The output
-is therefore bit-identical for any summation order, BLAS build, BLAS
-thread count, band split or worker count, which is the point: encoder and
-decoder agree across platforms by construction.  :func:`dfp_forward`
-runs inside :func:`cnnlf.tensor._spend_blas_threads`: BLAS runs at one
-thread while each layer's row bands run on the process's worker pool.
+of a subset of the same products, bounded by the same figure.
+
+:func:`dfp_forward` runs the layers as (layer, band) blocks over two padded
+ping-pong buffers.  A block starts once the blocks of the layer before that
+write the rows it reads, or read the rows it overwrites, are done
+(:func:`_wavefront`), so a layer's first bands run while the layer before
+finishes its last ones and no worker waits at a layer boundary: the
+layer-fusion schedule of fused-layer CNN accelerators (Alwani et al., MICRO
+2016).  Whatever order the blocks run in, each sums the same integers from
+the same inputs.  The output is therefore bit-identical for any summation
+order, BLAS build, BLAS thread count, band split, worker count or
+schedule, which is the point: encoder and decoder agree across platforms
+by construction.  The blocks run inside
+:func:`cnnlf.tensor._spend_blas_threads`, with BLAS at one thread and the
+blocks on the process's worker pool.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -51,8 +61,8 @@ import numpy as np
 from .errors import ConfigError, DataError, ModelFormatError, VerificationError
 from .network import (Layer, NetworkConfig, NetworkModel, _check_chain, _check_inputs,
                       forward_network, normalize_inputs)
-from .tensor import (ConvParams, _correlate, _replicate_border, _spend_blas_threads,
-                     round_half_away)
+from .tensor import (ConvParams, _Conv, _on_workers, _replicate_border, _row_bands,
+                     _spend_blas_threads, round_half_away)
 
 WEIGHT_BITS = 8
 BIAS_BITS = 32
@@ -368,28 +378,14 @@ def _round_shift(a: np.ndarray, shift: int) -> np.ndarray:
     return round_half_away(a * 2.0 ** -shift) if shift else a
 
 
-def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bshift: int,
-                shift: int) -> None:
-    """One conv layer from padded buffer ``src`` into padded buffer ``dst``.
+def _layer_conv(layer: DFPLayer, bshift: int, shift: int) -> _Conv:
+    """The float64 convolution that sums one layer's accumulators.
 
-    Both buffers are (C, H + 2 * pad, W + 2 * pad) with an edge-replicated
-    ring of width ``pad``, at least the layer's ``(k - 1) / 2``.  The layer
-    reads its (Cin, H + k - 1, W + k - 1) window of ``src``, writes the
-    requantized output into the interior of ``dst`` and then replicates
-    ``dst``'s ring.
-
-    The sums come from :func:`cnnlf.tensor._correlate`: each row band's
-    accumulator starts at the aligned bias and BLAS adds one GEMM per tap
-    into it, reading ``src`` in place; the columns past W of each
-    accumulator row are junk.  ``finish`` requantizes a band on the worker
-    that summed it.  A ReLU layer folds the rounding offset and the shift
-    into its parameters, ``W * 2^-s`` and ``(b * 2^bshift + 2^(s-1)) * 2^-s``,
-    so its requantization is ``floor(clip(acc, 1/2, ACT_MAX))``.  Other
-    layers round half away from zero and saturate.
+    The bias is aligned by ``2^bshift``.  A ReLU layer folds the rounding
+    offset and the shift into its parameters, ``W * 2^-s`` and
+    ``(b * 2^bshift + 2^(s-1)) * 2^-s``, so its requantization is
+    ``floor(clip(acc, 1/2, ACT_MAX))``; scaling by a power of two is exact.
     """
-    cout, cin, k, _ = layer.weights_m.shape
-    h, w = src.shape[1] - 2 * pad, src.shape[2] - 2 * pad
-    p = (k - 1) // 2
     weights = layer.weights_m.astype(np.float64)
     bias = np.ldexp(layer.bias_m.astype(np.float64), bshift)
     if layer.relu:
@@ -397,49 +393,106 @@ def _conv_layer(src: np.ndarray, dst: np.ndarray, pad: int, layer: DFPLayer, bsh
             bias += 2.0 ** (shift - 1)
         weights *= 2.0 ** -shift
         bias *= 2.0 ** -shift
-    out = dst[:cout, pad:pad + h, pad:pad + w]
+    return _Conv(weights, bias)
 
-    def finish(_, acc: np.ndarray, r0: int, r1: int) -> None:
-        if layer.relu:
-            # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1)) is
-            # non-negative, so rounding half away is floor(max(acc, 1/2)); at s = 0 that is
-            # max(a, 0) for integer a.  floor(min(v, ACT_MAX)) = min(floor(v), ACT_MAX) for the
-            # integer ACT_MAX, so one clip applies both bounds; it covers acc's whole rows, junk
-            # included, which is faster than a strided view of the first W columns.
-            np.clip(acc, 0.5, ACT_MAX, out=acc)
-            np.floor(acc[:, :, :w], out=out[:, r0:r1])
-        else:
-            np.clip(_round_shift(acc[:, :, :w], shift), ACT_MIN, ACT_MAX, out=out[:, r0:r1])
 
-    # whole buffer rows, so output column x reads columns pad - p + x .. pad + p + x
-    _correlate(weights, bias, src[None, :cin, pad - p:pad + h + p], pad - p, w, finish)
-    _replicate_border(dst[:cout], pad)
+def _layer_band(conv: _Conv, relu: bool, shift: int, src: np.ndarray, dst: np.ndarray,
+                pad: int, r0: int, r1: int, buf: np.ndarray) -> None:
+    """One (layer, band) block: output rows ``r0:r1`` of one layer, from padded buffer ``src``
+    into padded buffer ``dst``.
+
+    Both buffers are (C, H + 2 * pad, W + 2 * pad) with an edge-replicated
+    ring of width ``pad``, at least the layer's ``(k - 1) / 2``.  The block
+    reads rows ``r0 - p .. r1 + p`` of ``src`` and sums straight into
+    ``dst``'s rows ``r0:r1`` (:meth:`cnnlf.tensor._Conv.band`), starting from
+    the aligned bias: accumulator column ``y * rs + x`` is ``dst``'s pixel
+    (pad + r0 + y, pad + x), so the junk columns land in the ring cells of
+    the band's own rows.  It then requantizes those sums in place and fills
+    the ring of its rows, and the top or bottom ring rows if it holds the
+    first or the last row.  A ReLU layer's requantization is
+    ``floor(clip(acc, 1/2, ACT_MAX))`` (see :func:`_layer_conv`); other layers
+    round half away from zero and saturate.
+    """
+    depth, _, rs = src.shape
+    p = (conv.k - 1) // 2
+    sums = conv.band(src.reshape(depth, -1)[:conv.cin], (pad + r0 - p) * rs + pad - p, rs,
+                     dst.reshape(depth, -1)[:conv.cout], (pad + r0) * rs + pad, r1 - r0,
+                     rs - 2 * pad, buf)
+    if relu:
+        # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1)) is
+        # non-negative, so rounding half away is floor(max(acc, 1/2)); at s = 0 that is
+        # max(a, 0) for integer a.  floor(min(v, ACT_MAX)) = min(floor(v), ACT_MAX) for the
+        # integer ACT_MAX, so one clip applies both bounds.
+        np.clip(sums, 0.5, ACT_MAX, out=sums)
+        np.floor(sums, out=sums)
+    else:
+        np.clip(_round_shift(sums, shift), ACT_MIN, ACT_MAX, out=sums)
+    _replicate_border(dst[:conv.cout], pad, r0, r1)
+
+
+def _wavefront(bands: list, reaches: list) -> list:
+    """The predecessors of each (layer, band) block, block ``l * len(bands) + j``.
+
+    Layer ``l`` reads one buffer and writes the other, the next layer the
+    reverse, and every layer uses the same bands.  So block (l, j) waits for
+    the blocks of layer ``l - 1`` that write rows it reads, and for those that
+    read rows it writes, before it overwrites them.  Both are the bands that
+    hold a row within ``max(p, q)`` of band j, ``p`` and ``q`` the two
+    layers' reaches ``(k - 1) / 2``; the ring rows belong to the first and
+    the last band, which hold the rows they replicate.  A block waits for
+    nothing earlier: whatever it overwrites was last written by block
+    (l - 2, j), which block (l - 1, j) read first.
+    """
+    starts = [r0 for r0, _ in bands]
+    h, count = bands[-1][1], len(bands)
+    after = [()] * count
+    for l in range(1, len(reaches)):
+        reach = max(reaches[l - 1], reaches[l])
+        for r0, r1 in bands:
+            lo = bisect.bisect_right(starts, max(r0 - reach, 0)) - 1
+            hi = bisect.bisect_right(starts, min(r1 + reach, h) - 1)
+            after.append(range((l - 1) * count + lo, (l - 1) * count + hi))
+    return after
 
 
 def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
     """Integer-exact filtering of one plane; bit-identical for any BLAS thread count.
 
-    Inside :func:`cnnlf.tensor._spend_blas_threads` the layers' row bands run on
-    ``T`` workers of the process's pool with BLAS at one thread; ``T`` is restored after.
-    ``threads`` is unused; it stays only because ``perfbench`` still passes it.
+    The layers run as (layer, band) blocks of :func:`_layer_band` over two
+    padded ping-pong buffers, each block starting once the blocks it depends
+    on (:func:`_wavefront`) are done, on ``T`` workers of the process's pool
+    with BLAS at one thread (:func:`cnnlf.tensor._spend_blas_threads`); ``T``
+    is restored after.  ``threads`` is unused; it stays only because
+    ``perfbench`` still passes it.
     """
     cfg = model.config
     recon_m, qp_m = input_mantissas(plane, qp, cfg)
     h, w = recon_m.shape
-    # two padded buffers, each layer reading one and writing the other
-    pad = max((layer.weights_m.shape[2] - 1) // 2 for layer in model.layers)
+    reaches = [(layer.weights_m.shape[2] - 1) // 2 for layer in model.layers]
+    pad = max(reaches)
     depth = max(max(layer.weights_m.shape[:2]) for layer in model.layers)
-    src, dst = (np.empty((depth, h + 2 * pad, w + 2 * pad)) for _ in range(2))
-    src[0, pad:pad + h, pad:pad + w] = recon_m
-    src[1, pad:pad + h, pad:pad + w] = qp_m
-    _replicate_border(src[:2], pad)
+    rs = w + 2 * pad
+    buffers = [np.empty((depth, h + 2 * pad, rs)) for _ in range(2)]
+    buffers[0][0, pad:pad + h, pad:pad + w] = recon_m
+    buffers[0][1, pad:pad + h, pad:pad + w] = qp_m
+    _replicate_border(buffers[0][:2], pad)
     layer_shifts, sum_shift = model.shifts()
+    layers = [(_layer_conv(layer, bshift, shift), layer.relu, shift)
+              for layer, (bshift, shift) in zip(model.layers, layer_shifts)]
+    # at least 3 bands, so that even a small plane's layers overlap
+    bands = _row_bands(h, 8 * depth * rs, 1, least=3)
+    rows = max(r1 - r0 for r0, r1 in bands)
+    scratch = max(conv.scratch(rows, rs) for conv, _, _ in layers)
+
+    def block(b: int, buf: np.ndarray) -> None:
+        l, j = divmod(b, len(bands))
+        _layer_band(*layers[l], buffers[l % 2], buffers[1 - l % 2], pad, *bands[j], buf)
+
     with _spend_blas_threads():
-        for layer, (bshift, shift) in zip(model.layers, layer_shifts):
-            _conv_layer(src, dst, pad, layer, bshift, shift)
-            src, dst = dst, src
+        _on_workers(len(layers) * len(bands), lambda: np.empty(scratch), block,
+                    _wavefront(bands, reaches))
     # summation layer: bring the residual down to the input grid and add, saturating
-    resid = src[0, pad:pad + h, pad:pad + w]
+    resid = buffers[len(layers) % 2][0, pad:pad + h, pad:pad + w]
     total = np.clip(_round_shift(resid, sum_shift), ACT_MIN, ACT_MAX)
     total += recon_m
     np.clip(total, 0, ACT_MAX, out=total)  # a negative sum denormalizes to pixel 0

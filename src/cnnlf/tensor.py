@@ -17,24 +17,26 @@ Replicate padding keeps a constant input channel exactly constant
 under convolution, which the channel-pruning bias fold in
 :mod:`cnnlf.compress` relies on for bit-exact output preservation.
 
-The forward convolution of one padded image, float or DFP, is
-:func:`_correlate`, which lowers nothing (kn2row-aa, Anderson et al.,
+The forward convolution of one padded image, float or DFP, runs one band
+body, :meth:`_Conv.band`, which lowers nothing (kn2row-aa, Anderson et al.,
 arXiv:1709.03395; MEC, Cho & Brand, arXiv:1706.06873).  A row band of
-outputs is a (Cout, N) accumulator, started at the bias, into which BLAS
-adds one GEMM per tap (:func:`_gemm`, beta = 1):
-``acc += W[:, :, ky, kx] @ B``, with ``B`` a zero-copy (Cin, N) view of the
-image's padded channels at the channel stride, starting ``ky`` rows and
-``kx`` columns into the band.  Accumulator column ``y * rs + x`` is output
-(y, x), ``rs`` the padded row stride, so ``N = (rows - 1) * rs + W``; the
-columns ``x >= W`` are junk sums that wrap into the next row, which no store
-reads, and no view reaches past its image.  Thin layers, where the k * k
-tap GEMMs would be degenerate, unfold their thin operand instead (kn2row's
-rule for thin channel counts): if ``k * k * Cout <= Cin`` (an output head)
-one GEMM contracts the channels of a band and its ``k - 1`` halo rows for
-all taps at once, and the k * k shifted tap planes are added; if
-``k * k * Cin <= Cout`` (a first layer) the input is unfolded to
-``k * k * Cin`` rows for one GEMM.  :mod:`cnnlf.dfp` runs the same engine on
-integer mantissas and requantizes the sums.
+outputs is a (Cout, N) accumulator at the padded row stride ``rs``, started
+at the bias, into which BLAS adds one GEMM per tap (:func:`_tap_gemms`,
+beta = 1): ``acc += W[:, :, ky, kx] @ B``, with ``B`` a zero-copy (Cin, N)
+view of the image's padded channels at the channel stride, starting ``ky``
+rows and ``kx`` columns into the band.  Accumulator column ``y * rs + x`` is
+output (y, x), so ``N = (rows - 1) * rs + W``; the columns ``x >= W`` are
+junk sums that wrap into the next row, which no output takes, and no view
+reaches past its image.  Float :func:`conv2d` keeps the accumulator in
+scratch and copies it out; the DFP forward places it on the next layer's
+padded buffer, where the junk lands in the band's own ring cells.  Thin
+layers, where the k * k tap GEMMs would be degenerate, unfold their thin
+operand instead (kn2row's rule for thin channel counts): if
+``k * k * Cout <= Cin`` (an output head) one GEMM contracts the channels of
+a band and its ``k - 1`` halo rows for all taps at once, and the k * k
+shifted tap planes are added; if ``k * k * Cin <= Cout`` (a first layer)
+the input is unfolded to ``k * k * Cin`` rows for one GEMM.  :mod:`cnnlf.dfp`
+runs the same band body on integer mantissas and requantizes the sums.
 
 The backward pass puts each image's upstream gradient in a zero-ringed
 buffer at the padded row stride, so its junk columns are zero.  The input
@@ -45,13 +47,16 @@ the upstream against the tap view of the padded input:
 Thin layers unfold their thin operand here too (:func:`conv2d_grad`).
 
 A DFP forward and a training step spend the process's BLAS thread count
-``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread
-and the blocks of each convolution (the row bands of one image or the
-images of a batch) and of each epilogue (its images) run on
-``min(T, blocks)`` threads of the process's one pool, each claiming the
-next unclaimed block (:func:`_on_workers`).  The calling thread allocates
-their buffers.  Elsewhere, and when no OpenBLAS thread control is found,
-everything runs on the calling thread and BLAS threads each GEMM.
+``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread and
+blocks run on ``min(T, blocks)`` threads of the process's one pool, each
+claiming the lowest-numbered ready block (:func:`_on_workers`).  The blocks
+of a training step's convolutions and epilogues are its images.  The
+blocks of a DFP forward are (layer, band) pairs with dependencies: a block
+is ready once the blocks of the layer before that write the rows it reads,
+or read the rows it overwrites, are done, so no worker waits at a layer
+boundary.  The calling thread allocates the workers' buffers.  Elsewhere,
+and when no OpenBLAS thread control is found, everything runs on the
+calling thread and BLAS threads each GEMM.
 
 The GEMM's summation order belongs to the BLAS build and its thread
 count, and without BLAS's ``dgemm`` each tap's products are formed by
@@ -70,6 +75,7 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import functools
+import heapq
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -187,16 +193,23 @@ def _check_input(x: np.ndarray, params: ConvParams) -> None:
         raise ShapeError(f"conv input has {cin} channels but weights expect {params.in_channels}")
 
 
-def _replicate_border(buf: np.ndarray, pad: int) -> None:
+def _replicate_border(buf: np.ndarray, pad: int, r0: int = 0, r1: int | None = None) -> None:
     """In place: fill the ``pad``-wide ring of the two trailing axes of ``buf`` from the
-    edge of its interior."""
+    edge of its interior rows ``r0:r1`` (all of them by default).
+
+    That is the left and right ring of those rows, and the ring rows above or
+    below them where they include the first or the last interior row.
+    """
     if pad:
         h, w = buf.shape[-2] - 2 * pad, buf.shape[-1] - 2 * pad
-        rows = slice(pad, pad + h)
+        r1 = h if r1 is None else r1
+        rows = slice(pad + r0, pad + r1)
         buf[..., rows, :pad] = buf[..., rows, pad:pad + 1]
         buf[..., rows, pad + w:] = buf[..., rows, pad + w - 1:pad + w]
-        buf[..., :pad, :] = buf[..., pad:pad + 1, :]
-        buf[..., pad + h:, :] = buf[..., pad + h - 1:pad + h, :]
+        if r0 == 0:
+            buf[..., :pad, :] = buf[..., pad:pad + 1, :]
+        if r1 == h:
+            buf[..., pad + h:, :] = buf[..., pad + h - 1:pad + h, :]
 
 
 def pad_same(x: np.ndarray, k: int) -> np.ndarray:
@@ -275,6 +288,18 @@ def _blas_layout(v: np.ndarray) -> tuple:
     return trans, ld
 
 
+def _gemm_args(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """``(trans_a, trans_b, m, n, k, lda, ldb, ldc)``, the dgemm arguments of ``c = a @ b``
+    other than pointers and scalars; raises :class:`ShapeError` on views BLAS cannot read."""
+    (m, k), (k_b, n) = a.shape, b.shape
+    if k_b != k or c.shape != (m, n):
+        raise ShapeError(f"GEMM shapes {a.shape} @ {b.shape} -> {c.shape} do not chain")
+    (trans_a, lda), (trans_b, ldb), (trans_c, ldc) = (_blas_layout(v) for v in (a, b, c))
+    if trans_c != _NO_TRANS or not c.flags.writeable:
+        raise ShapeError(f"GEMM output strides {c.strides} are not a writeable unit-column view")
+    return trans_a, trans_b, m, n, k, lda, ldb, ldc
+
+
 def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, accumulate: bool) -> None:
     """``c = a @ b``, or ``c += a @ b`` with ``accumulate``, on 2-d float64 views in place.
 
@@ -286,12 +311,7 @@ def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, accumulate: bool) -> None
     ``np.matmul`` followed by ``+=``.  Views BLAS cannot read raise
     :class:`ShapeError` before anything runs.
     """
-    (m, k), (k_b, n) = a.shape, b.shape
-    if k_b != k or c.shape != (m, n):
-        raise ShapeError(f"GEMM shapes {a.shape} @ {b.shape} -> {c.shape} do not chain")
-    (trans_a, lda), (trans_b, ldb), (trans_c, ldc) = (_blas_layout(v) for v in (a, b, c))
-    if trans_c != _NO_TRANS or not c.flags.writeable:
-        raise ShapeError(f"GEMM output strides {c.strides} are not a writeable unit-column view")
+    trans_a, trans_b, m, n, k, lda, ldb, ldc = _gemm_args(a, b, c)
     blas = _openblas()
     if blas is None or blas.dgemm is None:
         if accumulate:
@@ -303,10 +323,59 @@ def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, accumulate: bool) -> None
                b.ctypes.data, ldb, 1.0 if accumulate else 0.0, c.ctypes.data, ldc)
 
 
+def _check_tap_views(flat: np.ndarray, start: int, k: int, rs: int, n: int) -> None:
+    """Raise :class:`ShapeError` unless every tap view ``flat[:, s:s + n]``,
+    ``s = start + ky * rs + kx`` for ``ky, kx < k``, lies inside ``flat``."""
+    if start < 0 or start + (k - 1) * (rs + 1) + n > flat.shape[1]:
+        raise ShapeError(f"tap views from column {start} at row stride {rs} pass the end "
+                         f"of a ({flat.shape[1]})-column input")
+
+
+def _tap_gemms(a: np.ndarray, flat: np.ndarray, start: int, rs: int, c: np.ndarray,
+               accumulate: bool) -> None:
+    """The k * k GEMMs of a k x k kernel's taps, each reading ``flat`` at its tap view
+    ``B = flat[:, s:s + n]``, ``s = start + ky * rs + kx``, in tap order.
+
+    If ``a`` is a (k, k, M, K) stack of tap matrices, ``c += a[ky, kx] @ B`` adds
+    every tap into the one (M, n) ``c``; without ``accumulate`` the first tap
+    stores.  Else ``c`` is a (k, k, M, K) stack and ``c[ky, kx] = a @ B.T`` for
+    the (M, n) ``a``, or ``+=`` with ``accumulate``.  :func:`_gemm` would run the
+    same tap by tap: here each operand is checked once and the taps reach dgemm
+    as offsets from one pointer per operand, with the arguments :func:`_gemm`
+    would pass.  A tap view that would pass the end of ``flat`` raises
+    :class:`ShapeError` before anything runs.
+    """
+    stacked_a = a.ndim == 4
+    k = (a if stacked_a else c).shape[0]
+    n = c.shape[1] if stacked_a else a.shape[1]
+    _check_tap_views(flat, start, k, rs, n)
+
+    def operands(ky: int, kx: int) -> tuple:
+        b = flat[:, start + ky * rs + kx:start + ky * rs + kx + n]
+        return (a[ky, kx], b, c) if stacked_a else (a, b.T, c[ky, kx])
+
+    blas = _openblas()
+    if blas is None or blas.dgemm is None:
+        for t in range(k * k):
+            _gemm(*operands(*divmod(t, k)), accumulate or (stacked_a and t > 0))
+        return
+    first = operands(0, 0)
+    trans_a, trans_b, m, n, kk, lda, ldb, ldc = _gemm_args(*first)
+    pa, pb, pc = (v.ctypes.data for v in first)
+    a0, a1 = a.strides[:2] if stacked_a else (0, 0)
+    c0, c1 = (0, 0) if stacked_a else c.strides[:2]
+    for ky in range(k):
+        for kx in range(k):
+            beta = 1.0 if accumulate or (stacked_a and (ky or kx)) else 0.0
+            blas.dgemm(_ROW_MAJOR, trans_a, trans_b, m, n, kk, 1.0, pa + ky * a0 + kx * a1,
+                       lda, pb + 8 * (ky * rs + kx), ldb, beta, pc + ky * c0 + kx * c1, ldc)
+
+
 _guard = threading.Lock()
 _inside = 0  # threads inside _spend_blas_threads
 _saved = 1  # T, as the first of them read it
-_local = threading.local()
+# set inside _spend_blas_threads; the workers of _on_workers run in a copy of the caller's context
+_spending = contextvars.ContextVar("cnnlf_spending", default=False)
 
 
 @contextmanager
@@ -314,11 +383,12 @@ def _spend_blas_threads():
     """Hold BLAS at one thread while any thread is inside; inside, conv blocks run on ``T`` workers.
 
     The first thread in reads ``T`` and sets BLAS to one thread; the last one
-    out restores ``T``, also when the body raises.  A nested entry does nothing.
+    out restores ``T``, also when the body raises.  A nested entry, also from
+    a block on a worker, does nothing.
     """
     global _inside, _saved
     blas = _openblas()
-    if blas is None or getattr(_local, "inside", False):
+    if blas is None or _spending.get():
         yield
         return
     with _guard:
@@ -326,11 +396,11 @@ def _spend_blas_threads():
             _saved = max(1, blas.get())
             blas.set(1)
         _inside += 1
-    _local.inside = True
+    token = _spending.set(True)
     try:
         yield
     finally:
-        _local.inside = False
+        _spending.reset(token)
         with _guard:
             _inside -= 1
             if _inside == 0:
@@ -344,8 +414,8 @@ def worker_threads() -> int:
 
 
 def _workers() -> int:
-    """The calling thread's worker count: ``T`` inside :func:`_spend_blas_threads`, else 1."""
-    return _saved if getattr(_local, "inside", False) else 1
+    """The worker count of the calling context: ``T`` inside :func:`_spend_blas_threads`, else 1."""
+    return _saved if _spending.get() else 1
 
 
 @functools.cache
@@ -354,33 +424,62 @@ def _pool(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(thread_name_prefix="cnnlf")
 
 
-def _on_workers(blocks: int, scratch, work) -> None:
+def _on_workers(blocks: int, scratch, work, after=None) -> None:
     """Run ``work(i, buffers)`` once per block ``i < blocks`` on ``n = min(T, blocks)`` workers.
 
-    Each worker claims the next unclaimed block from a shared counter until
-    none is left, so a worker the host slows down takes fewer blocks instead
-    of holding the others at the end.  A worker runs its blocks with the
-    ``buffers`` that ``scratch()`` made for it on the calling thread, so no
-    worker allocates them; which worker runs a block must not change its
-    result.  Several workers run on the process's pool, each in a copy of the
-    caller's context, so ``np.errstate`` holds there too.  The caller waits
-    for all of them and then raises a failed block's exception, if any.
+    ``after[i]``, where given, names the blocks that must be done before block
+    ``i`` starts; each has a lower index than ``i``, so index order is a valid
+    order, and one worker runs the blocks in it.  Several workers each claim
+    the lowest-numbered ready block until none is left, so a worker the host
+    slows down takes fewer blocks instead of holding the others at the end,
+    and a block starts as soon as the blocks it waits for are done.  A worker
+    runs its blocks with the ``buffers`` that ``scratch()`` made for it on the
+    calling thread, so no worker allocates them; which worker runs a block
+    must not change its result.  The workers run on the process's pool, each
+    in a copy of the caller's context, so ``np.errstate`` holds there too.
+    Once a block raises, no worker starts another or waits any longer; the
+    caller waits for all of them and then raises a failed block's exception.
     """
+    waiting, successors = [0] * blocks, [[] for _ in range(blocks)]
+    for i, preds in enumerate(after or ()):
+        for j in preds:
+            if not 0 <= j < i:
+                raise ValueError(f"block {i} waits for block {j}, which does not precede it")
+            waiting[i] += 1
+            successors[j].append(i)
     n = max(1, min(_workers(), blocks))
     if n == 1:
         buffers = scratch()
         for i in range(blocks):
             work(i, buffers)
         return
-    claims, lock = iter(range(blocks)), threading.Lock()
+    ready = [i for i in range(blocks) if not waiting[i]]  # ascending, so a heap
+    unclaimed, failed = blocks, False
+    changed = threading.Condition()
 
     def run(buffers) -> None:
+        nonlocal unclaimed, failed
         while True:
-            with lock:
-                i = next(claims, None)
-            if i is None:
-                return
-            work(i, buffers)
+            with changed:
+                while not ready and unclaimed and not failed:
+                    changed.wait()
+                if failed or not ready:
+                    return
+                i = heapq.heappop(ready)
+                unclaimed -= 1
+            try:
+                work(i, buffers)
+            except BaseException:
+                with changed:
+                    failed = True
+                    changed.notify_all()
+                raise
+            with changed:
+                for s in successors[i]:
+                    waiting[s] -= 1
+                    if not waiting[s]:
+                        heapq.heappush(ready, s)
+                changed.notify_all()
 
     pool = _pool(os.getpid())
     futures = [pool.submit(contextvars.copy_context().run, run, scratch()) for _ in range(n)]
@@ -397,6 +496,7 @@ def _unfold_taps(flat: np.ndarray, start: int, k: int, rs: int, cols: int,
     the tap view of a plane at row stride ``rs``.  ``flat`` needs a unit column
     stride, and no read may pass row ``c``'s end.
     """
+    _check_tap_views(flat, start, k, rs, cols)
     c = flat.shape[0]
     taps = np.lib.stride_tricks.as_strided(flat[:, start:], (k, k, c, cols),
                                            (8 * rs, 8, flat.strides[0], 8), writeable=False)
@@ -405,110 +505,90 @@ def _unfold_taps(flat: np.ndarray, start: int, k: int, rs: int, cols: int,
     return out.reshape(k * k * c, cols)
 
 
-def _row_bands(h: int, row_bytes: int, workers: int) -> list:
+def _row_bands(h: int, row_bytes: int, workers: int, least: int = 1) -> list:
     """Rows ``0:h`` split evenly into ``(r0, r1)`` bands of at most ``-(-h // count)`` rows.
 
     A band's buffers take ``row_bytes`` per row, and ``count`` is the least
-    multiple of ``workers`` whose bands fit ``BAND_BYTES``, or ``h`` one-row bands.
+    multiple of ``workers``, and at least ``least``, whose bands fit
+    ``BAND_BYTES``, or ``h`` one-row bands.
     """
     count = -(-h // max(1, BAND_BYTES // row_bytes))
-    count = min(h, -(-count // workers) * workers)
+    count = min(h, max(least, -(-count // workers) * workers))
     return [(j * h // count, (j + 1) * h // count) for j in range(count)]
 
 
-def _correlate(weights: np.ndarray, bias: np.ndarray, images: np.ndarray, c0: int, w: int,
-               store) -> None:
-    """Correlation sums plus ``bias`` of a batch of padded images, block by block.
+class _Conv:
+    """One forward convolution's weights laid out for its band form, and the band body.
 
-    Output pixel (y, x) of image ``i`` reads
-    ``images[i, :, y:y + k, c0 + x:c0 + x + k]``.  Each sum starts from its
-    channel's ``bias``.  The sums
-    over output rows ``r0:r1`` go to ``store(i, acc, r0, r1)`` as the first
-    W columns of the (Cout, r1 - r0, >= W) block ``acc``, whose other columns
-    are junk, finite for finite images; ``store`` may change ``acc``.  The
-    blocks are the row bands of a single image or the images of a batch; they
-    run, ``store`` included, on the workers of :func:`_on_workers`.
-
-    A band takes one of three forms.  With ``k * k * Cout <= Cin`` (an output
-    head) one GEMM contracts the channels for every tap at once.  Else, with
+    The float forward (:func:`conv2d`) and the DFP forward (:mod:`cnnlf.dfp`)
+    both run :meth:`band`, one row band of one image at a time.  A band takes
+    one of three forms.  With ``k * k * Cout <= Cin`` (an output head) one
+    GEMM contracts the channels for every tap at once.  Else, with
     ``k * k * Cin <= Cout`` (a first layer), the few input channels are
     unfolded to ``k * k * Cin`` rows (:func:`_unfold_taps`) for one GEMM.
-    Else each tap is one GEMM.
+    Else each tap is one GEMM (:func:`_tap_gemms`).
     """
-    cout, cin, k, _ = weights.shape
-    n, _, hk, width = images.shape
-    h = hk - k + 1
-    if images.strides[3] != 8:
-        raise ShapeError(f"image strides {images.strides} have no unit column stride")
-    rs = images.strides[2] // 8
-    start_value = bias[:, None, None]
-    # taps[ky, kx] is the (Cout, Cin) matrix of tap (ky, kx)
-    taps = weights.transpose(2, 3, 0, 1).copy()
-    head = k * k * cout <= cin
-    first = not head and k * k * cin <= cout
-    # row (o, (ky, kx, c)) of the unfolded weights
-    unfolded_taps = weights.transpose(0, 2, 3, 1).reshape(cout, -1) if first else None
-    if head:
-        row_bytes = 8 * (k * k * cout * rs + cout * w)
-    else:
-        row_bytes = 8 * (cout + (k * k * cin if first else 0)) * rs
-    bands = _row_bands(h, row_bytes, _workers() if n == 1 else 1)
-    rows = -(-h // len(bands))
-    blocks = [(0, [band]) for band in bands] if n == 1 else [(i, bands) for i in range(n)]
-    # image i as a (Cin, (H - 1) * rs + width) view: row y of channel c is
-    # [c, y * rs:y * rs + width], so no view reaches past the image
-    flats = [np.lib.stride_tricks.as_strided(image, (cin, (hk - 1) * rs + width),
-                                             (image.strides[0], 8), writeable=False)
-             for image in images]
 
-    def tap_sums(b: int, buffers) -> None:
-        acc_buf, unfold_buf = buffers
-        i, image_bands = blocks[b]
-        flat = flats[i]
-        for r0, r1 in image_bands:
-            # column y' * rs + x' of acc is output (r0 + y', x'); the columns x' >= W are
-            # junk, and the GEMMs leave those of the last row at the bias
-            acc = acc_buf[:cout * (r1 - r0) * rs].reshape(cout, r1 - r0, rs)
-            np.copyto(acc, start_value)
-            cols = (r1 - r0 - 1) * rs + w
-            sums = acc.reshape(cout, -1)[:, :cols]
-            if first:
-                _gemm(unfolded_taps, _unfold_taps(flat, r0 * rs + c0, k, rs, cols, unfold_buf),
-                      sums, True)
-            else:
-                for ky in range(k):
-                    for kx in range(k):
-                        start = (r0 + ky) * rs + c0 + kx
-                        _gemm(taps[ky, kx], flat[:, start:start + cols], sums, True)
-            store(i, acc, r0, r1)
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        self.cout, self.cin, self.k, _ = weights.shape
+        k, cout, cin = self.k, self.cout, self.cin
+        self.bias = bias
+        self.head = k * k * cout <= cin
+        self.first = not self.head and k * k * cin <= cout
+        if self.head:  # row (ky, kx, o)
+            self.mat = weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+        elif self.first:  # row o, column (ky, kx, c)
+            self.mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
+        else:  # mat[ky, kx] is the (Cout, Cin) matrix of tap (ky, kx)
+            self.mat = weights.transpose(2, 3, 0, 1).copy()
 
-    def head_sums(b: int, buffers) -> None:
-        # one GEMM contracts the channels of the band's rows and k - 1 halo rows for every
-        # tap; the k * k shifted tap planes are then added
-        plane_buf, acc_buf = buffers
-        i, image_bands = blocks[b]
-        flat = flats[i]
-        for r0, r1 in image_bands:
-            span = r1 - r0 + k - 1
-            planes = plane_buf[:k * k * cout * span * rs].reshape(k * k * cout, -1)
-            cols = (span - 1) * rs + c0 + w + k - 1
-            _gemm(taps.reshape(k * k * cout, cin), flat[:, r0 * rs:r0 * rs + cols],
-                  planes[:, :cols], False)
+    def scratch(self, rows: int, rs: int) -> int:
+        """Floats of scratch :meth:`band` takes for ``rows`` output rows at row stride ``rs``."""
+        k = self.k
+        if self.head:
+            return k * k * self.cout * (rows + k - 1) * rs
+        return k * k * self.cin * rows * rs if self.first else 0
+
+    def band(self, flat: np.ndarray, start: int, rs: int, out: np.ndarray, at: int,
+             rows: int, w: int, buf: np.ndarray) -> np.ndarray:
+        """The sums plus bias of ``rows`` output rows of width ``w`` of one image, into ``out``.
+
+        ``flat`` is the image's padded input as a (Cin, L) view at row stride
+        ``rs``, and output (y, x) reads ``flat[:, start + (y + ky) * rs + x + kx]``
+        at tap (ky, kx).  Its sum goes to ``out[:, at + y * rs + x]`` of the
+        (Cout, L') view ``out``, which shares the row stride and a unit column
+        stride; the sums start from the bias.  ``buf`` holds :meth:`scratch`
+        floats.  Returns the view of ``out`` written: for the head the
+        (Cout, rows, w) outputs; else the (Cout, (rows - 1) * rs + w) columns
+        from ``at`` on, whose columns ``x >= w`` of each row are junk, finite
+        for finite input, that wraps into the next row.
+        """
+        k, cout = self.k, self.cout
+        if at + rows * rs > out.shape[1]:
+            raise ShapeError(f"{rows} rows from column {at} at row stride {rs} pass the end "
+                             f"of a ({out.shape[1]})-column output")
+        if self.head:
+            # one GEMM contracts the channels of the band's rows and k - 1 halo rows for
+            # every tap; the k * k shifted tap planes are then added
+            span = rows + k - 1
+            planes = buf[:k * k * cout * span * rs].reshape(k * k * cout, -1)
+            cols = (span - 1) * rs + w + k - 1
+            _gemm(self.mat, flat[:, start:start + cols], planes[:, :cols], False)
             planes = planes.reshape(k, k, cout, span, rs)
-            acc = acc_buf[:cout * (r1 - r0) * w].reshape(cout, r1 - r0, w)
-            np.copyto(acc, start_value)
+            sums = out[:, at:at + rows * rs].reshape(cout, rows, rs)[:, :, :w]
+            np.copyto(sums, self.bias[:, None, None])
             for ky in range(k):
                 for kx in range(k):
-                    acc += planes[ky, kx, :, ky:ky + r1 - r0, c0 + kx:c0 + kx + w]
-            store(i, acc, r0, r1)
-
-    if head:
-        _on_workers(len(blocks), lambda: (np.empty(k * k * cout * (rows + k - 1) * rs),
-                                          np.empty(cout * rows * w)), head_sums)
-    else:
-        _on_workers(len(blocks), lambda: (np.empty(cout * rows * rs),
-                                          np.empty(k * k * cin * rows * rs) if first else None),
-                    tap_sums)
+                    sums += planes[ky, kx, :, ky:ky + rows, kx:kx + w]
+            return sums
+        cols = (rows - 1) * rs + w
+        sums = out[:, at:at + cols]
+        np.copyto(sums, self.bias[:, None])
+        if self.first:
+            _gemm(self.mat, _unfold_taps(flat, start, k, rs, cols, buf), sums, True)
+        else:
+            _tap_gemms(self.mat, flat, start, rs, sums, True)
+        return sums
 
 
 def _padded(x: np.ndarray, k: int, xp) -> np.ndarray:
@@ -527,15 +607,32 @@ def conv2d(x: np.ndarray, params: ConvParams, xp: np.ndarray | None = None) -> n
     """Same-size cross-correlation plus per-channel bias.
 
     Input (N, Cin, H, W) -> output (N, Cout, H, W).  A caller that already
-    holds ``x`` replicate-padded by ``(k - 1) / 2`` passes it as ``xp``.
+    holds ``x`` replicate-padded by ``(k - 1) / 2`` passes it as ``xp``.  The
+    blocks of :func:`_on_workers` are the row bands of a single image or the
+    images of a batch; each band's :meth:`_Conv.band` sums go to a scratch
+    accumulator at the padded row stride and are copied out.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params)
     n, _, h, w = x.shape
-    cout, _, k, _ = params.weights.shape
+    conv = _Conv(params.weights, params.bias)
+    cout, rs = conv.cout, w + conv.k - 1
+    xp = np.ascontiguousarray(_padded(x, conv.k, xp))
     out = np.empty((n, cout, h, w))
-    _correlate(params.weights, params.bias, _padded(x, k, xp), 0, w,
-               lambda i, acc, r0, r1: np.copyto(out[i, :, r0:r1], acc[:, :, :w]))
+    bands = _row_bands(h, 8 * (cout * rs + conv.scratch(1, rs)), _workers() if n == 1 else 1)
+    rows = -(-h // len(bands))
+    blocks = [(0, [band]) for band in bands] if n == 1 else [(i, bands) for i in range(n)]
+
+    def sums(b: int, buffers) -> None:
+        acc, buf = buffers
+        i, image_bands = blocks[b]
+        flat = xp[i].reshape(conv.cin, -1)
+        for r0, r1 in image_bands:
+            conv.band(flat, r0 * rs, rs, acc, 0, r1 - r0, w, buf)
+            out[i, :, r0:r1] = acc[:, :(r1 - r0) * rs].reshape(cout, r1 - r0, rs)[:, :, :w]
+
+    _on_workers(len(blocks),
+                lambda: (np.empty((cout, rows * rs)), np.empty(conv.scratch(rows, rs))), sums)
     return out
 
 
@@ -565,9 +662,9 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     Its ``(H - 1) * (W + k - 1) + W`` columns from (k - 1, k - 1) on are
     ``U``, the upstream with zero junk columns, and
     ``d_w[:, :, ky, kx] = U @ B^T`` with ``B`` the padded input's columns
-    from ``ky * (W + k - 1) + kx`` on (the tap view of :func:`_correlate`).
+    from ``ky * (W + k - 1) + kx`` on (the tap view of :meth:`_Conv.band`).
     The padded input's gradient is the correlation of the ring with the
-    flipped, transposed taps, summed by :func:`_gemm` in place band by band
+    flipped, transposed taps, summed by :func:`_tap_gemms` in place band by band
     and then folded onto the edge pixels the replicate padding read.
 
     Thin layers unfold their thin operand (:func:`_unfold_taps`) and run one
@@ -628,10 +725,7 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
         elif first:
             _gemm(u, _unfold_taps(xp_flat, 0, k, wp, cols, unfold_buf).T, parts[i], False)
         else:
-            for ky in range(k):
-                for kx in range(k):
-                    start = ky * wp + kx
-                    _gemm(u, xp_flat[:, start:start + cols].T, parts[i, ky, kx], False)
+            _tap_gemms(u, xp_flat, 0, wp, parts[i], False)
         if d_xp is None:
             return
         d_flat = d_xp[i].reshape(cin, -1)
@@ -639,11 +733,7 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
             _gemm(flipped_rows, ring_rows, d_flat, False)
         else:
             for r0, r1 in bands:
-                for a in range(k):
-                    for b in range(k):
-                        start = (r0 + a) * wp + b
-                        _gemm(flipped[a, b], ring_flat[:, start:start + (r1 - r0) * wp],
-                              d_flat[:, r0 * wp:r1 * wp], a or b)
+                _tap_gemms(flipped, ring_flat, r0 * wp, wp, d_flat[:, r0 * wp:r1 * wp], False)
         _fold_pad_grad(d_xp[i], h, w, (k - 1) // 2)
 
     # the ring has one zero row more, read by the last row's wrap past its right edge

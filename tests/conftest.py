@@ -1,10 +1,12 @@
+import random
+import time
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cnnlf import tensor
+from cnnlf import dfp, tensor
 from cnnlf.network import NetworkConfig, build_cnnf
 
 
@@ -64,4 +66,30 @@ def without_dgemm(disabled=True):
         yield
         return
     with mock.patch.object(tensor, "_openblas", lambda: blas._replace(dgemm=None)):
+        yield
+
+
+@contextmanager
+def schedule_shaker(seed, longest=0.02):
+    """Every block run by ``tensor._on_workers`` may sleep before and after its work.
+
+    One block in ten sleeps ``longest`` seconds before its work and one in
+    ten a tenth of that after it, drawn from a generator seeded by ``seed``
+    and the block's index, so the same blocks are slowed in every run.  While
+    one block sleeps long the other workers run far ahead, so blocks finish
+    in orders an unshaken run rarely shows.
+    """
+    on_workers = tensor._on_workers
+
+    def shaken(blocks, scratch, work, after=None):
+        def run(i, buffers):
+            pause = random.Random(f"{seed}:{i}")
+            time.sleep(pause.choice((0.0,) * 9 + (longest,)))
+            work(i, buffers)
+            time.sleep(pause.choice((0.0,) * 9 + (longest / 10,)))
+
+        on_workers(blocks, scratch, run, after)
+
+    with mock.patch.object(tensor, "_on_workers", shaken), \
+            mock.patch.object(dfp, "_on_workers", shaken):
         yield

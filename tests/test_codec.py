@@ -288,6 +288,56 @@ class TestPlaneIO:
         with pytest.raises(DataError, match="short.npz.*length"):
             load_patchset(tmp_path / "short.npz")
 
+    def test_yuv_descriptor_not_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "c.yuv"
+        path.write_bytes(b"\0" * 24)
+        (tmp_path / "c.yuv.txt").write_bytes(b"width=4\nheight=4\nframes=1 \xff\n")
+        with pytest.raises(DataError, match="c.yuv.txt.*UTF-8"):
+            read_yuv420(path)
+
+    @pytest.mark.parametrize("defect", ["2-d qps", "qp 52", "qp -1", "pixel 256",
+                                        "pixel -1", "pixel nan"])
+    def test_patchset_values_outside_the_input_contract(self, tmp_path, defect):
+        ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22,), patch=16)
+        save_patchset(tmp_path / "ds.npz", ds)
+        with np.load(tmp_path / "ds.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        name, value = {"2-d qps": ("qps", arrays["qps"][:, None]), "qp 52": ("qps", 52),
+                       "qp -1": ("qps", -1), "pixel 256": ("original", 256),
+                       "pixel -1": ("decoded", -1), "pixel nan": ("decoded", np.nan)}[defect]
+        if np.ndim(value):
+            arrays[name] = value
+        else:
+            arrays[name] = arrays[name].astype(type(value))
+            arrays[name].flat[-1] = value
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(DataError, match=f"bad.npz.*{name}"):
+            load_patchset(tmp_path / "bad.npz")
+
+    def test_patchset_missing_file_is_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_patchset(tmp_path / "absent.npz")
+
+    def test_damaged_patchset_loads_or_is_data_error(self, tmp_path):
+        ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22, 37), patch=16)
+        save_patchset(tmp_path / "ds.npz", ds)
+        good = (tmp_path / "ds.npz").read_bytes()
+        rng = np.random.default_rng(0)
+        for trial in range(3000):
+            data = bytearray(good)
+            kind, at = trial % 3, int(rng.integers(0, len(data)))
+            if kind == 0:
+                del data[at:]
+            elif kind == 1:
+                data[at] ^= 1 << int(rng.integers(0, 8))
+            else:
+                data[at:at] = rng.bytes(int(rng.integers(1, 9)))
+            (tmp_path / "hurt.npz").write_bytes(bytes(data))
+            try:
+                load_patchset(tmp_path / "hurt.npz")
+            except DataError as exc:
+                assert "hurt.npz" in str(exc)
+
     def test_rd_csv_round_trip(self, tmp_path):
         curve = fixture_curves()[0]
         path = tmp_path / "rd.csv"

@@ -25,7 +25,7 @@ from cnnlf.errors import ConfigError, ModelFormatError, ShapeError, Verification
 from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
 from cnnlf.codec import make_test_image, psnr
 
-from .conftest import blas_count
+from .conftest import blas_count, schedule_shaker
 from .oracles import dfp_forward_loops, round_half_away_int
 
 
@@ -73,6 +73,54 @@ if blas is not None:
     blas.set(int(os.environ["OPENBLAS_NUM_THREADS"]))
 out = dfp_forward(benchmark_shaped_model(), make_test_image(48, 64, seed=13), 32)
 print(tensor.worker_threads(), hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def mixed_kernel_model(seed=3):
+    """A quantized 2->5->4->6->1 model whose layers have kernel sides 5, 1, 3 and 3.
+
+    The 5x5 first layer reads two rows past each band edge, so it spans
+    several one-row bands; the 1x1 layer reads none.
+    """
+    widths, kernels = [2, 5, 4, 6, 1], [5, 1, 3, 3]
+    cfg = NetworkConfig(num_conv_layers=4, base_filters=6, per_layer_filters=(5, 4, 6))
+    rng = np.random.default_rng(seed)
+    layers, entries, fl_in = [], [], INPUT_FL
+    for i, (cin, cout, k) in enumerate(zip(widths[:-1], widths[1:], kernels)):
+        last = i == len(kernels) - 1
+        fl_o = INPUT_FL + 2 if last else 13
+        fl_w = fl_o + 7 - fl_in
+        layers.append(DFPLayer(rng.integers(-8, 8, size=(cout, cin, k, k)),
+                               rng.integers(-1 << 12, 1 << 12, size=cout), not last))
+        entries.append(LayerFL(fl_w, fl_w + fl_in - 4, fl_o))
+        fl_in = fl_o
+    return DFPModel(cfg, layers, FLTable(entries))
+
+
+# run by a child interpreter: the blocks of a shaken DFP forward, one of which raises
+# halfway through; prints what reached the caller and the threads still inside
+RAISE_CHILD = """
+import itertools, os
+from unittest import mock
+from cnnlf import dfp, tensor
+from cnnlf.codec import make_test_image
+from tests.conftest import schedule_shaker
+from tests.test_dfp import benchmark_shaped_model
+blas = tensor._openblas()
+if blas is not None:
+    blas.set(int(os.environ["OPENBLAS_NUM_THREADS"]))
+model, layer_band, count = benchmark_shaped_model(), dfp._layer_band, itertools.count()
+
+def failing(*args):
+    if next(count) == 12:  # of 8 layers x 3 bands
+        raise RuntimeError("block 12 failed")
+    layer_band(*args)
+
+with schedule_shaker(5), mock.patch.object(dfp, "_layer_band", failing):
+    try:
+        dfp.dfp_forward(model, make_test_image(48, 64, seed=13), 32)
+    except RuntimeError as exc:
+        print(exc, tensor._inside, next(count))
 """
 
 
@@ -379,6 +427,18 @@ class TestDfpForward:
             got = dfp_forward(model, plane, qp)
         assert np.array_equal(got, dfp_forward_loops(model, plane, qp))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("band_bytes", [1, tensor.BAND_BYTES], ids=["one-row", "default"])
+    def test_shaken_wavefront_matches_integer_loop_oracle(self, workers, band_bytes):
+        model = mixed_kernel_model()
+        plane = make_test_image(13, 9, seed=4)
+        want = dfp_forward_loops(model, plane, 32)
+        assert len(np.unique(want)) > 20  # the model does not saturate
+        with mock.patch.object(tensor, "BAND_BYTES", band_bytes), blas_count(workers):
+            for seed in range(6):
+                with schedule_shaker(seed):
+                    assert np.array_equal(dfp_forward(model, plane, 32), want), seed
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (11, 5)])
     def test_degenerate_and_ragged_planes_match_oracle(self, shape):
         dm, _ = quantized_small_model()
@@ -412,6 +472,34 @@ class TestDfpForward:
         assert len(digests[0]) == 64 and digests[0] == digests[1] == digests[2]
 
 
+@given(st.integers(1, 40), st.sampled_from([1, 3000, 20000, tensor.BAND_BYTES]),
+       st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_wavefront_waits_for_exactly_the_blocks_it_conflicts_with(h, band_bytes, reaches):
+    # block (l, j) reads rows r0 - p .. r1 + p of one buffer and writes its band's rows of
+    # the other, plus the ring rows beyond them if it holds the first or the last row
+    pad, rs = max(reaches), 9 + 2 * max(reaches)
+    with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+        bands = tensor._row_bands(h, 8 * 64 * rs, 1, least=3)
+    count = len(bands)
+    assert count >= min(h, 3)
+
+    def read(l, j):
+        return set(range(bands[j][0] - reaches[l], bands[j][1] + reaches[l]))
+
+    def written(j):
+        r0, r1 = bands[j]
+        return set(range(r0 - pad if j == 0 else r0, r1 + pad if j == count - 1 else r1))
+
+    after = dfp._wavefront(bands, reaches)
+    assert len(after) == len(reaches) * count
+    for l in range(len(reaches)):
+        for j in range(count):
+            want = {(l - 1) * count + m for m in range(count)
+                    if l and (written(m) & read(l, j) or read(l - 1, m) & written(j))}
+            assert set(after[l * count + j]) == want, (l, j)
+
+
 class TestWorkers:
     """The BLAS thread count a DFP forward spends on workers, and gives back."""
 
@@ -426,21 +514,35 @@ class TestWorkers:
         dm, _ = quantized_small_model()
         plane = make_test_image(40, 40, seed=9)
         seen = []
-        conv_layer = dfp._conv_layer
+        layer_band = dfp._layer_band
 
         def spy(*args):
             seen.append((blas_get(), tensor._workers()))
-            conv_layer(*args)
+            layer_band(*args)
 
         with blas_count(3):
-            with mock.patch.object(dfp, "_conv_layer", spy):
+            with mock.patch.object(dfp, "_layer_band", spy):
                 dfp_forward(dm, plane, 32)
             assert blas_get() == 3 and tensor.worker_threads() == 3
             assert set(seen) == {(1, 3)}
-            with mock.patch.object(dfp, "_conv_layer", side_effect=RuntimeError("layer")):
+            with mock.patch.object(dfp, "_layer_band", side_effect=RuntimeError("layer")):
                 with pytest.raises(RuntimeError, match="layer"):
                     dfp_forward(dm, plane, 32)
             assert blas_get() == 3 and tensor._workers() == 1 and tensor._inside == 0
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_block_raising_mid_wavefront_reaches_the_caller(self, workers):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": workers}
+        done = subprocess.run([sys.executable, "-c", RAISE_CHILD], env=env, cwd=root,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        message, inside, started = done.stdout.rsplit(maxsplit=2)
+        # no block starts once the failure is seen; at most the other workers' blocks
+        # were already running
+        assert message == "block 12 failed" and inside == "0"
+        assert 13 <= int(started) <= 12 + int(workers)
 
     def test_no_thread_control_gives_the_same_digest(self):
         dm, _ = quantized_small_model()

@@ -1,3 +1,5 @@
+import contextvars
+import random
 import sys
 import threading
 import time
@@ -13,7 +15,7 @@ from cnnlf.errors import ShapeError
 from cnnlf.tensor import (BNParams, ConvParams, bn_relu, bn_relu_grad, conv2d, conv2d_grad,
                           round_half_away)
 
-from .conftest import blas_count, without_dgemm
+from .conftest import blas_count, schedule_shaker, without_dgemm
 from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_loops,
                       finite_difference, max_relative_error)
 
@@ -185,6 +187,59 @@ def test_on_workers_runs_each_block_once_and_raises_a_blocks_error(workers):
         finally:
             sys.setswitchinterval(interval)
         assert np.all(counts == 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_on_workers_starts_a_block_only_after_the_blocks_it_waits_for(workers):
+    rng = random.Random(workers)
+    after = [rng.sample(range(i), min(i, rng.randint(0, 3))) for i in range(80)]
+    events, lock = [], threading.Lock()
+
+    def work(i, _):
+        with lock:
+            events.append(("start", i))
+        with lock:
+            events.append(("end", i))
+
+    with blas_count(workers), tensor._spend_blas_threads():
+        for seed in range(3):
+            events.clear()
+            with schedule_shaker(seed, longest=0.005):
+                tensor._on_workers(len(after), lambda: None, work, after)
+            at = {event: n for n, event in enumerate(events)}
+            assert sorted(i for kind, i in events if kind == "start") == list(range(len(after)))
+            for i, preds in enumerate(after):
+                assert all(at["end", j] < at["start", i] for j in preds), (seed, i)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_on_workers_never_waits_on_a_failed_block(workers):
+    # blocks 0-19 form a chain, each waiting for the one before; 20-39 wait for nothing
+    after = [[i - 1] if 0 < i < 20 else [] for i in range(40)]
+    started, outcome = [], []
+
+    def work(i, _):
+        started.append(i)
+        time.sleep(0.001)
+        if i == 5:
+            raise RuntimeError("block 5 failed")
+
+    def call():
+        try:
+            tensor._on_workers(len(after), lambda: None, work, after)
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    with blas_count(workers), tensor._spend_blas_threads():
+        with pytest.raises(ValueError, match="does not precede"):
+            tensor._on_workers(3, lambda: None, work, [[], [2], []])
+        assert started == []
+        caller = threading.Thread(target=contextvars.copy_context().run, args=(call,))
+        caller.start()
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in outcome] == ["block 5 failed"]
+    assert 5 in started and not set(started) & set(range(6, 20))
 
 
 class TestConv2d:
