@@ -183,11 +183,13 @@ class RDPoint:
 
 @dataclass
 class RDCurve:
-    """RD points sorted by bitrate; bitrates must be positive and distinct."""
+    """RD points sorted by bitrate; bitrates must be positive and distinct, PSNRs finite."""
 
     points: list
 
     def __post_init__(self):
+        if not all(math.isfinite(p.bitrate) and math.isfinite(p.psnr) for p in self.points):
+            raise DataError("bitrates and PSNRs must be finite")
         self.points = sorted(self.points, key=lambda p: p.bitrate)
         rates = [p.bitrate for p in self.points]
         if any(r <= 0 for r in rates):
@@ -353,13 +355,18 @@ def write_rd_csv(path, curve: RDCurve) -> None:
 
 
 def read_rd_csv(path) -> RDCurve:
-    points = []
-    for line in Path(path).read_text().splitlines()[1:]:
-        if not line.strip():
-            continue
-        qp, bpp, quality = line.split(",")
-        points.append(RDPoint(float(bpp), float(quality), int(qp) if qp else None))
-    return RDCurve(points)
+    """Read a curve written by :func:`write_rd_csv`; raise DataError if malformed."""
+    points, where = [], "not UTF-8 text"
+    try:
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+            where = f"line {number + 1} {line[:40]!r} is not qp,bpp,psnr"
+            if number and line.strip():
+                qp, bpp, quality = line.split(",")
+                points.append(RDPoint(float(bpp), float(quality), int(qp) if qp else None))
+        where = "not an RD curve"
+        return RDCurve(points)
+    except ValueError as exc:  # UnicodeDecodeError and DataError are ValueErrors too
+        raise DataError(f"{path}: {where} ({exc})") from None
 
 
 def save_patchset(path, patchset: PatchSet) -> None:

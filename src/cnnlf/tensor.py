@@ -40,11 +40,11 @@ runs the same band body on integer mantissas and requantizes the sums.
 
 The backward pass puts each image's upstream gradient in a zero-ringed
 buffer at the padded row stride, so its junk columns are zero.  The input
-gradient is the correlation of that ring with the flipped, transposed taps,
-by the same tap GEMMs; the weight gradient of tap (ky, kx) is one GEMM of
-the upstream against the tap view of the padded input:
-``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U`` the (Cout, N) upstream.
-Thin layers unfold their thin operand here too (:func:`conv2d_grad`).
+gradient is the forward band body of the flipped, transposed kernel over
+that ring (the transposed-convolution identity), so one rule picks its form.
+The weight gradient of tap (ky, kx) is one GEMM of the upstream against the
+tap view of the padded input: ``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U``
+the (Cout, N) upstream.  Thin layers unfold their thin operand for it too.
 
 A DFP forward and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread and
@@ -92,9 +92,9 @@ BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
 # One worker's band buffer: the (Cout, rows, row stride) accumulator of a
 # convolution's row band, into which its tap GEMMs add.  Sized to a 2 MiB L2:
-# 19 rows of a 64-channel 208-pixel plane, so a luma plane is 8 bands at
-# 2 workers.  Fewer, longer GEMMs pay less call overhead, which rules out
-# smaller bands.
+# 19 rows of a 64-channel 208-pixel plane, so the DFP forward splits a
+# 120-row luma plane into 7 bands.  Fewer, longer GEMMs pay less call
+# overhead, which rules out smaller bands.
 BAND_BYTES = 2 << 20
 
 
@@ -331,15 +331,13 @@ def _check_tap_views(flat: np.ndarray, start: int, k: int, rs: int, n: int) -> N
                          f"of a ({flat.shape[1]})-column input")
 
 
-def _tap_gemms(a: np.ndarray, flat: np.ndarray, start: int, rs: int, c: np.ndarray,
-               accumulate: bool) -> None:
+def _tap_gemms(a: np.ndarray, flat: np.ndarray, start: int, rs: int, c: np.ndarray) -> None:
     """The k * k GEMMs of a k x k kernel's taps, each reading ``flat`` at its tap view
     ``B = flat[:, s:s + n]``, ``s = start + ky * rs + kx``, in tap order.
 
     If ``a`` is a (k, k, M, K) stack of tap matrices, ``c += a[ky, kx] @ B`` adds
-    every tap into the one (M, n) ``c``; without ``accumulate`` the first tap
-    stores.  Else ``c`` is a (k, k, M, K) stack and ``c[ky, kx] = a @ B.T`` for
-    the (M, n) ``a``, or ``+=`` with ``accumulate``.  :func:`_gemm` would run the
+    every tap into the one (M, n) ``c``.  Else ``c`` is a (k, k, M, K) stack and
+    ``c[ky, kx] = a @ B.T`` for the (M, n) ``a``.  :func:`_gemm` would run the
     same tap by tap: here each operand is checked once and the taps reach dgemm
     as offsets from one pointer per operand, with the arguments :func:`_gemm`
     would pass.  A tap view that would pass the end of ``flat`` raises
@@ -357,16 +355,16 @@ def _tap_gemms(a: np.ndarray, flat: np.ndarray, start: int, rs: int, c: np.ndarr
     blas = _openblas()
     if blas is None or blas.dgemm is None:
         for t in range(k * k):
-            _gemm(*operands(*divmod(t, k)), accumulate or (stacked_a and t > 0))
+            _gemm(*operands(*divmod(t, k)), stacked_a)
         return
     first = operands(0, 0)
     trans_a, trans_b, m, n, kk, lda, ldb, ldc = _gemm_args(*first)
     pa, pb, pc = (v.ctypes.data for v in first)
     a0, a1 = a.strides[:2] if stacked_a else (0, 0)
     c0, c1 = (0, 0) if stacked_a else c.strides[:2]
+    beta = float(stacked_a)
     for ky in range(k):
         for kx in range(k):
-            beta = 1.0 if accumulate or (stacked_a and (ky or kx)) else 0.0
             blas.dgemm(_ROW_MAJOR, trans_a, trans_b, m, n, kk, 1.0, pa + ky * a0 + kx * a1,
                        lda, pb + 8 * (ky * rs + kx), ldb, beta, pc + ky * c0 + kx * c1, ldc)
 
@@ -429,14 +427,15 @@ def _on_workers(blocks: int, scratch, work, after=None) -> None:
 
     ``after[i]``, where given, names the blocks that must be done before block
     ``i`` starts; each has a lower index than ``i``, so index order is a valid
-    order, and one worker runs the blocks in it.  Several workers each claim
-    the lowest-numbered ready block until none is left, so a worker the host
-    slows down takes fewer blocks instead of holding the others at the end,
-    and a block starts as soon as the blocks it waits for are done.  A worker
-    runs its blocks with the ``buffers`` that ``scratch()`` made for it on the
-    calling thread, so no worker allocates them; which worker runs a block
-    must not change its result.  The workers run on the process's pool, each
-    in a copy of the caller's context, so ``np.errstate`` holds there too.
+    order, and one worker, the calling thread, runs the blocks in it.  Several
+    workers each claim the lowest-numbered ready block until none is left, so
+    a worker the host slows down takes fewer blocks instead of holding the
+    others at the end, and a block starts as soon as the blocks it waits for
+    are done.  A worker runs its blocks with the ``buffers`` that ``scratch()``
+    made for it on the calling thread, so no worker allocates them; which
+    worker runs a block must not change its result.  Several workers run on
+    the process's pool, each in a copy of the caller's context, so
+    ``np.errstate`` holds there too.
     Once a block raises, no worker starts another or waits any longer; the
     caller waits for all of them and then raises a failed block's exception.
     """
@@ -447,12 +446,6 @@ def _on_workers(blocks: int, scratch, work, after=None) -> None:
                 raise ValueError(f"block {i} waits for block {j}, which does not precede it")
             waiting[i] += 1
             successors[j].append(i)
-    n = max(1, min(_workers(), blocks))
-    if n == 1:
-        buffers = scratch()
-        for i in range(blocks):
-            work(i, buffers)
-        return
     ready = [i for i in range(blocks) if not waiting[i]]  # ascending, so a heap
     unclaimed, failed = blocks, False
     changed = threading.Condition()
@@ -481,6 +474,10 @@ def _on_workers(blocks: int, scratch, work, after=None) -> None:
                         heapq.heappush(ready, s)
                 changed.notify_all()
 
+    n = min(_workers(), blocks)
+    if n <= 1:
+        run(scratch())
+        return
     pool = _pool(os.getpid())
     futures = [pool.submit(contextvars.copy_context().run, run, scratch()) for _ in range(n)]
     wait(futures)
@@ -518,23 +515,23 @@ def _row_bands(h: int, row_bytes: int, workers: int, least: int = 1) -> list:
 
 
 class _Conv:
-    """One forward convolution's weights laid out for its band form, and the band body.
+    """One convolution's weights laid out for its band form, and the band body.
 
-    The float forward (:func:`conv2d`) and the DFP forward (:mod:`cnnlf.dfp`)
-    both run :meth:`band`, one row band of one image at a time.  A band takes
-    one of three forms.  With ``k * k * Cout <= Cin`` (an output head) one
-    GEMM contracts the channels for every tap at once.  Else, with
-    ``k * k * Cin <= Cout`` (a first layer), the few input channels are
-    unfolded to ``k * k * Cin`` rows (:func:`_unfold_taps`) for one GEMM.
-    Else each tap is one GEMM (:func:`_tap_gemms`).
+    The float forward (:func:`conv2d`), the DFP forward (:mod:`cnnlf.dfp`) and
+    the input gradient (:func:`conv2d_grad`) run :meth:`band`, one row band of
+    one image at a time.  A band takes one of three forms.  With
+    ``k * k * Cout <= Cin`` (an output head) one GEMM contracts the channels
+    for every tap at once.  Else, with ``k * k * Cin <= Cout`` (a first
+    layer), the few input channels are unfolded to ``k * k * Cin`` rows
+    (:func:`_unfold_taps`) for one GEMM.  Else each tap is one GEMM
+    (:func:`_tap_gemms`).
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         self.cout, self.cin, self.k, _ = weights.shape
         k, cout, cin = self.k, self.cout, self.cin
         self.bias = bias
-        self.head = k * k * cout <= cin
-        self.first = not self.head and k * k * cin <= cout
+        self.head, self.first = self.forms(cout, cin, k)
         if self.head:  # row (ky, kx, o)
             self.mat = weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
         elif self.first:  # row o, column (ky, kx, c)
@@ -542,11 +539,16 @@ class _Conv:
         else:  # mat[ky, kx] is the (Cout, Cin) matrix of tap (ky, kx)
             self.mat = weights.transpose(2, 3, 0, 1).copy()
 
+    @staticmethod
+    def forms(cout: int, cin: int, k: int) -> tuple:
+        """``(head, first)``: the thin form, if any, that a (Cout, Cin, k, k) kernel takes."""
+        return k * k * cout <= cin, k * k * cout > cin and k * k * cin <= cout
+
     def scratch(self, rows: int, rs: int) -> int:
         """Floats of scratch :meth:`band` takes for ``rows`` output rows at row stride ``rs``."""
         k = self.k
         if self.head:
-            return k * k * self.cout * (rows + k - 1) * rs
+            return k * k * self.cout * ((rows + k - 1) * rs + k - 1)
         return k * k * self.cin * rows * rs if self.first else 0
 
     def band(self, flat: np.ndarray, start: int, rs: int, out: np.ndarray, at: int,
@@ -557,37 +559,32 @@ class _Conv:
         ``rs``, and output (y, x) reads ``flat[:, start + (y + ky) * rs + x + kx]``
         at tap (ky, kx).  Its sum goes to ``out[:, at + y * rs + x]`` of the
         (Cout, L') view ``out``, which shares the row stride and a unit column
-        stride; the sums start from the bias.  ``buf`` holds :meth:`scratch`
-        floats.  Returns the view of ``out`` written: for the head the
-        (Cout, rows, w) outputs; else the (Cout, (rows - 1) * rs + w) columns
-        from ``at`` on, whose columns ``x >= w`` of each row are junk, finite
-        for finite input, that wraps into the next row.
+        stride; the sums start from the bias.  ``w`` may reach ``rs``, where
+        the reads of the last columns wrap into the next row.  ``buf`` holds
+        :meth:`scratch` floats.  Returns the view of ``out`` written, the
+        (Cout, (rows - 1) * rs + w) columns from ``at`` on, whose columns
+        ``x >= w`` of each row are junk, finite for finite input, that wraps
+        into the next row.
         """
-        k, cout = self.k, self.cout
+        k = self.k
         if at + rows * rs > out.shape[1]:
             raise ShapeError(f"{rows} rows from column {at} at row stride {rs} pass the end "
                              f"of a ({out.shape[1]})-column output")
-        if self.head:
-            # one GEMM contracts the channels of the band's rows and k - 1 halo rows for
-            # every tap; the k * k shifted tap planes are then added
-            span = rows + k - 1
-            planes = buf[:k * k * cout * span * rs].reshape(k * k * cout, -1)
-            cols = (span - 1) * rs + w + k - 1
-            _gemm(self.mat, flat[:, start:start + cols], planes[:, :cols], False)
-            planes = planes.reshape(k, k, cout, span, rs)
-            sums = out[:, at:at + rows * rs].reshape(cout, rows, rs)[:, :, :w]
-            np.copyto(sums, self.bias[:, None, None])
-            for ky in range(k):
-                for kx in range(k):
-                    sums += planes[ky, kx, :, ky:ky + rows, kx:kx + w]
-            return sums
         cols = (rows - 1) * rs + w
         sums = out[:, at:at + cols]
         np.copyto(sums, self.bias[:, None])
-        if self.first:
+        if self.head:
+            # one GEMM contracts the channels of the band's rows and k - 1 halo rows for
+            # every tap; the k * k shifted tap planes are then added
+            span = cols + (k - 1) * (rs + 1)
+            planes = buf[:k * k * self.cout * span].reshape(k, k, self.cout, span)
+            _gemm(self.mat, flat[:, start:start + span], planes.reshape(-1, span), False)
+            for ky, kx in np.ndindex(k, k):
+                sums += planes[ky, kx, :, ky * rs + kx:ky * rs + kx + cols]
+        elif self.first:
             _gemm(self.mat, _unfold_taps(flat, start, k, rs, cols, buf), sums, True)
         else:
-            _tap_gemms(self.mat, flat, start, rs, sums, True)
+            _tap_gemms(self.mat, flat, start, rs, sums)
         return sums
 
 
@@ -663,19 +660,17 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     ``U``, the upstream with zero junk columns, and
     ``d_w[:, :, ky, kx] = U @ B^T`` with ``B`` the padded input's columns
     from ``ky * (W + k - 1) + kx`` on (the tap view of :meth:`_Conv.band`).
-    The padded input's gradient is the correlation of the ring with the
-    flipped, transposed taps, summed by :func:`_tap_gemms` in place band by band
-    and then folded onto the edge pixels the replicate padding read.
+    The padded input's gradient is the ring's :meth:`_Conv.band` with the
+    flipped, transposed kernel and a zero bias, band by band at the full
+    padded width, where reads past a row's end wrap into zero columns; it is
+    then folded onto the edge pixels the replicate padding read.
 
-    Thin layers unfold their thin operand (:func:`_unfold_taps`) and run one
-    GEMM where the taps would run k * k degenerate ones.  With
-    ``k * k * Cin <= Cout`` (a first layer) ``d_w`` is ``U`` against the
-    ``k * k * Cin``-row unfold of the padded input.  With
-    ``k * k * Cout <= Cin`` (an output head) the ring is unfolded to
-    ``k * k * Cout`` rows ``R``, row (a, b, o) starting at ``a * (W + k - 1) + b``,
-    so the padded input's gradient is the flipped taps times ``R`` and
-    ``d_w`` the padded input times ``R^T``, whose column (a, b, o) is tap
-    (k - 1 - a, k - 1 - b).
+    Thin layers (:meth:`_Conv.forms`) unfold their thin operand for one
+    ``d_w`` GEMM where the taps would run k * k degenerate ones: a first
+    layer ``U`` against the ``k * k * Cin``-row unfold of the padded input,
+    an output head the padded input against the ring's ``k * k * Cout``-row
+    unfold, row (a, b, o) starting at ``a * (W + k - 1) + b``, so that
+    column (a, b, o) of ``d_w`` is tap (k - 1 - a, k - 1 - b).
 
     The images are the blocks of :func:`_on_workers`.  Each image gives one
     partial of ``d_w`` and one row of ``d_bias``, and both are added in image
@@ -695,14 +690,12 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     hp, wp = h + k - 1, w + k - 1
     cols = (h - 1) * wp + w
     u0 = (k - 1) * wp + k - 1
-    head = k * k * cout <= cin
-    first = not head and k * k * cin <= cout
-    # flipped[a, b] is the (Cin, Cout) transpose of tap (k - 1 - a, k - 1 - b)
-    flipped = params.weights[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).copy()
+    head, first = _Conv.forms(cout, cin, k)
+    back = _Conv(np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)),
+                 np.zeros(cin))
     # one d_w partial per image: (Cin, (a, b, o)) for a head, (Cout, (ky, kx, c)) for a
     # first layer, else (ky, kx, Cout, Cin)
     if head:
-        flipped_rows = flipped.transpose(2, 0, 1, 3).reshape(cin, -1)
         parts, unfold_size = np.empty((n, cin, k * k * cout)), k * k * cout * hp * wp
     elif first:
         parts, unfold_size = np.empty((n, cout, k * k * cin)), k * k * cin * cols
@@ -710,34 +703,31 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
         parts, unfold_size = np.empty((n, k, k, cout, cin)), 0
     d_xp = np.empty((n, cin, hp, wp)) if input_grad else None
     bands = _row_bands(hp, 8 * cin * wp, 1)
+    scratch = max(unfold_size, back.scratch(-(-hp // len(bands)), wp) if input_grad else 0)
     d_bias = np.empty((n, cout))
 
     def grads(i: int, buffers) -> None:
-        ring, unfold_buf = buffers
+        ring, buf = buffers
         ring[:, k - 1:k - 1 + h, k - 1:wp] = upstream[i]
         ring_flat = ring.reshape(cout, -1)
         u = ring_flat[:, u0:u0 + cols]
         d_bias[i] = u.sum(axis=1)
         xp_flat = xp[i].reshape(cin, -1)
         if head:
-            ring_rows = _unfold_taps(ring_flat, 0, k, wp, hp * wp, unfold_buf)
-            _gemm(xp_flat, ring_rows.T, parts[i], False)
+            _gemm(xp_flat, _unfold_taps(ring_flat, 0, k, wp, hp * wp, buf).T, parts[i], False)
         elif first:
-            _gemm(u, _unfold_taps(xp_flat, 0, k, wp, cols, unfold_buf).T, parts[i], False)
+            _gemm(u, _unfold_taps(xp_flat, 0, k, wp, cols, buf).T, parts[i], False)
         else:
-            _tap_gemms(u, xp_flat, 0, wp, parts[i], False)
+            _tap_gemms(u, xp_flat, 0, wp, parts[i])
         if d_xp is None:
             return
         d_flat = d_xp[i].reshape(cin, -1)
-        if head:
-            _gemm(flipped_rows, ring_rows, d_flat, False)
-        else:
-            for r0, r1 in bands:
-                _tap_gemms(flipped, ring_flat, r0 * wp, wp, d_flat[:, r0 * wp:r1 * wp], False)
+        for r0, r1 in bands:
+            back.band(ring_flat, r0 * wp, wp, d_flat, r0 * wp, r1 - r0, wp, buf)
         _fold_pad_grad(d_xp[i], h, w, (k - 1) // 2)
 
     # the ring has one zero row more, read by the last row's wrap past its right edge
-    _on_workers(n, lambda: (np.zeros((cout, h + 2 * k - 1, wp)), np.empty(unfold_size)), grads)
+    _on_workers(n, lambda: (np.zeros((cout, h + 2 * k - 1, wp)), np.empty(scratch)), grads)
     d_w = parts.sum(axis=0)
     if head:
         d_w = d_w.reshape(cin, k, k, cout)[:, ::-1, ::-1].transpose(3, 0, 1, 2)

@@ -93,3 +93,19 @@ def schedule_shaker(seed, longest=0.02):
     with mock.patch.object(tensor, "_on_workers", shaken), \
             mock.patch.object(dfp, "_on_workers", shaken):
         yield
+
+
+def damaged(good: bytes, trials: int, seed: int = 0):
+    """``trials`` seeded damaged copies of ``good``: in turn cut short at a random byte,
+    with one random bit flipped, and with 1-8 random bytes inserted at a random byte."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        data = bytearray(good)
+        kind, at = trial % 3, int(rng.integers(0, len(data)))
+        if kind == 0:
+            del data[at:]
+        elif kind == 1:
+            data[at] ^= 1 << int(rng.integers(0, 8))
+        else:
+            data[at:at] = rng.bytes(int(rng.integers(1, 9)))
+        yield bytes(data)

@@ -7,6 +7,7 @@ from cnnlf.codec import (DEFAULT_QPS, RDCurve, RDPoint, _DCT, bd_rate, encode_in
                          write_rd_csv, write_yuv420)
 from cnnlf.errors import DataError, ShapeError
 
+from .conftest import damaged
 from .oracles import bd_rate_trapezoid
 
 
@@ -321,22 +322,64 @@ class TestPlaneIO:
     def test_damaged_patchset_loads_or_is_data_error(self, tmp_path):
         ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22, 37), patch=16)
         save_patchset(tmp_path / "ds.npz", ds)
-        good = (tmp_path / "ds.npz").read_bytes()
-        rng = np.random.default_rng(0)
-        for trial in range(3000):
-            data = bytearray(good)
-            kind, at = trial % 3, int(rng.integers(0, len(data)))
-            if kind == 0:
-                del data[at:]
-            elif kind == 1:
-                data[at] ^= 1 << int(rng.integers(0, 8))
-            else:
-                data[at:at] = rng.bytes(int(rng.integers(1, 9)))
-            (tmp_path / "hurt.npz").write_bytes(bytes(data))
+        for data in damaged((tmp_path / "ds.npz").read_bytes(), 3000):
+            (tmp_path / "hurt.npz").write_bytes(data)
             try:
                 load_patchset(tmp_path / "hurt.npz")
             except DataError as exc:
                 assert "hurt.npz" in str(exc)
+
+    def test_damaged_pgm_reads_or_is_data_error(self, tmp_path):
+        write_pgm(tmp_path / "x.pgm", make_test_image(12, 10, seed=3))
+        for data in damaged((tmp_path / "x.pgm").read_bytes(), 1500):
+            (tmp_path / "hurt.pgm").write_bytes(data)
+            try:
+                plane = read_pgm(tmp_path / "hurt.pgm")
+            except DataError as exc:
+                assert "hurt.pgm" in str(exc)
+            else:
+                write_pgm(tmp_path / "again.pgm", plane)
+                assert np.array_equal(read_pgm(tmp_path / "again.pgm"), plane)
+
+    @pytest.mark.parametrize("hurt", ["clip.yuv", "clip.yuv.txt"])
+    def test_damaged_yuv420_reads_or_is_data_error(self, tmp_path, hurt):
+        frames = [tuple(make_test_image(h, w, seed=10 * f + c)
+                        for c, (h, w) in enumerate(((8, 6), (4, 3), (4, 3)))) for f in range(2)]
+        write_yuv420(tmp_path / "clip.yuv", frames)
+        for data in damaged((tmp_path / hurt).read_bytes(), 1500):
+            (tmp_path / hurt).write_bytes(data)
+            try:
+                got = read_yuv420(tmp_path / "clip.yuv")
+            except DataError as exc:
+                assert "clip.yuv" in str(exc)
+            else:
+                write_yuv420(tmp_path / "again.yuv", got)
+                again = read_yuv420(tmp_path / "again.yuv")
+                assert len(again) == len(got) >= 1
+                assert all(np.array_equal(a, b) for fa, fb in zip(again, got)
+                           for a, b in zip(fa, fb))
+
+    def test_damaged_rd_csv_reads_or_is_data_error(self, tmp_path):
+        write_rd_csv(tmp_path / "rd.csv", fixture_curves()[0])
+        for data in damaged((tmp_path / "rd.csv").read_bytes(), 1500):
+            (tmp_path / "hurt.csv").write_bytes(data)
+            try:
+                curve = read_rd_csv(tmp_path / "hurt.csv")
+            except DataError as exc:
+                assert "hurt.csv" in str(exc)
+            else:
+                assert RDCurve(curve.points).points == curve.points
+
+    @pytest.mark.parametrize("body, message", [
+        (b"22,0.5,30.0,1\n", "line 2"), (b"22,0.5\n", "line 2"), (b"22,abc,30.0\n", "line 2"),
+        (b"2.5,0.5,30.0\n", "line 2"), (b"22,0.5,30.0\n27,0.2,\xff\n", "UTF-8"),
+        (b"22,0.5,nan\n", "finite"), (b"22,inf,30.0\n", "finite")],
+        ids=["too many fields", "too few fields", "bpp not a number", "qp not an integer",
+             "not UTF-8", "psnr nan", "bpp inf"])
+    def test_rd_csv_malformed_is_data_error(self, tmp_path, body, message):
+        (tmp_path / "rd.csv").write_bytes(b"qp,bpp,psnr\n" + body)
+        with pytest.raises(DataError, match=f"rd.csv: .*{message}"):
+            read_rd_csv(tmp_path / "rd.csv")
 
     def test_rd_csv_round_trip(self, tmp_path):
         curve = fixture_curves()[0]

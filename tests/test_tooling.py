@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from cnnlf.model_io import load_model, model_hash, save_model
 from cnnlf.network import NetworkConfig, build_cnnf
 from cnnlf.tensor import worker_threads
 
+from .conftest import damaged
 from .test_dfp import bias_fl_lowered, quantized_small_model
+
+pytest_plugins = ["pytester"]
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 @pytest.fixture
@@ -160,6 +165,20 @@ class TestModelContainer:
             path.write_bytes(bytes(flipped))
             with pytest.raises(ModelFormatError, match="digest"):
                 load_model(path)
+
+    @pytest.mark.parametrize("which", ["float", "dfp"])
+    def test_damaged_model_loads_or_is_format_error(self, which, tiny_model, dfp_model,
+                                                    tmp_path):
+        model = tiny_model if which == "float" else dfp_model
+        save_model(model, tmp_path / "m.clf")
+        for data in damaged((tmp_path / "m.clf").read_bytes(), 1500):
+            (tmp_path / "hurt.clf").write_bytes(data)
+            try:
+                loaded = load_model(tmp_path / "hurt.clf")
+            except ModelFormatError as exc:
+                assert "hurt.clf" in str(exc)
+            else:
+                assert model_hash(loaded) == model_hash(model)
 
     def test_hash_is_the_container_digest(self, dfp_model, tmp_path):
         save_model(dfp_model, tmp_path / "m.clf")
@@ -445,3 +464,23 @@ class TestCli:
         resolved = json.loads((workspace / "ds.npz.run.json").read_text())
         assert resolved["command"] == "dataset"
         assert resolved["resolved"]["qps"] == "22,27,32,37"
+
+
+def test_failing_hypothesis_test_fails_only_itself(pytester):
+    # Hypothesis's plugin imports libcst to write the failing example's patch, which warns;
+    # under the project's warning filters that must not abort the session
+    pytester.makepyprojecttoml(PYPROJECT.read_text(encoding="utf-8"))
+    pytester.makepyfile(test_inner="""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+        def test_passes():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider", "test_inner.py")
+    assert result.ret == pytest.ExitCode.TESTS_FAILED
+    result.assert_outcomes(failed=1, passed=1)
