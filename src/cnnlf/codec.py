@@ -248,7 +248,7 @@ def rd_curve_for_planes(coded, bit_depth: int = 8) -> RDCurve:
 # plane file IO
 
 def read_pgm(path) -> np.ndarray:
-    """Binary 8-bit PGM (P5, maxval <= 255)."""
+    """Binary 8-bit PGM (P5, maxval 255), one image and nothing after its pixels."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise DataError(f"{path}: not a binary PGM (P5) file")
@@ -272,11 +272,13 @@ def read_pgm(path) -> np.ndarray:
     width, height, maxval = fields
     if min(fields) < 1:
         raise DataError(f"{path}: bad PGM header: zero width, height or maxval")
-    if maxval > 255:
-        raise DataError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
+    if maxval != 255:
+        raise DataError(f"{path}: only 8-bit PGM with maxval 255 is supported, got maxval {maxval}")
     pixels = np.frombuffer(data[pos:pos + width * height], dtype=np.uint8)
     if pixels.size != width * height:
         raise DataError(f"{path}: truncated pixel data")
+    if len(data) > pos + pixels.size:
+        raise DataError(f"{path}: {len(data) - pos - pixels.size} bytes after the pixel data")
     return pixels.reshape(height, width).copy()
 
 

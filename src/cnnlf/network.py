@@ -184,29 +184,34 @@ def forward_network(model: NetworkModel, inp: np.ndarray, keep_cache: bool = Fal
     """The training forward: the conv chain plus residual add on a batched 2-channel input.
 
     BN layers use batch statistics and update their running statistics.
-    Each layer's BN and ReLU run as one epilogue (:func:`cnnlf.tensor.bn_relu`)
-    that writes straight into the next layer's replicate-padded input.
-    Returns ``(output, caches)`` where output is (N, 1, H, W).  With
-    ``keep_cache`` each layer contributes a dict of what its backward pass
-    needs: ``conv_pad`` (its padded input) and ``conv_in`` (a view of its
-    interior), the conv output ``z``, the activation ``y`` (a view of the
-    next layer's ``conv_pad``, or ``z`` itself for a plain last layer),
-    ``relu``, and ``stats``, BN's ``(mean, invstd, scale)`` or None.
+    Between layers only the conv outputs exist: a layer's BN and ReLU
+    (:func:`cnnlf.tensor.bn_relu`) give the prologue ``act`` that the next
+    :func:`cnnlf.tensor.conv2d` applies as it builds its padded input.  A last
+    layer with BN or ReLU, as a loaded model may have, applies its epilogue
+    to the output.  Returns ``(output, caches)`` where output is (N, 1, H, W).
+    With ``keep_cache`` each layer contributes a dict of what its backward
+    pass needs: its input ``x`` (the conv output of the layer before, or the
+    network input) and the prologue ``act`` it ran on it, its conv output
+    ``z`` and ``stats``, BN's ``(mean, invstd, scale)`` or None.  The last
+    layer's dict also holds its output ``y`` if it ends in a ReLU.  No padded
+    or activated array is kept.
     """
     if inp.ndim != 4 or inp.shape[1] != 2:
         raise ShapeError(f"network input must be (N,2,H,W), got {inp.shape}")
-    pads = [(layer.conv.kernel_size - 1) // 2 for layer in model.layers] + [0]
-    conv_pad = tensor.pad_same(inp, model.layers[0].conv.kernel_size)
+    x, act = inp, None
     caches = [] if keep_cache else None
-    for i, layer in enumerate(model.layers):
-        p = pads[i]
-        conv_in = conv_pad[:, :, p:conv_pad.shape[2] - p, p:conv_pad.shape[3] - p]
-        z = tensor.conv2d(conv_in, layer.conv, xp=conv_pad)
-        out, act = tensor.bn_relu(z, layer.bn, layer.relu, pads[i + 1])
+    for layer in model.layers:
+        z = tensor.conv2d(x, layer.conv, act)
+        out_act, cache = tensor.bn_relu(z, layer.bn, layer.relu)
         if keep_cache:
-            caches.append({"conv_in": conv_in, "conv_pad": conv_pad, **act})
-        conv_pad = out
-    return out + inp[:, :1], caches
+            caches.append({"x": x, "act": act, **cache})
+        x, act = z, out_act
+    if act is not None:
+        x = np.empty_like(z)
+        tensor._activate(z, act, x, np.empty(z.size))
+        if keep_cache and act[2]:
+            caches[-1]["y"] = x
+    return x + inp[:, :1], caches
 
 
 def forward_float(model: NetworkModel, recon: np.ndarray, qpmap: np.ndarray) -> np.ndarray:

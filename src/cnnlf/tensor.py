@@ -4,10 +4,13 @@ Activations are float64 arrays in (N, C, H, W) order, kernels in
 (Cout, Cin, Kh, Kw).  Only the layer kinds the filter network needs are
 provided, each with an exact analytic backward pass: same-size convolution,
 and the activation epilogue that follows it (:func:`bn_relu`), train-mode
-batch normalization and then ReLU, each optional.  The epilogue writes
-straight into the next layer's padded input and keeps no normalized or
-pre-ReLU copy; its backward pass recomputes them from the conv output and
-the activation.  Inference folds BN into the convolutions
+batch normalization and then ReLU, each optional.  The epilogue makes no
+array: it reduces to per-channel ``(a, b)`` and the ReLU flag, the prologue
+``act`` of the next :func:`conv2d`, which writes ``max(a * x + b, 0)`` of
+the previous conv output ``x`` into its own padded input buffers
+(activation recomputation in the cheap form of In-Place ABN, Rota Bulò et
+al., arXiv:1712.02616).  So between layers only conv outputs exist.
+Inference folds BN into the convolutions
 (:func:`cnnlf.compress.fold_batchnorm`), so there only the ReLU remains.
 
 Convolutions are stride-1 and same-size.  Borders are handled with
@@ -38,19 +41,22 @@ shifted tap planes are added; if ``k * k * Cin <= Cout`` (a first layer)
 the input is unfolded to ``k * k * Cin`` rows for one GEMM.  :mod:`cnnlf.dfp`
 runs the same band body on integer mantissas and requantizes the sums.
 
-The backward pass puts each image's upstream gradient in a zero-ringed
-buffer at the padded row stride, so its junk columns are zero.  The input
-gradient is the forward band body of the flipped, transposed kernel over
-that ring (the transposed-convolution identity), so one rule picks its form.
-The weight gradient of tap (ky, kx) is one GEMM of the upstream against the
-tap view of the padded input: ``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U``
-the (Cout, N) upstream.  Thin layers unfold their thin operand for it too.
+The backward pass rebuilds each image's padded input from the conv output
+and the prologue, as the forward built it, and puts the image's upstream
+gradient in a zero-ringed buffer at the padded row stride, so its junk
+columns are zero.  The input gradient is the forward band body of the
+flipped, transposed kernel over that ring (the transposed-convolution
+identity), so one rule picks its form; the prologue's ReLU masks it with
+the rebuilt input, and :func:`bn_relu_grad` takes it through BN.  The weight
+gradient of tap (ky, kx) is one GEMM of the upstream against the tap view
+of the padded input: ``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U`` the
+(Cout, N) upstream.  Thin layers unfold their thin operand for it too.
 
 A DFP forward and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread and
 blocks run on ``min(T, blocks)`` threads of the process's one pool, each
 claiming the lowest-numbered ready block (:func:`_on_workers`).  The blocks
-of a training step's convolutions and epilogues are its images.  The
+of a training step's convolutions and BN passes are its images.  The
 blocks of a DFP forward are (layer, band) pairs with dependencies: a block
 is ready once the blocks of the layer before that write the rows it reads,
 or read the rows it overwrites, are done, so no worker waits at a layer
@@ -185,12 +191,16 @@ class BNParams:
                         self.running_var.copy(), self.epsilon, self.momentum)
 
 
-def _check_input(x: np.ndarray, params: ConvParams) -> None:
+def _check_input(x: np.ndarray, params: ConvParams, act) -> None:
     if x.ndim != 4:
         raise ShapeError(f"conv input must be 4-d (N,C,H,W), got shape {x.shape}")
     cin = x.shape[1]
     if cin != params.in_channels:
         raise ShapeError(f"conv input has {cin} channels but weights expect {params.in_channels}")
+    for v in act[:2] if act is not None else ():
+        if v is not None and np.shape(v) != (cin, 1, 1):
+            raise ShapeError(f"prologue vector of shape {np.shape(v)} does not match the "
+                             f"{cin} input channels")
 
 
 def _replicate_border(buf: np.ndarray, pad: int, r0: int = 0, r1: int | None = None) -> None:
@@ -212,15 +222,46 @@ def _replicate_border(buf: np.ndarray, pad: int, r0: int = 0, r1: int | None = N
             buf[..., pad + h:, :] = buf[..., pad + h - 1:pad + h, :]
 
 
-def pad_same(x: np.ndarray, k: int) -> np.ndarray:
-    """Replicate-pad the two trailing spatial axes by (k - 1) / 2 on each side."""
-    p = (k - 1) // 2
-    if p == 0:
-        return x
-    h, w = x.shape[-2:]
-    xp = np.empty(x.shape[:-2] + (h + 2 * p, w + 2 * p), dtype=x.dtype)
-    xp[..., p:p + h, p:p + w] = x
-    _replicate_border(xp, p)
+def _activate(x: np.ndarray, act, out: np.ndarray, temp: np.ndarray) -> None:
+    """``out[...] = max(a * x + b, 0)`` for the epilogue ``act = (a, b, relu)`` of :func:`bn_relu`.
+
+    Without BN (``a`` and ``b`` None) the affine step goes, without ``relu``
+    the ``max``; ``act`` None copies ``x``.  The affine steps run in the
+    contiguous head of the flat ``temp`` (:func:`_prologue_size` floats), and
+    only the last step writes ``out``, which may be strided.
+    """
+    if act is None:
+        np.copyto(out, x)
+        return
+    a, b, relu = act
+    if a is not None:
+        x = np.multiply(x, a, out=temp[:x.size].reshape(x.shape))
+        np.add(x, b, out=x if relu else out)
+    if relu:
+        np.maximum(x, 0.0, out=out)
+
+
+def _prologue_size(act, floats: int) -> int:
+    """Floats of ``temp`` that :func:`_activate` takes for ``floats`` inputs under ``act``."""
+    return floats if act is not None and act[0] is not None else 0
+
+
+def _padded_input(x: np.ndarray, act, lo: int, hi: int, pad: int, buf: np.ndarray,
+                  temp: np.ndarray) -> np.ndarray:
+    """Rows ``lo:hi`` of the (C, H, W) image ``x`` through ``act`` (:func:`_activate`),
+    replicate-padded by ``pad``, as a (C, hi - lo + 2 pad, W + 2 pad) view of ``buf``.
+
+    View row ``pad + y - lo`` holds image row ``y``, and the ring replicates the
+    edge of the rows held.  So a band whose taps read the rows ``r0:r1 + 2 pad``
+    of the whole image's replicate pad finds them from view row ``r0 - lo`` on
+    if ``lo = max(r0 - pad, 0)`` and ``hi = min(r1 + pad, H)``.  ``buf`` holds the
+    view, and ``temp`` is :func:`_activate`'s.
+    """
+    c, _, w = x.shape
+    rows = hi - lo
+    xp = buf[:c * (rows + 2 * pad) * (w + 2 * pad)].reshape(c, rows + 2 * pad, w + 2 * pad)
+    _activate(x[:, lo:hi], act, xp[:, pad:pad + rows, pad:pad + w], temp)
+    _replicate_border(xp, pad)
     return xp
 
 
@@ -588,48 +629,43 @@ class _Conv:
         return sums
 
 
-def _padded(x: np.ndarray, k: int, xp) -> np.ndarray:
-    """``xp``, the caller's replicate pad of ``x``, or that pad made here."""
-    if xp is None:
-        return pad_same(x, k)
-    n, c, h, w = x.shape
-    xp = np.ascontiguousarray(xp, dtype=np.float64)
-    if xp.shape != (n, c, h + k - 1, w + k - 1):
-        raise ShapeError(f"padded input shape {xp.shape} does not match input {x.shape} "
-                         f"padded for a {k}x{k} kernel")
-    return xp
+def conv2d(x: np.ndarray, params: ConvParams, act=None) -> np.ndarray:
+    """Same-size cross-correlation plus per-channel bias of ``x`` through the prologue ``act``.
 
-
-def conv2d(x: np.ndarray, params: ConvParams, xp: np.ndarray | None = None) -> np.ndarray:
-    """Same-size cross-correlation plus per-channel bias.
-
-    Input (N, Cin, H, W) -> output (N, Cout, H, W).  A caller that already
-    holds ``x`` replicate-padded by ``(k - 1) / 2`` passes it as ``xp``.  The
-    blocks of :func:`_on_workers` are the row bands of a single image or the
-    images of a batch; each band's :meth:`_Conv.band` sums go to a scratch
-    accumulator at the padded row stride and are copied out.
+    Input (N, Cin, H, W) -> output (N, Cout, H, W).  ``act``, the epilogue
+    ``(a, b, relu)`` that :func:`bn_relu` returned for the layer before, makes
+    the input ``max(a * x + b, 0)``; None takes ``x`` as it is.  The blocks of
+    :func:`_on_workers` are the row bands of a single image or the images of a
+    batch.  Each block writes its input rows, with the ``k - 1`` halo rows of
+    a band, replicate-padded into a buffer of its worker
+    (:func:`_padded_input`), so no padded or activated copy of ``x`` is
+    kept; each band's :meth:`_Conv.band` sums go to a scratch accumulator at
+    the padded row stride and are copied out.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_input(x, params)
-    n, _, h, w = x.shape
+    _check_input(x, params, act)
+    n, cin, h, w = x.shape
     conv = _Conv(params.weights, params.bias)
-    cout, rs = conv.cout, w + conv.k - 1
-    xp = np.ascontiguousarray(_padded(x, conv.k, xp))
+    cout, p, rs = conv.cout, (conv.k - 1) // 2, w + conv.k - 1
     out = np.empty((n, cout, h, w))
     bands = _row_bands(h, 8 * (cout * rs + conv.scratch(1, rs)), _workers() if n == 1 else 1)
     rows = -(-h // len(bands))
     blocks = [(0, [band]) for band in bands] if n == 1 else [(i, bands) for i in range(n)]
+    held = h if n > 1 else min(h, rows + 2 * p)  # input rows a block holds
 
     def sums(b: int, buffers) -> None:
-        acc, buf = buffers
+        acc, buf, xp, temp = buffers
         i, image_bands = blocks[b]
-        flat = xp[i].reshape(conv.cin, -1)
+        lo, hi = max(image_bands[0][0] - p, 0), min(image_bands[-1][1] + p, h)
+        flat = _padded_input(x[i], act, lo, hi, p, xp, temp).reshape(cin, -1)
         for r0, r1 in image_bands:
-            conv.band(flat, r0 * rs, rs, acc, 0, r1 - r0, w, buf)
+            conv.band(flat, (r0 - lo) * rs, rs, acc, 0, r1 - r0, w, buf)
             out[i, :, r0:r1] = acc[:, :(r1 - r0) * rs].reshape(cout, r1 - r0, rs)[:, :, :w]
 
     _on_workers(len(blocks),
-                lambda: (np.empty((cout, rows * rs)), np.empty(conv.scratch(rows, rs))), sums)
+                lambda: (np.empty((cout, rows * rs)), np.empty(conv.scratch(rows, rs)),
+                         np.empty(cin * (held + 2 * p) * rs),
+                         np.empty(_prologue_size(act, cin * held * w))), sums)
     return out
 
 
@@ -650,20 +686,25 @@ def _fold_pad_grad(dxp: np.ndarray, h: int, w: int, p: int) -> None:
 
 
 def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
-                input_grad: bool = True, xp: np.ndarray | None = None):
-    """Exact gradients ``(d_x, d_w, d_bias)`` of :func:`conv2d`.
+                input_grad: bool = True, act=None):
+    """Exact gradients ``(d_x, d_w, d_bias)`` of :func:`conv2d` with the prologue ``act``.
 
-    Each image's upstream is copied into a reused zero-ringed buffer at the
-    padded row stride ``W + k - 1``: ``k - 1`` zero rows above and below,
-    ``k - 1`` zero columns before each row, which also pad the row before.
-    Its ``(H - 1) * (W + k - 1) + W`` columns from (k - 1, k - 1) on are
-    ``U``, the upstream with zero junk columns, and
+    Each image's padded input is rebuilt as :func:`conv2d` builds it, into a
+    buffer of the worker, and its upstream is copied into a reused
+    zero-ringed buffer at the padded row stride ``W + k - 1``: ``k - 1`` zero
+    rows above and below, ``k - 1`` zero columns before each row, which also
+    pad the row before.  Its ``(H - 1) * (W + k - 1) + W`` columns from
+    (k - 1, k - 1) on are ``U``, the upstream with zero junk columns, and
     ``d_w[:, :, ky, kx] = U @ B^T`` with ``B`` the padded input's columns
     from ``ky * (W + k - 1) + kx`` on (the tap view of :meth:`_Conv.band`).
     The padded input's gradient is the ring's :meth:`_Conv.band` with the
     flipped, transposed kernel and a zero bias, band by band at the full
-    padded width, where reads past a row's end wrap into zero columns; it is
-    then folded onto the edge pixels the replicate padding read.
+    padded width, where reads past a row's end wrap into zero columns, into
+    a third buffer of the worker; it is then folded onto the edge pixels the
+    replicate padding read, and its interior is the image's ``d_x``.  With a
+    ReLU in ``act`` that is multiplied by ``input > 0``, read from the
+    rebuilt input, so ``d_x`` is the gradient at the pre-ReLU value
+    ``a * x + b`` (``x`` without BN); the BN part is :func:`bn_relu_grad`'s.
 
     Thin layers (:meth:`_Conv.forms`) unfold their thin operand for one
     ``d_w`` GEMM where the taps would run k * k degenerate ones: a first
@@ -675,19 +716,17 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     The images are the blocks of :func:`_on_workers`.  Each image gives one
     partial of ``d_w`` and one row of ``d_bias``, and both are added in image
     order, so the gradients do not depend on the worker count.  With
-    ``input_grad=False`` ``d_x`` is None.  ``xp`` is as for :func:`conv2d`;
-    the forward pass's pad serves here too.
+    ``input_grad=False`` ``d_x`` is None.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    _check_input(x, params)
+    _check_input(x, params, act)
     n, cin, h, w = x.shape
     cout, _, k, _ = params.weights.shape
     expected = (n, cout, h, w)
     if upstream.shape != expected:
         raise ShapeError(f"upstream shape {upstream.shape} does not match conv output {expected}")
-    xp = _padded(x, k, xp)
-    hp, wp = h + k - 1, w + k - 1
+    p, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
     cols = (h - 1) * wp + w
     u0 = (k - 1) * wp + k - 1
     head, first = _Conv.forms(cout, cin, k)
@@ -701,33 +740,43 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
         parts, unfold_size = np.empty((n, cout, k * k * cin)), k * k * cin * cols
     else:
         parts, unfold_size = np.empty((n, k, k, cout, cin)), 0
-    d_xp = np.empty((n, cin, hp, wp)) if input_grad else None
+    d_x = np.empty((n, cin, h, w)) if input_grad else None
+    relu = input_grad and act is not None and act[2]
     bands = _row_bands(hp, 8 * cin * wp, 1)
     scratch = max(unfold_size, back.scratch(-(-hp // len(bands)), wp) if input_grad else 0)
     d_bias = np.empty((n, cout))
 
     def grads(i: int, buffers) -> None:
-        ring, buf = buffers
+        ring, buf, xp, temp, mask, d_xp = buffers
+        xp = _padded_input(x[i], act, 0, h, p, xp, temp)
         ring[:, k - 1:k - 1 + h, k - 1:wp] = upstream[i]
         ring_flat = ring.reshape(cout, -1)
         u = ring_flat[:, u0:u0 + cols]
         d_bias[i] = u.sum(axis=1)
-        xp_flat = xp[i].reshape(cin, -1)
+        xp_flat = xp.reshape(cin, -1)
         if head:
             _gemm(xp_flat, _unfold_taps(ring_flat, 0, k, wp, hp * wp, buf).T, parts[i], False)
         elif first:
             _gemm(u, _unfold_taps(xp_flat, 0, k, wp, cols, buf).T, parts[i], False)
         else:
             _tap_gemms(u, xp_flat, 0, wp, parts[i])
-        if d_xp is None:
+        if d_x is None:
             return
-        d_flat = d_xp[i].reshape(cin, -1)
+        d_flat = d_xp.reshape(cin, -1)
         for r0, r1 in bands:
             back.band(ring_flat, r0 * wp, wp, d_flat, r0 * wp, r1 - r0, wp, buf)
-        _fold_pad_grad(d_xp[i], h, w, (k - 1) // 2)
+        _fold_pad_grad(d_xp, h, w, p)
+        d = d_xp[:, p:p + h, p:p + w]
+        if relu:
+            np.multiply(d, np.greater(xp[:, p:p + h, p:p + w], 0.0, out=mask), out=d_x[i])
+        else:
+            np.copyto(d_x[i], d)
 
     # the ring has one zero row more, read by the last row's wrap past its right edge
-    _on_workers(n, lambda: (np.zeros((cout, h + 2 * k - 1, wp)), np.empty(scratch)), grads)
+    _on_workers(n, lambda: (np.zeros((cout, h + 2 * k - 1, wp)), np.empty(scratch),
+                            np.empty(cin * hp * wp), np.empty(_prologue_size(act, cin * h * w)),
+                            np.empty((cin, h, w) if relu else 0, dtype=bool),
+                            np.empty((cin, hp, wp) if input_grad else 0)), grads)
     d_w = parts.sum(axis=0)
     if head:
         d_w = d_w.reshape(cin, k, k, cout)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
@@ -735,10 +784,6 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
         d_w = d_w.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
     else:
         d_w = d_w.transpose(2, 3, 0, 1)
-    d_x = None
-    if d_xp is not None:
-        p = (k - 1) // 2
-        d_x = d_xp[:, :, p:p + h, p:p + w]
     return d_x, np.ascontiguousarray(d_w), d_bias.sum(axis=0)
 
 
@@ -771,26 +816,26 @@ def _batch_moments(z: np.ndarray) -> tuple:
     return mean, rows.sum(axis=0) / m
 
 
-def bn_relu(z: np.ndarray, bn: BNParams | None, relu: bool, pad: int = 0):
+def bn_relu(z: np.ndarray, bn: BNParams | None, relu: bool):
     """The activation epilogue of a conv layer: train-mode BN, then ReLU, each optional.
 
-    ``z`` is the (N, C, H, W) conv output.  Returns ``(out, cache)``: ``out`` is
-    the next layer's padded input, a fresh (N, C, H + 2 pad, W + 2 pad) buffer
-    whose interior holds ``max(z * a + b, 0)`` and whose ``pad``-wide ring
-    replicates its edge.  With BN ``a = scale * invstd`` and
-    ``b = shift - mean * a`` over the batch statistics, which update the
-    running statistics once; a batch of at least 2 is needed, and epsilon
-    makes zero variance harmless.  Without BN ``a = 1``, ``b = 0``; without
-    ReLU the ``max`` goes; with neither and no ring ``out`` is ``z``.  The
-    images are the blocks of :func:`_on_workers`.  ``cache`` holds what
-    :func:`bn_relu_grad` needs: ``z``, the activation ``y`` (a view of
-    ``out``'s interior), ``relu`` and ``stats``, ``(mean, invstd, scale)`` or None.
+    ``z`` is the (N, C, H, W) conv output.  Returns ``(act, cache)``: ``act`` is
+    ``(a, b, relu)``, the prologue of the next :func:`conv2d`, which takes
+    ``max(z * a + b, 0)`` as its input, or None where the epilogue is the
+    identity.  With BN ``a = scale * invstd`` and ``b = shift - mean * a``, as
+    (C, 1, 1) arrays, over the batch statistics, which update the running
+    statistics once; a batch of at least 2 is needed, and epsilon makes zero
+    variance harmless.  Without BN ``a`` and ``b`` are None; without ReLU the
+    ``max`` goes.  The statistics are per-image rows on the workers
+    (:func:`_batch_moments`); nothing activation-sized is made.  ``cache``
+    holds what :func:`bn_relu_grad` needs: ``z`` and ``stats``,
+    ``(mean, invstd, scale)`` or None.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 4:
         raise ShapeError(f"activation input must be 4-d (N,C,H,W), got shape {z.shape}")
-    n, c, h, w = z.shape
-    stats = None
+    n, c = z.shape[:2]
+    stats = act = None
     if bn is not None:
         if c != bn.channels:
             raise ShapeError(f"batchnorm input has {c} channels, params expect {bn.channels}")
@@ -803,70 +848,44 @@ def bn_relu(z: np.ndarray, bn: BNParams | None, relu: bool, pad: int = 0):
         invstd = 1.0 / np.sqrt(var + bn.epsilon)
         stats = (mean, invstd, bn.scale.copy())
         a = bn.scale * invstd
-        b = (bn.shift - mean * a)[:, None, None]
-        a = a[:, None, None]
-    elif not relu and pad == 0:
-        return z, {"z": z, "y": z, "relu": False, "stats": None}
-    out = np.empty((n, c, h + 2 * pad, w + 2 * pad))
-    y = out[:, :, pad:pad + h, pad:pad + w]
-
-    def finish(i: int, scratch: np.ndarray) -> None:
-        # the affine steps run in the contiguous scratch; only the last one
-        # writes the strided interior of ``out``
-        src = z[i]
-        if stats is not None:
-            src = np.multiply(src, a, out=scratch)
-            np.add(src, b, out=src if relu else y[i])
-        if relu:
-            np.maximum(src, 0.0, out=y[i])
-        elif stats is None:
-            np.copyto(y[i], src)
-        _replicate_border(out[i], pad)
-
-    _on_workers(n, lambda: np.empty((c, h, w)), finish)
-    return out, {"z": z, "y": y, "relu": relu, "stats": stats}
+        act = (a[:, None, None], (bn.shift - mean * a)[:, None, None], relu)
+    elif relu:
+        act = (None, None, True)
+    return act, {"z": z, "stats": stats}
 
 
 def bn_relu_grad(upstream: np.ndarray, cache: dict):
-    """Gradients ``(d_z, d_scale, d_shift)`` of :func:`bn_relu`; the last two are None without BN.
+    """Gradients ``(d_z, d_scale, d_shift)`` of :func:`bn_relu`'s BN, the last two None without BN.
 
-    The ReLU passes ``g = upstream * (y > 0)``; ``y > 0`` is the set of
-    positive pre-activations, so the subgradient at exactly zero is zero.  BN's
-    three-term expression, whose sums of ``d_xhat = g * scale`` and
-    ``d_xhat * xhat`` are ``scale * d_shift`` and ``scale * d_scale``, reduces to
-    ``d_z = scale * invstd * (g - d_shift / m - xhat * d_scale / m)``, m = N*H*W.
-    Two per-image passes on the workers form it with no stored ``xhat``: the
-    first writes ``g`` into ``d_z`` and sums the image's rows of ``d_shift`` and
-    ``d_scale`` against ``z - mean`` recomputed in a scratch buffer (``invstd``
-    then scales the summed ``d_scale``); the second finishes ``d_z`` in place.
+    ``upstream`` is the gradient at BN's output, before the ReLU: the next
+    :func:`conv2d_grad` has applied the ReLU's mask.  Without BN it is
+    ``d_z``.  BN's three-term expression, whose sums of
+    ``d_xhat = upstream * scale`` and ``d_xhat * xhat`` are ``scale * d_shift``
+    and ``scale * d_scale``, reduces to
+    ``d_z = scale * invstd * (upstream - d_shift / m - xhat * d_scale / m)``,
+    m = N*H*W.  Two per-image passes on the workers form it with no stored
+    ``xhat``: the first sums the image's rows of ``d_shift`` and ``d_scale``
+    from ``upstream`` against ``z - mean`` recomputed in a scratch buffer
+    (``invstd`` then scales the summed ``d_scale``); the second writes ``d_z``.
     """
-    z, y, relu, stats = cache["z"], cache["y"], cache["relu"], cache["stats"]
+    z, stats = cache["z"], cache["stats"]
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != z.shape:
         raise ShapeError(f"upstream shape {upstream.shape} does not match activation {z.shape}")
-    if stats is None and not relu:
+    if stats is None:
         return upstream, None, None
     n, c, h, w = z.shape
     d_z = np.empty_like(z)
     rows = np.empty((2, n, c))
-    if stats is not None:
-        mean, invstd, scale = (s[:, None, None] for s in stats)
+    mean, invstd, scale = (s[:, None, None] for s in stats)
 
-    def first(i: int, buffers) -> None:
-        scratch, mask = buffers
-        if relu:
-            np.multiply(upstream[i], np.greater(y[i], 0.0, out=mask), out=d_z[i])
-        else:
-            np.copyto(d_z[i], upstream[i])
-        if stats is not None:
-            centred = np.subtract(z[i], mean, out=scratch).reshape(c, -1)
-            g = d_z[i].reshape(c, -1)
-            rows[0, i] = g.sum(axis=1)
-            rows[1, i] = _row_dots(g, centred)
+    def first(i: int, scratch: np.ndarray) -> None:
+        centred = np.subtract(z[i], mean, out=scratch).reshape(c, -1)
+        g = upstream[i].reshape(c, -1)
+        rows[0, i] = g.sum(axis=1)
+        rows[1, i] = _row_dots(g, centred)
 
-    _on_workers(n, lambda: (np.empty((c, h, w)), np.empty((c, h, w), dtype=bool)), first)
-    if stats is None:
-        return d_z, None, None
+    _on_workers(n, lambda: np.empty((c, h, w)), first)
     d_shift, d_scale = rows.sum(axis=1)
     d_scale *= stats[1]
     m = float(n * h * w)
@@ -879,7 +898,7 @@ def bn_relu_grad(upstream: np.ndarray, cache: dict):
         np.subtract(z[i], mean, out=correction)
         correction *= per_centred
         correction += offset
-        d_z[i] -= correction
+        np.subtract(upstream[i], correction, out=d_z[i])
         d_z[i] *= gain
 
     _on_workers(n, lambda: np.empty((c, h, w)), second)

@@ -179,25 +179,28 @@ def _batch_to_tensors(batch, config: "NetworkModel.config"):
 def backward_network(model: NetworkModel, caches, d_out: np.ndarray) -> list:
     """Backprop ``d_out`` (gradient at the residual output) through the conv chain.
 
-    ``caches`` are those of :func:`cnnlf.network.forward_network`.  Each layer
-    runs its epilogue's backward (:func:`cnnlf.tensor.bn_relu_grad`), which
-    takes the ReLU mask from the stored activation and recomputes BN's
-    ``xhat`` from the conv output, and then the conv's.  Returns the per-layer
-    gradients.  The gradient w.r.t. the 2-channel network input is not
-    formed: no caller needs it, so the first layer computes its weight
-    gradient only.  ``caches`` is consumed from the end: once a layer's
-    epilogue backward has read its ``z`` and ``y``, they go, and with ``y``
-    the next layer's padded input, so the step's peak holds no dead activation.
+    ``caches`` are those of :func:`cnnlf.network.forward_network`.  A layer's
+    ReLU is undone by the conv after it: :func:`cnnlf.tensor.conv2d_grad`
+    rebuilds its padded input from ``x`` and ``act`` and masks its input
+    gradient with it, so that gradient is at the pre-ReLU value.  Each layer
+    then runs BN's backward (:func:`cnnlf.tensor.bn_relu_grad`), which
+    recomputes ``xhat`` from ``z``, and its conv's.  A last layer's own ReLU
+    masks ``d_out`` with its output ``y``.  Returns the per-layer gradients.
+    The gradient w.r.t. the 2-channel network input is not formed: no caller
+    needs it, so the first layer computes its weight gradient only.
+    ``caches`` is consumed from the end, and a layer's conv output goes once
+    BN's backward has read it, so the step's peak holds no dead conv output.
     """
     grads: list = [None] * len(model.layers)
     d = d_out
+    if "y" in caches[-1]:
+        d = d * (caches[-1]["y"] > 0.0)
     for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
         cache = caches.pop()
         d, d_scale, d_shift = tensor.bn_relu_grad(d, cache)
-        del cache["z"], cache["y"]
-        d, d_w, d_b = tensor.conv2d_grad(cache["conv_in"], layer.conv, d, input_grad=i > 0,
-                                         xp=cache["conv_pad"])
+        del cache["z"]  # read for the last time; gone before the conv's backward allocates
+        d, d_w, d_b = tensor.conv2d_grad(cache["x"], model.layers[i].conv, d,
+                                         input_grad=i > 0, act=cache["act"])
         grads[i] = LayerGrads(d_w, d_b, d_scale, d_shift)
     return grads
 
@@ -229,6 +232,14 @@ def loss_eq1(model: NetworkModel, batch, config: TrainConfig):
     reg_s = 0.0
     reg_lda = 0.0
     last = len(model.layers) - 1
+    # the decorrelation term of each hidden layer is one block on the workers; the
+    # terms are added below in layer order
+    lda = [None] * last
+
+    def decorrelate(i: int, _) -> None:
+        lda[i] = lda_regularizer(model.layers[i].conv.weights)
+
+    tensor._on_workers(last, lambda: None, decorrelate)
     for i, layer in enumerate(model.layers):
         w = layer.conv.weights
         reg_w += float((w * w).sum())
@@ -237,7 +248,7 @@ def loss_eq1(model: NetworkModel, batch, config: TrainConfig):
             reg_s += float((layer.bn.scale ** 2).sum())
             grads[i].bn_scale += config.lambda_s * 2.0 * layer.bn.scale
         if i < last:
-            value, g = lda_regularizer(w)
+            value, g = lda[i]
             reg_lda += value
             grads[i].weights += config.lambda_lda * g
     _check_finite(reg_w, "reg_w")

@@ -57,7 +57,8 @@ def golden_planes(bit_depth: int) -> list:
     return planes
 
 
-def main():
+def main(out: Path = HERE):
+    """Write the two pairs into the directory ``out``."""
     for bit_depth in (8, 16):
         model = golden_float_model(bit_depth)
         planes = golden_planes(bit_depth)
@@ -69,8 +70,8 @@ def main():
         # a coarser bias grid, so every layer aligns its bias by a nonzero left shift
         table = FLTable([LayerFL(e.fl_w, e.fl_b - 3, e.fl_o) for e in table.layers])
         dfp = quantize_model(model, table)
-        save_model(dfp, HERE / f"golden{bit_depth}.clf")
-        write_conformance(HERE / f"golden{bit_depth}.cnfv",
+        save_model(dfp, out / f"golden{bit_depth}.clf")
+        write_conformance(out / f"golden{bit_depth}.cnfv",
                           make_conformance(dfp, corpus), bit_depth)
 
 

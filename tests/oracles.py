@@ -28,6 +28,23 @@ def conv2d_loops(x, weights, bias):
     return out
 
 
+def pad_same(x, k):
+    """Replicate-pad the two trailing spatial axes by (k - 1) / 2 on each side."""
+    p = (k - 1) // 2
+    pad = [(0, 0)] * (x.ndim - 2) + [(p, p), (p, p)]
+    return np.pad(x, pad, mode="edge")
+
+
+def activated(x, act):
+    """``x`` through the prologue ``act = (a, b, relu)`` of a convolution: per channel
+    ``a * x + b`` where ``a`` is given, then ``max(., 0)`` with ``relu``; None is ``x``."""
+    if act is None:
+        return x.copy()
+    a, b, relu = act
+    y = x if a is None else x * a + b
+    return np.maximum(y, 0.0) if relu else y
+
+
 def conv2d_grad_loops(x, weights, upstream):
     """Direct adjoint of :func:`conv2d_loops`: each product's upstream gradient is
     scattered to the weight and to the clamped source pixel it read."""

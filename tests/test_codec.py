@@ -231,6 +231,18 @@ class TestPlaneIO:
         with pytest.raises(DataError, match="bad.pgm"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 1\n100\n\xc8\x32", "maxval 100"),
+        (b"P5\n2 1\n254\n\x10\x20", "maxval 254"),
+        (b"P5\n2 1\n255\n\x10\x20\x30", "1 bytes after")],
+        ids=["maxval-100-sample-200", "maxval-254", "trailing-byte"])
+    def test_pgm_other_maxval_or_trailing_bytes_is_data_error(self, tmp_path, data, message):
+        path = tmp_path / "odd.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=message) as exc:
+            read_pgm(path)
+        assert "odd.pgm" in str(exc.value)
+
     def test_yuv420_round_trip(self, tmp_path):
         y = make_test_image(16, 24, seed=9)
         u = make_test_image(8, 12, seed=10)

@@ -7,6 +7,7 @@ and say why in CHANGES.md.
 """
 
 import gc
+import importlib.util
 import os
 import subprocess
 import sys
@@ -92,3 +93,15 @@ def test_golden_pairs_replay_with_one_blas_thread():
     assert done.returncode == 0, done.stderr
     want = [corpus_digest(golden_pair(b)[1]) for b in BIT_DEPTHS]
     assert done.stdout.split() == want
+
+
+def test_make_golden_rewrites_the_pairs_byte_identically(tmp_path):
+    # the pairs' writer runs the float calibration forward, so a change there that
+    # moved an FL choice, or any DFP output, shows here as well as in the replay
+    spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    make_golden.main(tmp_path)
+    for b in BIT_DEPTHS:
+        for name in (f"golden{b}.clf", f"golden{b}.cnfv"):
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

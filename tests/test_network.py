@@ -144,6 +144,20 @@ class TestForward:
         smallest = n * min(layer.bn.channels for layer in bn_layers) * h * w * 8
         assert sum(nbytes >= smallest for nbytes in bases.values()) <= 2 * len(bn_layers)
 
+    def test_training_cache_holds_no_padded_array(self, tiny_model, rng):
+        """Between layers only conv outputs exist: each convolution pads its input in
+        its workers' buffers, so no cached array, nor the array it views, is padded."""
+        n, h, w = 4, 9, 11
+        _, caches = forward_network(tiny_model, rng.uniform(size=(n, 2, h, w)), keep_cache=True)
+        assert any(layer.bn is not None for layer in tiny_model.layers)
+        for cache in caches:
+            for value in cache.values():
+                for array in value if isinstance(value, tuple) else (value,):
+                    if isinstance(array, np.ndarray) and array.ndim == 4:
+                        while array.base is not None:
+                            array = array.base
+                        assert array.shape[2:] == (h, w)
+
     def test_shape_mismatch_raises(self, tiny_model, rng):
         with pytest.raises(ShapeError):
             forward_float(tiny_model, rng.uniform(size=(8, 8)), np.full((8, 9), 0.4))

@@ -16,21 +16,43 @@ from cnnlf.tensor import (BNParams, ConvParams, bn_relu, bn_relu_grad, conv2d, c
                           round_half_away)
 
 from .conftest import blas_count, schedule_shaker, without_dgemm
-from .oracles import (batchnorm_backward_three_term, conv2d_grad_loops, conv2d_loops,
-                      finite_difference, max_relative_error)
+from .oracles import (activated, batchnorm_backward_three_term, conv2d_grad_loops,
+                      conv2d_loops, finite_difference, max_relative_error, pad_same)
+
+
+def identity_1x1(channels):
+    """A 1x1 convolution that passes its input through: with a prologue, its output
+    is the prologue's, and its input gradient the prologue's pre-ReLU gradient."""
+    return ConvParams(np.eye(channels)[:, :, None, None], np.zeros(channels))
+
+
+def epilogue(z, bn, relu):
+    """``(out, act, cache)``: :func:`bn_relu` of ``z`` and its activation ``out``, as the
+    next convolution applies it (through :func:`identity_1x1`)."""
+    act, cache = bn_relu(z, bn, relu)
+    return conv2d(z, identity_1x1(z.shape[1]), act), act, cache
+
+
+def epilogue_grad(up, act, cache):
+    """Gradients ``(d_z, d_scale, d_shift)`` of :func:`epilogue`'s ``out`` for the upstream
+    ``up``: the ReLU's part from the next convolution's input gradient, then BN's."""
+    z = cache["z"]
+    d, _, _ = conv2d_grad(z, identity_1x1(z.shape[1]), up, act=act)
+    return bn_relu_grad(d, cache)
 
 
 @st.composite
 def conv_case(draw):
     """Input, parameters, upstream gradient, a band size, whether to ask for the
-    input gradient, whether to pass the padded input, a worker count and whether
-    to use BLAS's ``dgemm`` (else ``np.matmul``), for one random convolution.
-    Planes may be smaller than the kernel.  A third of the cases are output
-    heads (``k * k * cout <= cin``, ``cout = 1`` unless k = 1) and a third
-    first layers (``cin <= 2``, ``k * k * cin <= cout``), the two thin forms
-    that unfold their thin operand; the rest run one GEMM per tap.  Three
-    workers exceed the images of every batch drawn and the bands of most
-    planes."""
+    input gradient, a prologue, a worker count and whether to use BLAS's
+    ``dgemm`` (else ``np.matmul``), for one random convolution.  Planes may be
+    smaller than the kernel.  A third of the cases are output heads
+    (``k * k * cout <= cin``, ``cout = 1`` unless k = 1) and a third first
+    layers (``cin <= 2``, ``k * k * cin <= cout``), the two thin forms that
+    unfold their thin operand; the rest run one GEMM per tap.  The prologue
+    is None, a ReLU, or a per-channel ``a * x + b`` of either sign with or
+    without the ReLU.  Three workers exceed the images of every batch drawn
+    and the bands of most planes."""
     k = draw(st.sampled_from([1, 3, 5]))
     n = draw(st.integers(1, 3))
     form = draw(st.sampled_from(["taps", "head", "first"]))
@@ -47,22 +69,30 @@ def conv_case(draw):
     params = ConvParams(rng.normal(size=(cout, cin, k, k)), rng.normal(size=cout))
     band_bytes = draw(st.sampled_from([1, 300, tensor.BAND_BYTES]))
     input_grad = draw(st.booleans())
-    padded, workers = draw(st.booleans()), draw(st.sampled_from([1, 2, 3]))
+    act = draw(st.sampled_from([None, "relu", "affine", "affine+relu"]))
+    if act == "relu":
+        act = (None, None, True)
+    elif act is not None:
+        act = (rng.normal(size=(cin, 1, 1)), rng.normal(size=(cin, 1, 1)), act != "affine")
+    workers = draw(st.sampled_from([1, 2, 3]))
     return (rng.normal(size=(n, cin, h, w)), params, rng.normal(size=(n, cout, h, w)),
-            band_bytes, input_grad, padded, workers, draw(st.booleans()))
+            band_bytes, input_grad, act, workers, draw(st.booleans()))
 
 
 @given(conv_case())
 @settings(max_examples=100, deadline=None)
 def test_conv_and_grad_match_loop_oracles(case):
-    x, params, up, band_bytes, input_grad, padded, workers, dgemm = case
-    xp = tensor.pad_same(x, params.kernel_size) if padded else None
+    x, params, up, band_bytes, input_grad, act, workers, dgemm = case
     with (mock.patch.object(tensor, "BAND_BYTES", band_bytes), blas_count(workers),
           without_dgemm(not dgemm), tensor._spend_blas_threads()):
-        out = conv2d(x, params, xp=xp)
-        d_x, d_w, d_b = conv2d_grad(x, params, up, input_grad=input_grad, xp=xp)
-    assert np.abs(out - conv2d_loops(x, params.weights, params.bias)).max() < 1e-12
-    want_x, want_w, want_b = conv2d_grad_loops(x, params.weights, up)
+        out = conv2d(x, params, act)
+        d_x, d_w, d_b = conv2d_grad(x, params, up, input_grad=input_grad, act=act)
+    # the oracles see the prologue's output, replicate-padded by their clamped reads
+    y = activated(x, act)
+    assert np.abs(out - conv2d_loops(y, params.weights, params.bias)).max() < 1e-12
+    want_x, want_w, want_b = conv2d_grad_loops(y, params.weights, up)
+    if act is not None and act[2]:
+        want_x = want_x * (y > 0.0)  # the gradient at the pre-ReLU value
     if input_grad:
         assert d_x.shape == want_x.shape
         assert np.abs(d_x - want_x).max() < 1e-12
@@ -327,22 +357,25 @@ class TestConv2dGrad:
             conv2d_grad(x, params, np.zeros((1, 3, 4, 5)))
 
     def test_padded_input_shape_mismatch(self, rng):
+        # the padded input is built from the prologue, whose vectors must fit its channels
         x = rng.normal(size=(1, 2, 5, 5))
         params = ConvParams(rng.normal(size=(3, 2, 3, 3)), np.zeros(3))
-        with pytest.raises(ShapeError, match="padded input"):
-            conv2d_grad(x, params, np.zeros((1, 3, 5, 5)), xp=x)
-        with pytest.raises(ShapeError, match="padded input"):
-            conv2d(x, params, xp=tensor.pad_same(x, 5))
+        wide = (np.ones((3, 1, 1)), np.zeros((3, 1, 1)), True)
+        with pytest.raises(ShapeError, match="2 input channels"):
+            conv2d_grad(x, params, np.zeros((1, 3, 5, 5)), act=wide)
+        with pytest.raises(ShapeError, match="2 input channels"):
+            conv2d(x, params, (np.ones((2, 1, 1)), np.zeros(2), False))
 
 
 class TestBatchnorm:
-    """Train-mode BN without ReLU, as :func:`bn_relu` runs it for a BN layer with ``relu=False``."""
+    """Train-mode BN without ReLU, as :func:`bn_relu` runs it for a BN layer with ``relu=False``,
+    applied by the next convolution (:func:`epilogue`)."""
 
     def test_identity_on_normalized_input(self, rng):
         x = rng.normal(size=(4, 3, 8, 8))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
         params = BNParams.identity(3)
-        out, _ = bn_relu(x, params, relu=False)
+        out, _, _ = epilogue(x, params, relu=False)
         # epsilon shrinks unit-variance data by 1 - 1/sqrt(1 + eps) ~ eps/2 per unit
         bound = (1.0 - 1.0 / np.sqrt(1.0 + params.epsilon)) * np.abs(x).max() + 1e-12
         assert np.abs(out - x).max() <= bound
@@ -352,7 +385,7 @@ class TestBatchnorm:
         params = BNParams.identity(3)
         params.scale[:] = 0.0
         params.shift[:] = [0.1, -0.2, 0.3]
-        out, _ = bn_relu(rng.normal(size=(4, 3, 6, 6)), params, relu=False)
+        out, _, _ = epilogue(rng.normal(size=(4, 3, 6, 6)), params, relu=False)
         for c, beta in enumerate(params.shift):
             assert np.allclose(out[:, c], beta)
 
@@ -360,7 +393,7 @@ class TestBatchnorm:
         params = BNParams.identity(3)
         params.scale[:] = [1.5, -0.7, 0.2]
         params.shift[:] = [0.3, 0.0, -1.0]
-        out, _ = bn_relu(rng.normal(1.0, 3.0, size=(6, 3, 10, 10)), params, relu=False)
+        out, _, _ = epilogue(rng.normal(1.0, 3.0, size=(6, 3, 10, 10)), params, relu=False)
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
         assert np.abs(mean - params.shift).max() < 1e-9
@@ -378,7 +411,7 @@ class TestBatchnorm:
 
     def test_zero_variance_never_raises(self):
         x = np.full((4, 1, 3, 3), 5.0)
-        out, _ = bn_relu(x, BNParams.identity(1), relu=False)
+        out, _, _ = epilogue(x, BNParams.identity(1), relu=False)
         assert np.all(np.isfinite(out))
 
     def test_train_needs_batch_of_two(self, rng):
@@ -392,11 +425,11 @@ class TestBatchnorm:
         up = rng.normal(size=(3, 2, 4, 4))
 
         def loss():
-            out, _ = bn_relu(x, params, relu=False)
+            out, _, _ = epilogue(x, params, relu=False)
             return float((out * up).sum())
 
-        _, cache = bn_relu(x, params, relu=False)
-        dx, dscale, dshift = bn_relu_grad(up, cache)
+        _, act, cache = epilogue(x, params, relu=False)
+        dx, dscale, dshift = epilogue_grad(up, act, cache)
         assert max_relative_error(dx, finite_difference(loss, x)) < 1e-5
         assert max_relative_error(dscale, finite_difference(loss, params.scale)) < 1e-5
         assert max_relative_error(dshift, finite_difference(loss, params.shift)) < 1e-5
@@ -447,13 +480,13 @@ def test_epilogue_gradients_match_finite_differences(rng, kind):
     up = rng.normal(size=z.shape)
 
     def loss():
-        out, _ = bn_relu(z, params, relu)
+        out, _, _ = epilogue(z, params, relu)
         return float((out * up).sum())
 
-    out, cache = bn_relu(z, params, relu)
+    out, act, cache = epilogue(z, params, relu)
     if relu:
         assert out.min() == 0.0
-    d_z, d_scale, d_shift = bn_relu_grad(up, cache)
+    d_z, d_scale, d_shift = epilogue_grad(up, act, cache)
     smooth = np.ones(z.shape, dtype=bool)
     if not with_bn:
         assert d_z[1, 2, 2, 3] == 0.0 and d_scale is None and d_shift is None
@@ -472,7 +505,8 @@ def test_epilogue_gradients_match_finite_differences(rng, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_epilogue_is_the_same_at_any_worker_count(rng, kind):
     """Output, running statistics and gradients at 1, 2 and 3 workers.  The BN
-    sums are per-image rows added in image order, so they agree bit for bit."""
+    sums are per-image rows added in image order, so they agree bit for bit.
+    The padded input a convolution builds from the epilogue replicates its edge."""
     with_bn, relu = KINDS[kind]
     z = rng.normal(0.3, 2.0, size=(5, 4, 7, 6))
     up = rng.normal(size=z.shape)
@@ -482,43 +516,46 @@ def test_epilogue_is_the_same_at_any_worker_count(rng, kind):
     for workers in (1, 2, 3):
         params = bn.copy() if with_bn else None
         with blas_count(workers), tensor._spend_blas_threads():
-            out, cache = bn_relu(z, params, relu, pad=1)
-            grads = bn_relu_grad(up, cache)
+            out, act, cache = epilogue(z, params, relu)
+            grads = epilogue_grad(up, act, cache)
         stats = (params.running_mean, params.running_var) if with_bn else ()
         runs.append([out, *stats, *(g for g in grads if g is not None)])
+        for image, want in zip(z, pad_same(out, 3)):
+            xp = tensor._padded_input(image, act, 0, 7, 1, np.empty(4 * 9 * 8), np.empty(4 * 7 * 6))
+            assert np.array_equal(xp, want)
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             assert np.array_equal(got, want)
     out = runs[0][0]
-    assert np.array_equal(out, tensor.pad_same(out[:, :, 1:-1, 1:-1], 3))
     if with_bn and relu:
-        mask = out[:, :, 1:-1, 1:-1] > 0.0
+        mask = out > 0.0
         want = batchnorm_backward_three_term(z, up * mask, bn.scale, bn.epsilon)
         for got, ref in zip(runs[0][3:], want):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestPointwiseOps:
-    """ReLU without BN, as :func:`bn_relu` runs it for a BN-folded layer."""
+    """ReLU without BN, as :func:`bn_relu` gives it for a BN-folded layer and the next
+    convolution applies it (:func:`epilogue`)."""
 
     def test_relu_all_negative(self):
-        assert not bn_relu(np.full((1, 1, 2, 2), -3.0), None, True)[0].any()
+        assert not epilogue(np.full((1, 1, 2, 2), -3.0), None, True)[0].any()
 
     def test_relu_all_positive_is_identity(self, rng):
         x = np.abs(rng.normal(size=(2, 3, 4, 4))) + 0.1
-        assert np.array_equal(bn_relu(x, None, True)[0], x)
+        assert np.array_equal(epilogue(x, None, True)[0], x)
 
     def test_relu_matches_elementwise_oracle(self, rng):
         x = rng.normal(size=(2, 2, 5, 5))
         expected = np.array([[[[max(v, 0.0) for v in row] for row in ch] for ch in b]
                              for b in x])
-        assert np.array_equal(bn_relu(x, None, True)[0], expected)
+        assert np.array_equal(epilogue(x, None, True)[0], expected)
 
     def test_relu_grad_masks_nonpositive(self):
         x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
         up = np.full(x.shape, 10.0)
-        _, cache = bn_relu(x, None, True)
-        assert np.array_equal(bn_relu_grad(up, cache)[0], [[[[0.0, 0.0, 10.0]]]])
+        _, act, cache = epilogue(x, None, True)
+        assert np.array_equal(epilogue_grad(up, act, cache)[0], [[[[0.0, 0.0, 10.0]]]])
 
 
 class TestRounding:
@@ -541,5 +578,5 @@ def test_forward_outputs_stay_finite(rng):
     params = ConvParams(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
     out = conv2d(x, params)
     assert np.all(np.isfinite(out))
-    bn_out, _ = bn_relu(out, BNParams.identity(4), relu=True)
+    bn_out, _, _ = epilogue(out, BNParams.identity(4), relu=True)
     assert np.all(np.isfinite(bn_out))

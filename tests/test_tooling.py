@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,22 @@ class TestCli:
         (workspace / "run.json").write_text(json.dumps({"preset": "huge"}))
         assert self.run("train", "--config", "run.json", "--dataset", "nope.npz",
                         "--out", "m.clf") == 5
+
+    def test_damaged_run_config_runs_or_is_one_line_error(self, workspace, capsys):
+        good = json.dumps({"synthetic": 1, "synthetic_size": "40x40", "qps": "22,37",
+                           "seed": 4}).encode()
+        for trial, data in enumerate(damaged(good, 300)):
+            (workspace / "run.json").write_bytes(data)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = self.run("dataset", "--config", "run.json", "--out", f"d{trial}.npz")
+            assert all("smaller than patch" in str(w.message) for w in caught), data
+            # besides the JSONL log records, stderr holds one "cnnlf:" line on failure
+            said = [line for line in capsys.readouterr().err.splitlines()
+                    if not line.startswith("{")]
+            assert code in (0, 5), data
+            assert len(said) == (code != 0), (data, said)
+            assert all(line.startswith("cnnlf: ") for line in said), (data, said)
 
     def test_resolved_config_written_next_to_output(self, workspace):
         assert self.run("dataset", "--synthetic", "1", "--synthetic-size", "70x70",

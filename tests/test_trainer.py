@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cnnlf import tensor
 from cnnlf.errors import ConfigError, DataError, NonFiniteLossError, ShapeError
 from cnnlf.network import NetworkConfig, build_cnnf, forward_network, normalize_inputs
+from cnnlf.tensor import BNParams
 from cnnlf.model_io import model_hash
 from cnnlf.trainer import (LossBreakdown, TrainConfig, _batch_to_tensors, global_grad_norm,
                            lda_regularizer, loss_eq1, quant_aware_finetune, quantized_view,
@@ -175,6 +178,49 @@ class TestLossEq1:
                                           finite_difference(loss, layer.bn.scale), floor) < 1e-4
                 assert max_relative_error(g.bn_shift,
                                           finite_difference(loss, layer.bn.shift), floor) < 1e-4
+
+    @pytest.mark.parametrize("bn, relu", [(True, True), (True, False), (False, True)],
+                             ids=["bn+relu", "bn", "relu"])
+    def test_last_layer_epilogue_gradients_match_finite_differences(self, rng, bn, relu):
+        """A loaded model may end in BN or ReLU, which then act on the network output."""
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(3, 3))
+        model = build_cnnf(cfg, rng_seed=21, zero_init_output=False)
+        model.layers[-1].bn = BNParams([0.8], [0.3], [0.0], [1.0]) if bn else None
+        model.layers[-1].relu = relu
+        tc = TrainConfig(batch_size=2, lambda_w=1e-2, lambda_s=1e-2, lambda_lda=1e-2)
+        batch = make_batch(rng, 2)
+
+        def loss():
+            return loss_eq1(model, batch, tc)[0].total
+
+        floor = 1e-4
+        _, grads = loss_eq1(model, batch, tc)
+        for layer, g in zip(model.layers, grads):
+            pairs = [(g.weights, layer.conv.weights), (g.bias, layer.conv.bias)]
+            if layer.bn is not None:
+                pairs += [(g.bn_scale, layer.bn.scale), (g.bn_shift, layer.bn.shift)]
+            for got, array in pairs:
+                assert max_relative_error(got, finite_difference(loss, array), floor) < 1e-4
+
+    def test_peak_memory_holds_one_conv_output_per_layer(self, rng):
+        """The traced peak of a batch-4 step stays below L + 4 arrays of N*C*H*W float64
+        values: the L - 1 conv outputs the forward keeps, and the upstream gradient, BN's
+        ``d_z`` and the conv's ``d_x`` of the backward pass, with room for the conv's
+        partials and buffers.  A padded activation kept for every layer as well would
+        add L - 1 more."""
+        layers, channels, n, side = 8, 16, 4, 24
+        model = build_cnnf(NetworkConfig(num_conv_layers=layers, base_filters=channels),
+                           rng_seed=3, zero_init_output=False)
+        tc = TrainConfig(batch_size=n)
+        batch = make_batch(rng, n, patch=side)
+        loss_eq1(model, batch, tc)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            loss_eq1(model, batch, tc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (layers + 4) * n * channels * side * side * 8
 
 
 class TestBatchToTensors:
