@@ -12,7 +12,7 @@ and RD curves for BD-rate evaluation at desk scale.
 from .errors import (CnnlfError, ConfigError, DataError, ModelFormatError,
                      NonFiniteLossError, ShapeError, VerificationError)
 from .network import (NetworkConfig, NetworkModel, build_cnnf, denormalize, filter_plane,
-                      forward_float, normalize_inputs)
+                      normalize_inputs)
 from .tensor import BNParams, ConvParams
 from .trainer import (TrainConfig, loss_eq1, lda_regularizer, quant_aware_finetune, sgd_step,
                       train)

@@ -171,7 +171,7 @@ def cmd_train(args, log):
                 "reg_s": b.reg_s, "reg_lda": b.reg_lda, "total": b.total, "lr": lr,
             }, sort_keys=True) + "\n")
 
-        model, history = train(model, ds.items(), config, callbacks=on_step)
+        model, history = train(model, ds, config, callbacks=on_step)
     provenance = {"seed": args.seed,
                   "config_digest": hashlib.sha256(
                       json.dumps(vars(args), sort_keys=True, default=str).encode()
@@ -225,7 +225,7 @@ def cmd_quantize(args, log):
                              epochs=args.finetune_epochs,
                              lr_decay_epoch=args.finetune_epochs,
                              rng_seed=args.seed)
-        model, _ = quant_aware_finetune(model, ds.items(), table, config)
+        model, _ = quant_aware_finetune(model, ds, table, config)
         table = build_fl_table(model, calibration) if args.fl_preset is None else table
     dfp = quantize_model(model, table)
     save_model(dfp, args.out)

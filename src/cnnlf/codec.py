@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError
-from .network import NetworkConfig
+from .errors import ConfigError, DataError, ShapeError
+from .network import NetworkConfig, _check_inputs
 from .tensor import round_half_away
 
 BLOCK = 8
@@ -66,11 +66,8 @@ def encode_intra_plane(plane: np.ndarray, qp: int, bit_depth: int = 8):
     Dimensions that are not multiples of 8 are edge-padded for coding and
     cropped back.  Deterministic: no randomness anywhere.
     """
-    plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise ShapeError(f"plane must be 2-d, got shape {plane.shape}")
-    if not (0 <= qp <= 51):
-        raise DataError(f"qp {qp} outside [0, 51]")
+    # the network's input contract, whose QP range is the codec's
+    plane = _check_inputs(plane, qp, NetworkConfig(bit_depth=bit_depth))
     pmax = (1 << bit_depth) - 1
     h, w = plane.shape
     ph = (BLOCK - h % BLOCK) % BLOCK
@@ -132,6 +129,8 @@ def make_dataset(images, qps=DEFAULT_QPS, patch: int = PATCH_SIZE,
     with the seeded RNG.
     """
     import warnings as _warnings
+    if patch < 1:
+        raise ConfigError(f"patch size must be at least 1, got {patch}")
     decoded_list, original_list, qp_list, prov = [], [], [], []
     for image_id, plane in images:
         plane = np.asarray(plane)
@@ -387,10 +386,9 @@ def save_patchset(path, patchset: PatchSet) -> None:
 def load_patchset(path) -> PatchSet:
     """Read a patch set written by :func:`save_patchset`; raise DataError if malformed.
 
-    Pixels must lie in ``[0, pixel_max]`` and QPs in ``[0, qp_max]``, the
-    input contract of :func:`cnnlf.network._check_inputs`, at 16 bits for
-    ``uint16`` pixels and 8 bits otherwise.  A file that cannot be opened
-    raises ``OSError``.
+    Both patch stacks and the QPs must meet the input contract of
+    :func:`cnnlf.network._check_inputs`, at 16 bits for ``uint16`` pixels and
+    8 bits otherwise.  A file that cannot be opened raises ``OSError``.
     """
     with open(path, "rb") as f:
         try:
@@ -412,14 +410,13 @@ def load_patchset(path) -> PatchSet:
         if arrays[name].ndim != 1 or arrays[name].dtype.kind not in "iu":
             raise DataError(f"{path}: {name!r} is not a 1-d integer array")
     config = NetworkConfig(bit_depth=16 if decoded.dtype == np.uint16 else 8)
-    for name, limit in (("decoded", config.pixel_max), ("original", config.pixel_max),
-                        ("qps", config.qp_max)):
-        values = arrays[name]
-        if values.dtype.kind not in "iuf":
-            raise DataError(f"{path}: {name!r} holds {values.dtype}, not numbers")
-        if values.size and not (values.min() >= 0 and values.max() <= limit):
-            raise DataError(f"{path}: {name!r} values outside [0, {limit}]: "
-                            f"min={values.min()}, max={values.max()}")
+    for name in ("decoded", "original"):
+        if arrays[name].dtype.kind not in "iuf":
+            raise DataError(f"{path}: {name!r} holds {arrays[name].dtype}, not numbers")
+        try:
+            _check_inputs(arrays[name], arrays["qps"], config)
+        except (ShapeError, DataError) as exc:
+            raise DataError(f"{path}: {name!r} with 'qps': {exc}") from None
     qps = [int(q) for q in arrays["qps"]]
     prov = [PatchProvenance(str(i), int(y), int(x), q)
             for i, y, x, q in zip(arrays["image_ids"], arrays["y0"], arrays["x0"], qps)]

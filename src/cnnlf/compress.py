@@ -217,13 +217,17 @@ def decompose_model(model: NetworkModel, energy_keep: float = 0.95,
                     ranks: list | None = None) -> tuple:
     """Replace conv layers by (basis, 1x1 combine) pairs where that saves parameters.
 
-    Expects a BN-folded model.  A layer is left intact when the selected
-    rank would not shrink it (always true for the final 1-channel layer).
+    Expects a BN-folded model.  ``ranks``, if given, holds one positive rank
+    per layer, clamped to the layer's matrix rank.  A layer is left intact
+    when the rank would not shrink it (always true for the final 1-channel layer).
     The new model's config counts and sizes the layers it holds.
     Returns ``(model, per-layer info list)``.
     """
     if model.has_bn:
         raise ConfigError("decompose_model expects a BN-folded model; call fold_batchnorm first")
+    if ranks is not None and (len(ranks) != len(model.layers) or min(ranks) < 1):
+        raise ConfigError(f"need one positive rank per layer for {len(model.layers)} layers, "
+                          f"got {list(ranks)}")
     new_layers = []
     info = []
     for i, layer in enumerate(model.layers):
@@ -231,7 +235,7 @@ def decompose_model(model: NetworkModel, energy_keep: float = 0.95,
         mat_rank = min(cout, cin * k * k)
         s = np.linalg.svd(layer.conv.weights.reshape(cout, -1), compute_uv=False)
         rank = ranks[i] if ranks is not None else select_rank(s, energy_keep)
-        rank = max(1, min(rank, mat_rank))
+        rank = min(rank, mat_rank)
         original = cout * cin * k * k
         decomposed = rank * cin * k * k + cout * rank
         if decomposed >= original:

@@ -205,9 +205,8 @@ def _calibration_max_abs(model: NetworkModel, calibration) -> list:
     maxima = [0.0] * len(model.layers)
     count = 0
     for plane, qp in calibration:
-        recon, qpmap = normalize_inputs(np.asarray(plane), qp, model.config)
-        inp = np.stack([recon, qpmap])[None]
-        _, caches = forward_network(model, inp, keep_cache=True)
+        _, caches = forward_network(model, normalize_inputs(plane, qp, model.config),
+                                    keep_cache=True)
         for i, cache in enumerate(caches):
             maxima[i] = max(maxima[i], float(np.abs(cache["z"]).max()))
         count += 1

@@ -1,15 +1,16 @@
 """The filter network: a residual CNN conditioned on the quantization parameter.
 
 The network takes two planes, the decoded reconstruction and a constant
-QP map, both normalized to [0, 1].  They are concatenated into a
-2-channel input and passed through a chain of convolution layers; all
-but the last are followed by batch normalization and ReLU.  The last
-layer produces a single-channel residual that is added back onto the
-normalized reconstruction, so an all-zero network is an exact identity.
+QP map, both normalized to [0, 1]: the two channels of the input that
+:func:`normalize_inputs` alone builds, after :func:`_check_inputs`, the one
+range check.  They pass through a chain of convolution layers; all but the
+last are followed by batch normalization and ReLU.  The last layer produces
+a single-channel residual that is added back onto the normalized
+reconstruction, so an all-zero network is an exact identity.
 
 :func:`forward_network` is the training forward, with BN on batch statistics.
 Inference folds BN into the convs first (:func:`cnnlf.compress.fold_batchnorm`),
-so no inference path runs a BN layer.
+so no inference path runs a BN layer; :func:`filter_plane` is the float one.
 
 One model serves every QP and, because it is single-plane, luma and
 chroma planes alike.
@@ -157,27 +158,40 @@ def build_cnnf(config: NetworkConfig, rng_seed: int,
     return NetworkModel(config, layers)
 
 
-def _check_inputs(plane: np.ndarray, qp: int, config: NetworkConfig) -> np.ndarray:
-    """The input contract of the float and the integer path alike: a 2-d plane
-    of pixels in [0, pixel_max] and a QP in [0, qp_max].  Returns the plane as an array."""
-    plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise ShapeError(f"plane must be 2-d, got shape {plane.shape}")
+def _check_inputs(planes: np.ndarray, qps, config: NetworkConfig) -> np.ndarray:
+    """The input contract of the float and the integer path alike: one 2-d plane
+    and its QP, or an (N, H, W) stack and N QPs, with pixels in [0, pixel_max]
+    and QPs in [0, qp_max].  One vectorised pass checks a stack, and an error
+    names its first bad patch by index.  Returns ``planes`` as an array."""
+    planes, qps = np.asarray(planes), np.asarray(qps)
+    if qps.ndim > 1 or planes.ndim != 2 + qps.ndim or planes.shape[:-2] != qps.shape:
+        raise ShapeError(f"need a 2-d plane and a QP or an (N,H,W) stack and N QPs, "
+                         f"got planes {planes.shape} and QPs {qps.shape}")
+    if 0 in planes.shape[-2:]:
+        raise ShapeError(f"planes of {planes.shape[-2]}x{planes.shape[-1]} hold no pixels")
+    stack, qps = planes.reshape((qps.size,) + planes.shape[-2:]), qps.reshape(-1)
     pmax = config.pixel_max
-    if plane.min() < 0 or plane.max() > pmax:
-        raise DataError(
-            f"pixel values outside [0, {pmax}]: min={plane.min()}, max={plane.max()}")
-    if not (0 <= qp <= config.qp_max):
-        raise DataError(f"qp {qp} outside [0, {config.qp_max}]")
-    return plane
+    bad_pixels = ~((stack.min(axis=(1, 2)) >= 0) & (stack.max(axis=(1, 2)) <= pmax))
+    bad = bad_pixels | ~((qps >= 0) & (qps <= config.qp_max))
+    if bad.any():
+        j = int(bad.argmax())
+        where = f"patch {j}: " if planes.ndim == 3 else ""
+        if bad_pixels[j]:
+            raise DataError(f"{where}pixel values outside [0, {pmax}]: "
+                            f"min={stack[j].min()}, max={stack[j].max()}")
+        raise DataError(f"{where}qp {qps[j]} outside [0, {config.qp_max}]")
+    return planes
 
 
-def normalize_inputs(plane: np.ndarray, qp: int, config: NetworkConfig):
-    """Map an integer plane and a QP to the network's two [0, 1] input planes."""
-    plane = _check_inputs(plane, qp, config)
-    recon = plane.astype(np.float64) / config.pixel_max
-    qpmap = np.full(plane.shape, qp / config.qp_max, dtype=np.float64)
-    return recon, qpmap
+def normalize_inputs(planes: np.ndarray, qps, config: NetworkConfig) -> np.ndarray:
+    """The (N, 2, H, W) network input of one plane and its QP (N = 1) or of an
+    (N, H, W) stack and its N QPs, checked by :func:`_check_inputs`: pixels
+    over ``pixel_max`` in channel 0 and each plane's QP over ``qp_max`` in channel 1."""
+    planes = _check_inputs(planes, qps, config)
+    inp = np.empty((np.size(qps), 2) + planes.shape[-2:])
+    np.divide(planes, config.pixel_max, out=inp[:, 0])
+    inp[:, 1] = np.reshape(qps, (-1, 1, 1)) / config.qp_max
+    return inp
 
 
 def forward_network(model: NetworkModel, inp: np.ndarray, keep_cache: bool = False):
@@ -214,21 +228,6 @@ def forward_network(model: NetworkModel, inp: np.ndarray, keep_cache: bool = Fal
     return x + inp[:, :1], caches
 
 
-def forward_float(model: NetworkModel, recon: np.ndarray, qpmap: np.ndarray) -> np.ndarray:
-    """Float inference on one plane; returns the unclamped filtered plane.
-
-    ``recon`` and ``qpmap`` are the outputs of :func:`normalize_inputs`.
-    BN is folded into a copy of the model first, so ``model`` is not changed.
-    """
-    recon = np.asarray(recon, dtype=np.float64)
-    qpmap = np.asarray(qpmap, dtype=np.float64)
-    if recon.ndim != 2 or recon.shape != qpmap.shape:
-        raise ShapeError(f"recon {recon.shape} and qpmap {qpmap.shape} must be planes of one size")
-    from .compress import fold_batchnorm
-    out, _ = forward_network(fold_batchnorm(model), np.stack([recon, qpmap])[None])
-    return out[0, 0]
-
-
 def denormalize(output: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Back to integer pixels: scale, round half away from zero, clamp to range."""
     pmax = config.pixel_max
@@ -239,6 +238,8 @@ def denormalize(output: np.ndarray, config: NetworkConfig) -> np.ndarray:
 
 
 def filter_plane(model: NetworkModel, plane: np.ndarray, qp: int) -> np.ndarray:
-    """Full float filtering path: normalize, forward, denormalize."""
-    recon, qpmap = normalize_inputs(plane, qp, model.config)
-    return denormalize(forward_float(model, recon, qpmap), model.config)
+    """Float inference on one integer plane: normalize, forward through a
+    BN-folded copy of ``model`` (``model`` is not changed), denormalize."""
+    from .compress import fold_batchnorm
+    out, _ = forward_network(fold_batchnorm(model), normalize_inputs(plane, qp, model.config))
+    return denormalize(out[0, 0], model.config)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NonFiniteLossError, ShapeError
+from .errors import ConfigError, NonFiniteLossError, ShapeError
 from . import tensor
-from .network import Layer, NetworkModel, _check_inputs, forward_network
+from .network import Layer, NetworkModel, _check_inputs, forward_network, normalize_inputs
 
 FILTER_NORM_EPSILON = 1e-12
 
@@ -154,28 +154,6 @@ def lda_regularizer(layer_weights: np.ndarray):
     return value, g_flat.reshape(w.shape)
 
 
-def _batch_to_tensors(batch, config: "NetworkModel.config"):
-    """Stack (decoded, original, qp) patch triples into network inputs/targets.
-
-    Each patch is checked by :func:`cnnlf.network._check_inputs`, so an error
-    names the first bad patch; the checked batch is then normalised at once.
-    """
-    decoded, original, qps = zip(*batch)
-    try:
-        decoded, original = np.stack(decoded), np.stack(original)
-    except ValueError:
-        raise ShapeError("the patches of a batch must all have one shape") from None
-    for j, (plane, qp) in enumerate(zip(decoded, qps)):
-        try:
-            _check_inputs(plane, qp, config)
-        except (ShapeError, DataError) as exc:
-            raise type(exc)(f"patch {j}: {exc}") from None
-    inp = np.empty((len(decoded), 2) + decoded.shape[1:])
-    np.divide(decoded, config.pixel_max, out=inp[:, 0])
-    inp[:, 1] = (np.asarray(qps) / config.qp_max)[:, None, None]
-    return inp, (original / config.pixel_max)[:, None]
-
-
 def backward_network(model: NetworkModel, caches, d_out: np.ndarray) -> list:
     """Backprop ``d_out`` (gradient at the residual output) through the conv chain.
 
@@ -213,16 +191,18 @@ def _check_finite(value: float, term: str) -> None:
 def loss_eq1(model: NetworkModel, batch, config: TrainConfig):
     """Composite training loss and its exact gradients over one batch.
 
-    ``batch`` is a sequence of (decoded_patch, original_patch, qp) triples
-    of length ``config.batch_size``.  The MSE term is
-    ``sum_i ||y_i - f(x_i)||^2 / (2 M)`` with M the batch size; the filter
+    ``batch`` is ``(decoded, original, qps)``: two (M, H, W) patch stacks and
+    M QPs, M = ``config.batch_size``, checked by :func:`normalize_inputs`.
+    The MSE term is ``sum_i ||y_i - f(x_i)||^2 / (2 M)``; the filter
     decorrelation term covers all layers except the last.
     """
-    m = len(batch)
+    decoded, original, qps = batch
+    m = len(decoded)
     if m != config.batch_size:
         raise ConfigError(f"batch has {m} samples, config expects {config.batch_size}")
-    inp, target = _batch_to_tensors(batch, model.config)
-    out, caches = forward_network(model, inp, keep_cache=True)
+    out, caches = forward_network(model, normalize_inputs(decoded, qps, model.config),
+                                  keep_cache=True)
+    target = (np.asarray(original) / model.config.pixel_max)[:, None]
     resid = out - target
     mse = float((resid * resid).sum() / (2.0 * m))
     _check_finite(mse, "mse")
@@ -286,39 +266,49 @@ def sgd_step(model: NetworkModel, grads, lr: float, grad_clip_norm: float) -> Ne
 def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_table=None):
     """SGD over the dataset; returns (model, per-epoch LossBreakdown history).
 
-    The dataset is a sequence of (decoded, original, qp) triples; it is
-    reshuffled every epoch from the seeded RNG and split into
-    ``floor(N / M)`` batches.  ``callbacks``, if given, is called as
+    The dataset is a sized sequence of (decoded, original, qp) triples, such
+    as a :class:`cnnlf.codec.PatchSet`.  It is stacked into arrays of one
+    patch shape and checked once, so a bad patch is named by its dataset
+    index before any step; each epoch's seeded permutation of the indices is
+    gathered in ``floor(N / M)`` batches.  ``callbacks``, if given, is called as
     ``callbacks(epoch, step, breakdown, lr)`` after every step.  With an
     ``fl_table`` each step's loss and gradients come from
     ``quantized_view(model, fl_table)`` while the updates land on the float
     parameters (straight-through estimator).
     """
-    items = list(dataset)
-    if len(items) < config.batch_size:
+    n = len(dataset)
+    if n < config.batch_size:
         raise ConfigError(
-            f"dataset has {len(items)} patches, smaller than one batch of {config.batch_size}")
+            f"dataset has {n} patches, smaller than one batch of {config.batch_size}")
+    decoded, original, qps = zip(*dataset)
+    try:
+        patches = np.stack(decoded + original)
+    except ValueError:
+        raise ShapeError("the patches of a dataset must all have one shape") from None
+    decoded, original, qps = patches[:n], patches[n:], np.asarray(qps)
+    for planes in (decoded, original):
+        _check_inputs(planes, qps, model.config)
     rf = model.config.receptive_field
-    h, w = np.asarray(items[0][0]).shape
+    h, w = decoded.shape[1:]
     # quantization-aware fine-tuning accepts patches of any size
     if fl_table is None and (h < rf or w < rf):
         raise ConfigError(f"patches {h}x{w} smaller than the receptive field {rf}")
     rng = np.random.default_rng(config.rng_seed)
-    steps_per_epoch = len(items) // config.batch_size
+    steps_per_epoch = n // config.batch_size
     history = []
     for epoch in range(config.epochs):
         if epoch in config.prune_at_epochs:
             from .compress import prune_by_bn_scale
             model, _ = prune_by_bn_scale(model, config.prune_threshold)
-        order = rng.permutation(len(items))
+        order = rng.permutation(n)
         lr = config.lr_at(epoch)
         epoch_terms = np.zeros(5)
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
-            batch = [items[i] for i in idx]
             view = model if fl_table is None else quantized_view(model, fl_table)
             with tensor._spend_blas_threads():
-                breakdown, grads = loss_eq1(view, batch, config)
+                breakdown, grads = loss_eq1(view, (decoded[idx], original[idx], qps[idx]),
+                                            config)
             model = sgd_step(model, grads, lr, config.grad_clip_norm)
             epoch_terms += (breakdown.mse, breakdown.reg_w, breakdown.reg_s,
                             breakdown.reg_lda, breakdown.total)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cnnlf import dfp, tensor
-from cnnlf.network import NetworkConfig, build_cnnf
+from cnnlf.compress import fold_batchnorm
+from cnnlf.network import NetworkConfig, build_cnnf, forward_network, normalize_inputs
 
 
 @pytest.fixture
@@ -36,6 +37,12 @@ def tiny_bn_model(tiny_model, rng):
         layer.bn.scale[:] = rng.normal(1.0, 0.4, size=layer.bn.channels)
         layer.bn.shift[:] = rng.normal(size=layer.bn.channels)
     return model
+
+
+def float_output(model, plane, qp):
+    """The unclamped float plane that :func:`cnnlf.network.filter_plane` denormalizes."""
+    out, _ = forward_network(fold_batchnorm(model), normalize_inputs(plane, qp, model.config))
+    return out[0, 0]
 
 
 @contextmanager

@@ -327,6 +327,19 @@ class TestPlaneIO:
         with pytest.raises(DataError, match=f"bad.npz.*{name}"):
             load_patchset(tmp_path / "bad.npz")
 
+    def test_patchset_of_patches_without_pixels_is_data_error(self, tmp_path):
+        ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22,), patch=16)
+        save_patchset(tmp_path / "ds.npz", ds)
+        with np.load(tmp_path / "ds.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        np.savez(tmp_path / "empty.npz", **{k: v[:0] for k, v in arrays.items()})
+        assert len(load_patchset(tmp_path / "empty.npz")) == 0
+        for name in ("decoded", "original"):
+            arrays[name] = arrays[name][:, :0]
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(DataError, match="bad.npz: 'decoded'.*hold no pixels"):
+            load_patchset(tmp_path / "bad.npz")
+
     def test_patchset_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_patchset(tmp_path / "absent.npz")

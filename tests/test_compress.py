@@ -5,19 +5,20 @@ from cnnlf.compress import (LowRankLayer, count_parameters, decompose_model,
                             fold_batchnorm, prune_by_bn_scale, select_rank, svd_lowrank)
 from cnnlf.errors import ConfigError
 from cnnlf.model_io import model_hash
-from cnnlf.network import NetworkConfig, build_cnnf, forward_float
+from cnnlf.network import NetworkConfig, build_cnnf, normalize_inputs
 from cnnlf.tensor import ConvParams
 
+from .conftest import float_output
 from .oracles import bn_inference_forward
 
 
 def random_inputs(rng, n=3, size=12):
-    return [(rng.uniform(size=(size, size)), np.full((size, size), rng.uniform()))
+    return [(rng.integers(0, 256, size=(size, size)), int(rng.integers(0, 52)))
             for _ in range(n)]
 
 
 def forward_all(model, inputs):
-    return [forward_float(model, r, q) for r, q in inputs]
+    return [float_output(model, plane, qp) for plane, qp in inputs]
 
 
 class TestPrune:
@@ -130,8 +131,9 @@ class TestFoldBatchnorm:
         folded = fold_batchnorm(tiny_bn_model)
         assert not folded.has_bn
         inputs = random_inputs(rng)
-        for (r, q), a in zip(inputs, forward_all(folded, inputs)):
-            assert np.abs(a - bn_inference_forward(tiny_bn_model, r, q)).max() < 1e-10
+        for (plane, qp), a in zip(inputs, forward_all(folded, inputs)):
+            recon, qpmap = normalize_inputs(plane, qp, folded.config)[0]
+            assert np.abs(a - bn_inference_forward(tiny_bn_model, recon, qpmap)).max() < 1e-10
 
     def test_fold_is_idempotent(self, tiny_model):
         folded = fold_batchnorm(tiny_model)
@@ -224,6 +226,19 @@ class TestDecomposeModel:
         with pytest.raises(ConfigError, match="BN-folded"):
             decompose_model(tiny_model)
 
+    @pytest.mark.parametrize("ranks", [[2], [2, 2, 1, 5, 7], [2, 0, 1], [2, -3, 1], []])
+    def test_ranks_need_one_positive_entry_per_layer(self, tiny_model, ranks):
+        with pytest.raises(ConfigError, match="one positive rank per layer"):
+            decompose_model(fold_batchnorm(tiny_model), ranks=ranks)
+
+    def test_rank_above_the_matrix_rank_clamps(self, tiny_model):
+        # layer 1 is 6 x 18 and layer 3 is 1 x 45: ranks 6 and 1 are their matrix ranks
+        folded = fold_batchnorm(tiny_model)
+        _, info = decompose_model(folded, ranks=[99, 1, 99])
+        assert [e["kept"] for e in info] == [True, False, True]
+        _, same = decompose_model(folded, ranks=[6, 1, 1])
+        assert [e["rank"] for e in info] == [e["rank"] for e in same]
+
     def test_structure_and_fidelity_at_full_energy(self, tiny_model, rng):
         folded = fold_batchnorm(tiny_model)
         # force decomposition with explicit low ranks where they save params
@@ -250,6 +265,5 @@ class TestDecomposeModel:
     def test_rank_one_changes_outputs_but_keeps_shapes(self, tiny_model, rng):
         folded = fold_batchnorm(tiny_model)
         decomposed, _ = decompose_model(folded, ranks=[1] * len(folded.layers))
-        r, q = rng.uniform(size=(10, 10)), np.full((10, 10), 0.5)
-        out = forward_float(decomposed, r, q)
+        out = float_output(decomposed, rng.integers(0, 256, size=(10, 10)), 26)
         assert out.shape == (10, 10)

@@ -4,8 +4,9 @@ import pytest
 from cnnlf.errors import ConfigError, DataError, ShapeError
 from cnnlf import tensor
 from cnnlf.network import (NetworkConfig, NetworkModel, build_cnnf, denormalize, filter_plane,
-                           forward_float, forward_network, normalize_inputs)
+                           forward_network, normalize_inputs)
 
+from .conftest import float_output
 from .oracles import bn_inference_forward
 
 
@@ -66,20 +67,33 @@ class TestBuild:
 class TestNormalize:
     def test_max_pixel_maps_to_one(self):
         cfg = NetworkConfig()
-        recon, _ = normalize_inputs(np.full((4, 4), 255, dtype=np.uint8), 22, cfg)
-        assert np.all(recon == 1.0)
+        inp = normalize_inputs(np.full((4, 4), 255, dtype=np.uint8), 22, cfg)
+        assert inp.shape == (1, 2, 4, 4)
+        assert np.all(inp[0, 0] == 1.0)
 
     def test_zero_pixel_and_zero_qp(self):
         cfg = NetworkConfig()
-        recon, qpmap = normalize_inputs(np.zeros((4, 4), dtype=np.uint8), 0, cfg)
-        assert not recon.any()
-        assert not qpmap.any()
+        inp = normalize_inputs(np.zeros((4, 4), dtype=np.uint8), 0, cfg)
+        assert not inp.any()
 
     def test_qp37_value(self):
         cfg = NetworkConfig()
-        _, qpmap = normalize_inputs(np.zeros((3, 5), dtype=np.uint8), 37, cfg)
+        qpmap = normalize_inputs(np.zeros((3, 5), dtype=np.uint8), 37, cfg)[0, 1]
         assert np.allclose(qpmap, 37 / 51)
         assert abs(qpmap[0, 0] - 0.7254901960784313) < 1e-15
+
+    @pytest.mark.parametrize("dtype, bit_depth", [(np.uint8, 8), (np.uint16, 10),
+                                                  (np.int64, 8)])
+    def test_stack_equals_the_per_plane_formula(self, rng, dtype, bit_depth):
+        cfg = NetworkConfig(bit_depth=bit_depth)
+        planes = rng.integers(0, cfg.pixel_max + 1, size=(5, 7, 9)).astype(dtype)
+        qps = [0, 22, 37, 51, 27]
+        inp = normalize_inputs(planes, qps, cfg)
+        assert inp.shape == (5, 2, 7, 9) and inp.dtype == np.float64
+        for j, (plane, qp) in enumerate(zip(planes, qps)):
+            assert np.array_equal(inp[j, 0], plane.astype(np.float64) / cfg.pixel_max)
+            assert np.array_equal(inp[j, 1], np.full(plane.shape, qp / cfg.qp_max))
+            assert np.array_equal(inp[j], normalize_inputs(plane, qp, cfg)[0])
 
     def test_out_of_range_pixel(self):
         cfg = NetworkConfig()
@@ -91,6 +105,15 @@ class TestNormalize:
         with pytest.raises(DataError, match="qp"):
             normalize_inputs(np.zeros((2, 2), dtype=np.uint8), 52, cfg)
 
+    def test_empty_stack_passes_and_planes_without_pixels_are_a_shape_error(self, tiny_model):
+        inp = normalize_inputs(np.zeros((0, 8, 8), dtype=np.uint8), [], NetworkConfig())
+        assert inp.shape == (0, 2, 8, 8)
+        for shape, qps in [((3, 0, 4), [22] * 3), ((0, 5), 22), ((0, 0), 22)]:
+            with pytest.raises(ShapeError, match="hold no pixels"):
+                normalize_inputs(np.zeros(shape, dtype=np.uint8), qps, NetworkConfig())
+        with pytest.raises(ShapeError, match="hold no pixels"):
+            filter_plane(tiny_model, np.zeros((0, 5), dtype=np.uint8), 22)
+
 
 class TestForward:
     def test_zero_model_is_pure_residual_passthrough(self, tiny_model, rng):
@@ -98,22 +121,23 @@ class TestForward:
         for layer in model.layers:
             layer.conv.weights[:] = 0.0
             layer.conv.bias[:] = 0.0
-        recon = rng.uniform(size=(8, 8))
-        qpmap = np.full((8, 8), 0.5)
-        out = forward_float(model, recon, qpmap)
-        assert np.array_equal(out, recon)
+        plane = rng.integers(0, 256, size=(8, 8))
+        out = float_output(model, plane, 26)
+        assert np.array_equal(out, plane / 255)
 
     def test_output_shape_matches_input(self, tiny_model, rng):
-        for h, w in [(8, 8), (5, 9), (35, 35)]:
-            out = forward_float(tiny_model, rng.uniform(size=(h, w)), np.full((h, w), 0.4))
-            assert out.shape == (h, w)
+        # the 3x3 kernels are larger than the 1-row, 1-column and 2x2 planes
+        for h, w in [(8, 8), (5, 9), (35, 35), (1, 12), (12, 1), (2, 2)]:
+            plane = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+            assert float_output(tiny_model, plane, 20).shape == (h, w)
+            assert filter_plane(tiny_model, plane, 20).shape == (h, w)
 
     def test_matches_hand_chained_tensor_ops(self, tiny_bn_model, rng):
-        recon = rng.uniform(size=(8, 8))
-        qpmap = np.full((8, 8), 37 / 51)
-        out = forward_float(tiny_bn_model, recon, qpmap)
+        plane = rng.integers(0, 256, size=(8, 8))
+        out = float_output(tiny_bn_model, plane, 37)
 
-        x = np.stack([recon, qpmap])[None]
+        recon = plane / 255
+        x = np.stack([recon, np.full((8, 8), 37 / 51)])[None]
         for layer in tiny_bn_model.layers:
             x = tensor.conv2d(x, layer.conv)
             bn = layer.bn
@@ -159,15 +183,22 @@ class TestForward:
                         assert array.shape[2:] == (h, w)
 
     def test_shape_mismatch_raises(self, tiny_model, rng):
-        with pytest.raises(ShapeError):
-            forward_float(tiny_model, rng.uniform(size=(8, 8)), np.full((8, 9), 0.4))
+        # a stack and too few QPs, a plane and a QP list, a stack and one QP, a row,
+        # a 4-d stack
+        for shape, qps in [((3, 8, 8), [22, 37]), ((8, 8), [22]), ((3, 8, 8), 22), ((8,), 22),
+                           ((2, 3, 8, 8), [[22, 37, 22]] * 2)]:
+            with pytest.raises(ShapeError, match="2-d plane and a QP"):
+                normalize_inputs(np.zeros(shape, dtype=np.uint8), qps, tiny_model.config)
+        with pytest.raises(ShapeError, match=r"\(N,2,H,W\)"):
+            forward_network(tiny_model, rng.uniform(size=(1, 3, 8, 8)))
 
     def test_forward_deterministic(self, tiny_model, rng):
-        recon = rng.uniform(size=(16, 16))
-        qpmap = np.full((16, 16), 0.3)
-        a = forward_float(tiny_model, recon, qpmap)
-        b = forward_float(tiny_model, recon, qpmap)
+        plane = rng.integers(0, 256, size=(16, 16))
+        a = float_output(tiny_model, plane, 15)
+        b = float_output(tiny_model, plane, 15)
         assert np.array_equal(a, b)
+        assert np.array_equal(filter_plane(tiny_model, plane, 15),
+                              filter_plane(tiny_model, plane, 15))
 
 
 class TestDenormalize:
@@ -187,7 +218,7 @@ class TestDenormalize:
     def test_round_trip_all_pixels(self):
         cfg = NetworkConfig()
         pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        recon, _ = normalize_inputs(pixels, 22, cfg)
+        recon = normalize_inputs(pixels, 22, cfg)[0, 0]
         assert np.array_equal(denormalize(recon, cfg), pixels)
 
 
@@ -210,7 +241,7 @@ def test_filter_plane_folds_bn_without_touching_the_model(tiny_bn_model):
         bn = layer.bn
         for got, want in zip((bn.scale, bn.shift, bn.running_mean, bn.running_var), arrays):
             assert np.array_equal(got, want)
-    recon, qpmap = normalize_inputs(plane, 32, cfg)
+    recon, qpmap = normalize_inputs(plane, 32, cfg)[0]
     expected = denormalize(bn_inference_forward(tiny_bn_model, recon, qpmap), cfg)
     assert np.array_equal(out, expected)
     assert not np.array_equal(out, plane)

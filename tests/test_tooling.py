@@ -237,6 +237,37 @@ class TestCli:
         assert {"epoch", "step", "mse", "reg_w", "reg_s", "reg_lda", "total",
                 "lr"} <= set(record)
 
+    def test_prune_lowrank_finetune_verify_chain(self, workspace):
+        self._make_pipeline(workspace)
+        assert self.run("prune", "--model", "m.clf", "--out", "p.clf") == 0
+        # ranks 2 and 2 split the two 6-filter layers; the 1-channel head stays whole
+        assert self.run("lowrank", "--model", "p.clf", "--out", "l.clf",
+                        "--ranks", "2,2,1") == 0
+        assert load_model("l.clf").num_layers == 5
+        assert self.run("quantize", "--model", "l.clf", "--dataset", "ds.npz", "--out", "q.clf",
+                        "--calib-count", "4", "--finetune", "--finetune-epochs", "1",
+                        "--vectors", "v.bin", "--log", "log") == 0
+        (record,) = [json.loads(line) for line in (workspace / "log").read_text().splitlines()]
+        assert record["finetuned"] is True and record["layers"] == 5
+        assert self.run("verify", "--model", "q.clf", "--vectors", "v.bin") == 0
+
+    @pytest.mark.parametrize("ranks", ["2", "2,2,1,5,7", "2,0,1", "2,-3,1"])
+    def test_lowrank_ranks_not_one_positive_per_layer_exit_code(self, workspace, tiny_model,
+                                                               capsys, ranks):
+        save_model(tiny_model, "m.clf")
+        assert self.run("lowrank", "--model", "m.clf", "--out", "l.clf", f"--ranks={ranks}") == 5
+        err = capsys.readouterr().err
+        assert err.count("cnnlf:") == 1 and "one positive rank per layer" in err
+        assert not (workspace / "l.clf").exists()
+
+    @pytest.mark.parametrize("patch", ["0", "-3"])
+    def test_dataset_patch_below_one_exit_code(self, workspace, capsys, patch):
+        assert self.run("dataset", "--synthetic", "1", "--synthetic-size", "40x40",
+                        f"--patch={patch}", "--out", "d.npz") == 5
+        err = capsys.readouterr().err
+        assert err.count("cnnlf:") == 1 and "patch size must be at least 1" in err
+        assert not (workspace / "d.npz").exists()
+
     def test_infer_dfp_twice_byte_identical(self, workspace):
         self._make_pipeline(workspace)
         write_pgm("in.pgm", make_test_image(48, 48, seed=9))

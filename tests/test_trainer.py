@@ -5,27 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnlf import tensor
+from cnnlf import codec, tensor
 from cnnlf.errors import ConfigError, DataError, NonFiniteLossError, ShapeError
 from cnnlf.network import NetworkConfig, build_cnnf, forward_network, normalize_inputs
 from cnnlf.tensor import BNParams
 from cnnlf.model_io import model_hash
-from cnnlf.trainer import (LossBreakdown, TrainConfig, _batch_to_tensors, global_grad_norm,
-                           lda_regularizer, loss_eq1, quant_aware_finetune, quantized_view,
-                           sgd_step, train)
+from cnnlf.trainer import (LossBreakdown, TrainConfig, global_grad_norm, lda_regularizer,
+                           loss_eq1, quant_aware_finetune, quantized_view, sgd_step, train)
 
 from .conftest import blas_count
 from .oracles import finite_difference, lda_pairwise, lda_pairwise_loops, max_relative_error
 
 
 def make_batch(rng, size, patch=8, qps=(22, 37)):
-    batch = []
+    """The three arrays of a batch: (size, patch, patch) decoded and original patches
+    and ``size`` QPs."""
+    patches = []
     for i in range(size):
         original = rng.integers(0, 256, size=(patch, patch)).astype(np.uint8)
         noise = rng.integers(-6, 7, size=(patch, patch))
         decoded = np.clip(original.astype(np.int64) + noise, 0, 255).astype(np.uint8)
-        batch.append((decoded, original, qps[i % len(qps)]))
-    return batch
+        patches.append((decoded, original, qps[i % len(qps)]))
+    decoded, original, qps = zip(*patches)
+    return np.stack(decoded), np.stack(original), np.array(qps)
+
+
+def make_triples(rng, size, **kwargs):
+    """``make_batch`` as a sequence of (decoded, original, qp) triples, as ``train`` takes."""
+    return list(zip(*make_batch(rng, size, **kwargs)))
 
 
 @pytest.fixture
@@ -117,7 +124,8 @@ class TestLossEq1:
         for layer in model.layers:
             layer.conv.weights[:] = 0.0
         tc = TrainConfig(batch_size=4, lambda_w=0.0, lambda_s=0.0, lambda_lda=0.0)
-        batch = [(d, d.copy(), qp) for d, _, qp in make_batch(rng, 4)]
+        decoded, _, qps = make_batch(rng, 4)
+        batch = (decoded, decoded.copy(), qps)
         breakdown, _ = loss_eq1(model, batch, tc)
         assert breakdown.mse == 0.0
         assert breakdown.total == 0.0
@@ -224,33 +232,59 @@ class TestLossEq1:
 
 
 class TestBatchToTensors:
+    """How patches become the network input and target: ``loss_eq1`` normalizes a batch
+    of arrays, and ``train`` stacks and checks its dataset once."""
+
     def test_matches_per_patch_normalization(self, rng):
-        cfg = NetworkConfig()
-        batch = make_batch(rng, 5, qps=(0, 22, 51))
-        inp, target = _batch_to_tensors(batch, cfg)
-        assert inp.shape == (5, 2, 8, 8) and target.shape == (5, 1, 8, 8)
-        for j, (decoded, original, qp) in enumerate(batch):
-            recon, qpmap = normalize_inputs(decoded, qp, cfg)
-            assert np.array_equal(inp[j, 0], recon) and np.array_equal(inp[j, 1], qpmap)
-            assert np.array_equal(target[j, 0], original / cfg.pixel_max)
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        model = build_cnnf(cfg, rng_seed=3, zero_init_output=False)
+        decoded, original, qps = make_batch(rng, 5, qps=(0, 22, 51))
+        inp = np.stack([np.stack([d.astype(np.float64) / 255, np.full(d.shape, qp / 51)])
+                        for d, qp in zip(decoded, qps)])
+        assert np.array_equal(normalize_inputs(decoded, qps, cfg), inp)
+        out, _ = forward_network(model.copy(), inp)
+        resid = out - original[:, None].astype(np.float64) / 255
+        breakdown, _ = loss_eq1(model, (decoded, original, qps), TrainConfig(batch_size=5))
+        assert breakdown.mse == float((resid * resid).sum() / (2.0 * 5))
 
     @pytest.mark.parametrize("pixel, qp, match", [(256, 22, "patch 2: pixel values"),
                                                   (-1, 22, "patch 2: pixel values"),
                                                   (0, 52, "patch 2: qp 52"),
                                                   (0, float("nan"), "patch 2: qp nan")])
     def test_bad_patch_is_named_with_a_data_error(self, rng, pixel, qp, match):
-        batch = [(d.astype(np.int64), o, q) for d, o, q in make_batch(rng, 4)]
-        decoded, original, _ = batch[2]
-        decoded[1, 1] = pixel
-        batch[2] = (decoded, original, qp)
+        """Named by its dataset index before the first step, whether or not a batch
+        would hold it: with 10 patches and batches of 4, two of them are in none."""
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        ds = [(d.astype(np.int64), o, q) for d, o, q in make_triples(rng, 10)]
+        ds[2][0][1, 1] = pixel
+        ds[2] = (ds[2][0], ds[2][1], qp)
+        steps = []
         with pytest.raises(DataError, match=match):
-            _batch_to_tensors(batch, NetworkConfig())
+            train(build_cnnf(cfg, rng_seed=3), ds, TrainConfig(batch_size=4, epochs=1),
+                  callbacks=lambda *step: steps.append(step))
+        assert steps == []
+        with pytest.raises(DataError, match=match.replace("patch 2", "patch 0")):
+            loss_eq1(build_cnnf(cfg, rng_seed=3), [np.stack(a[2:6]) for a in zip(*ds)],
+                     TrainConfig(batch_size=4))
+
+    def test_bad_last_patch_or_original_is_named(self, rng):
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        for which in (0, 1):
+            ds = [(d.astype(np.int64), o.astype(np.int64), q)
+                  for d, o, q in make_triples(rng, 10)]
+            ds[9][which][0, 0] = 300
+            with pytest.raises(DataError, match="patch 9: pixel values"):
+                train(build_cnnf(cfg, rng_seed=3), ds, TrainConfig(batch_size=4, epochs=1))
 
     def test_ragged_batch_is_a_shape_error(self, rng):
-        batch = make_batch(rng, 3)
-        batch[1] = (batch[1][0][:6], batch[1][1][:6], 22)
-        with pytest.raises(ShapeError, match="one shape"):
-            _batch_to_tensors(batch, NetworkConfig())
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        for ragged in (0, 1):  # a decoded patch, or an original one, of another shape
+            ds = make_triples(rng, 4)
+            patch = list(ds[1])
+            patch[ragged] = patch[ragged][:6]
+            ds[1] = tuple(patch)
+            with pytest.raises(ShapeError, match="one shape"):
+                train(build_cnnf(cfg, rng_seed=3), ds, TrainConfig(batch_size=4, epochs=1))
 
 
 class TestSgdStep:
@@ -324,7 +358,7 @@ class TestSgdStep:
 
 class TestTrain:
     def _dataset(self, rng, n=12):
-        return make_batch(rng, n, patch=8)
+        return make_triples(rng, n, patch=8)
 
     def test_zero_epochs_returns_model_unchanged(self, rng):
         cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
@@ -355,7 +389,7 @@ class TestTrain:
             with blas_count(workers):
                 with tensor._spend_blas_threads():
                     loss, grads = loss_eq1(build_cnnf(cfg, rng_seed=3, zero_init_output=False),
-                                           ds[:4], tc)
+                                           [np.stack(a) for a in zip(*ds[:4])], tc)
                 model, history = train(build_cnnf(cfg, rng_seed=3, zero_init_output=False), ds, tc)
                 runs.append((loss, [a for g in grads for a in g.arrays()], history,
                              model_hash(model)))
@@ -372,6 +406,25 @@ class TestTrain:
             assert all(np.array_equal(a, b) for a, b in zip(other_grads, grads))
             assert other_digest == digest
 
+    def test_patch_set_and_its_items_train_alike(self):
+        """A step's batch is the gather, in the seeded permutation's order, of the
+        stacked dataset, a PatchSet or a list of its triples alike."""
+        ds = codec.make_dataset([("a", codec.make_test_image(40, 40, seed=2))], qps=(22, 37),
+                                patch=16)
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        tc = TrainConfig(batch_size=4, base_lr=0.005, epochs=2, lr_decay_epoch=2, rng_seed=17)
+        idx = np.random.default_rng(17).permutation(len(ds))[:4]
+        first, _ = loss_eq1(build_cnnf(cfg, rng_seed=3, zero_init_output=False),
+                            (ds.decoded[idx], ds.original[idx], np.asarray(ds.qps)[idx]), tc)
+        hashes = []
+        for dataset in (ds, ds.items()):
+            seen = []
+            model, _ = train(build_cnnf(cfg, rng_seed=3, zero_init_output=False), dataset, tc,
+                             callbacks=lambda e, s, b, lr: seen.append(b.total))
+            assert len(seen) == 4 and seen[0] == first.total
+            hashes.append(model_hash(model))
+        assert hashes[0] == hashes[1]
+
     def test_dataset_smaller_than_batch(self, rng):
         cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
         model = build_cnnf(cfg, rng_seed=3)
@@ -381,7 +434,7 @@ class TestTrain:
     def test_patch_below_receptive_field(self, rng):
         cfg = NetworkConfig(num_conv_layers=5, base_filters=4, per_layer_filters=(4,) * 4)
         model = build_cnnf(cfg, rng_seed=3)
-        ds = make_batch(rng, 6, patch=8)  # receptive field is 11
+        ds = make_triples(rng, 6, patch=8)  # receptive field is 11
         with pytest.raises(ConfigError, match="receptive field"):
             train(model, ds, TrainConfig(batch_size=4, epochs=1))
 
@@ -423,7 +476,7 @@ class TestQuantAwareFinetune:
         before = model_hash(model)
         tc = TrainConfig(batch_size=4, base_lr=0.0, epochs=1, lambda_w=0, lambda_s=0,
                          lambda_lda=0)
-        out, _ = quant_aware_finetune(model, make_batch(rng, 8), table, tc)
+        out, _ = quant_aware_finetune(model, make_triples(rng, 8), table, tc)
         assert model_hash(out) == before
 
     def test_quantized_forward_equals_round_then_forward(self, rng):
@@ -439,7 +492,8 @@ class TestQuantAwareFinetune:
         for got, want in zip(view.layers, dequantized.layers):
             assert np.array_equal(got.conv.weights, want.conv.weights)
             assert np.array_equal(got.conv.bias, want.conv.bias)
-        inp, _ = _batch_to_tensors(make_batch(rng, 4), model.config)
+        decoded, _, qps = make_batch(rng, 4)
+        inp = normalize_inputs(decoded, qps, model.config)
         out_view, _ = forward_network(view, inp)
         out_dequantized, _ = forward_network(dequantized, inp)
         assert np.array_equal(out_view, out_dequantized)
@@ -447,14 +501,15 @@ class TestQuantAwareFinetune:
     def test_finetune_reduces_quantized_mse(self, rng):
         model = self._folded(rng_seed=11)
         table = self._fl_table(model)
-        ds = make_batch(rng, 24, patch=8)
+        decoded, original, qps = make_batch(rng, 24, patch=8)
+        ds = list(zip(decoded, original, qps))
         tc = TrainConfig(batch_size=8, base_lr=2e-4, epochs=3, lr_decay_epoch=3,
                          lambda_w=0, lambda_s=0, lambda_lda=0, rng_seed=1)
 
         def quantized_mse(m):
-            inp, target = _batch_to_tensors(ds, m.config)
-            out, _ = forward_network(quantized_view(m, table), inp)
-            return float(((out - target) ** 2).sum())
+            out, _ = forward_network(quantized_view(m, table),
+                                     normalize_inputs(decoded, qps, m.config))
+            return float(((out - original[:, None] / m.config.pixel_max) ** 2).sum())
 
         before = quantized_mse(model)
         tuned, _ = quant_aware_finetune(model.copy(), ds, table, tc)
@@ -463,13 +518,14 @@ class TestQuantAwareFinetune:
     def test_train_with_fl_table_steps_on_the_quantized_view(self, rng):
         model = self._folded()
         table = self._fl_table(model)
-        ds = make_batch(rng, 8, patch=6)  # below the receptive field of 7, as fine-tuning allows
+        batch = make_batch(rng, 8, patch=6)  # below the receptive field of 7, as fine-tuning allows
         tc = TrainConfig(batch_size=8, base_lr=0.0, epochs=1, lambda_w=0, lambda_s=0,
                          lambda_lda=0)
         seen = []
-        train(model, ds, tc, callbacks=lambda e, s, b, lr: seen.append(b.mse), fl_table=table)
-        quantized, _ = loss_eq1(quantized_view(model, table), ds, tc)
-        plain, _ = loss_eq1(model, ds, tc)
+        train(model, list(zip(*batch)), tc, callbacks=lambda e, s, b, lr: seen.append(b.mse),
+              fl_table=table)
+        quantized, _ = loss_eq1(quantized_view(model, table), batch, tc)
+        plain, _ = loss_eq1(model, batch, tc)
         assert seen == [pytest.approx(quantized.mse, rel=1e-12)]
         assert seen[0] != pytest.approx(plain.mse, rel=1e-9)
 
@@ -477,11 +533,11 @@ class TestQuantAwareFinetune:
         cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
         model = build_cnnf(cfg, rng_seed=3)
         with pytest.raises(ConfigError, match="BN-folded"):
-            quant_aware_finetune(model, make_batch(rng, 4), None, TrainConfig(batch_size=4))
+            quant_aware_finetune(model, make_triples(rng, 4), None, TrainConfig(batch_size=4))
 
     def test_missing_fl_entries_rejected(self, rng):
         from cnnlf.dfp import FLTable, LayerFL
         model = self._folded()
         short = FLTable([LayerFL(8, 16, 15)] * 2)
         with pytest.raises(ConfigError, match="covers 2 layers"):
-            quant_aware_finetune(model, make_batch(rng, 4), short, TrainConfig(batch_size=4))
+            quant_aware_finetune(model, make_triples(rng, 4), short, TrainConfig(batch_size=4))
