@@ -479,7 +479,7 @@ def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -
     layers = [(_layer_conv(layer, bshift, shift), layer.relu, shift)
               for layer, (bshift, shift) in zip(model.layers, layer_shifts)]
     # at least 3 bands, so that even a small plane's layers overlap
-    bands = _row_bands(h, 8 * depth * rs, 1, least=3)
+    bands = _row_bands(h, 8 * depth * rs, least=3)
     rows = max(r1 - r0 for r0, r1 in bands)
     scratch = max(conv.scratch(rows, rs) for conv, _, _ in layers)
 

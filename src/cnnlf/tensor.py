@@ -49,14 +49,15 @@ flipped, transposed kernel over that ring (the transposed-convolution
 identity), so one rule picks its form; the prologue's ReLU masks it with
 the rebuilt input, and :func:`bn_relu_grad` takes it through BN.  The weight
 gradient of tap (ky, kx) is one GEMM of the upstream against the tap view
-of the padded input: ``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U`` the
-(Cout, N) upstream.  Thin layers unfold their thin operand for it too.
+of the padded input, ``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U`` the
+(Cout, N) upstream, for thin layers too.
 
 A DFP forward and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread and
 blocks run on ``min(T, blocks)`` threads of the process's one pool, each
 claiming the lowest-numbered ready block (:func:`_on_workers`).  The blocks
-of a training step's convolutions and BN passes are its images.  The
+of a training step's forward convolutions are (image, row band) pairs, those
+of its backward convolutions and BN passes its images.  The
 blocks of a DFP forward are (layer, band) pairs with dependencies: a block
 is ready once the blocks of the layer before that write the rows it reads,
 or read the rows it overwrites, are done, so no worker waits at a layer
@@ -543,15 +544,14 @@ def _unfold_taps(flat: np.ndarray, start: int, k: int, rs: int, cols: int,
     return out.reshape(k * k * c, cols)
 
 
-def _row_bands(h: int, row_bytes: int, workers: int, least: int = 1) -> list:
+def _row_bands(h: int, row_bytes: int, least: int = 1) -> list:
     """Rows ``0:h`` split evenly into ``(r0, r1)`` bands of at most ``-(-h // count)`` rows.
 
-    A band's buffers take ``row_bytes`` per row, and ``count`` is the least
-    multiple of ``workers``, and at least ``least``, whose bands fit
-    ``BAND_BYTES``, or ``h`` one-row bands.
+    A band's buffers take ``row_bytes`` per row, and ``count`` is the fewest
+    bands, but at least ``least``, that fit ``BAND_BYTES``, or ``h`` one-row
+    bands.
     """
-    count = -(-h // max(1, BAND_BYTES // row_bytes))
-    count = min(h, max(least, -(-count // workers) * workers))
+    count = min(h, max(least, -(-h // max(1, BAND_BYTES // row_bytes))))
     return [(j * h // count, (j + 1) * h // count) for j in range(count)]
 
 
@@ -572,18 +572,14 @@ class _Conv:
         self.cout, self.cin, self.k, _ = weights.shape
         k, cout, cin = self.k, self.cout, self.cin
         self.bias = bias
-        self.head, self.first = self.forms(cout, cin, k)
+        self.head = k * k * cout <= cin
+        self.first = not self.head and k * k * cin <= cout
         if self.head:  # row (ky, kx, o)
             self.mat = weights.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
         elif self.first:  # row o, column (ky, kx, c)
             self.mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
         else:  # mat[ky, kx] is the (Cout, Cin) matrix of tap (ky, kx)
             self.mat = weights.transpose(2, 3, 0, 1).copy()
-
-    @staticmethod
-    def forms(cout: int, cin: int, k: int) -> tuple:
-        """``(head, first)``: the thin form, if any, that a (Cout, Cin, k, k) kernel takes."""
-        return k * k * cout <= cin, k * k * cout > cin and k * k * cin <= cout
 
     def scratch(self, rows: int, rs: int) -> int:
         """Floats of scratch :meth:`band` takes for ``rows`` output rows at row stride ``rs``."""
@@ -635,12 +631,13 @@ def conv2d(x: np.ndarray, params: ConvParams, act=None) -> np.ndarray:
     Input (N, Cin, H, W) -> output (N, Cout, H, W).  ``act``, the epilogue
     ``(a, b, relu)`` that :func:`bn_relu` returned for the layer before, makes
     the input ``max(a * x + b, 0)``; None takes ``x`` as it is.  The blocks of
-    :func:`_on_workers` are the row bands of a single image or the images of a
-    batch.  Each block writes its input rows, with the ``k - 1`` halo rows of
-    a band, replicate-padded into a buffer of its worker
+    :func:`_on_workers` are (image, row band) pairs, image-major, the same
+    for a single image and for a batch, so an image's output does not depend
+    on the batch it is in.  Each block writes its band's input rows and their
+    ``k - 1`` halo rows replicate-padded into a buffer of its worker
     (:func:`_padded_input`), so no padded or activated copy of ``x`` is
-    kept; each band's :meth:`_Conv.band` sums go to a scratch accumulator at
-    the padded row stride and are copied out.
+    kept; its :meth:`_Conv.band` sums go to a scratch accumulator at the
+    padded row stride and are copied out.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, params, act)
@@ -648,21 +645,20 @@ def conv2d(x: np.ndarray, params: ConvParams, act=None) -> np.ndarray:
     conv = _Conv(params.weights, params.bias)
     cout, p, rs = conv.cout, (conv.k - 1) // 2, w + conv.k - 1
     out = np.empty((n, cout, h, w))
-    bands = _row_bands(h, 8 * (cout * rs + conv.scratch(1, rs)), _workers() if n == 1 else 1)
+    bands = _row_bands(h, 8 * (cout * rs + conv.scratch(1, rs)))
     rows = -(-h // len(bands))
-    blocks = [(0, [band]) for band in bands] if n == 1 else [(i, bands) for i in range(n)]
-    held = h if n > 1 else min(h, rows + 2 * p)  # input rows a block holds
+    held = min(h, rows + 2 * p)  # input rows a block holds
 
     def sums(b: int, buffers) -> None:
         acc, buf, xp, temp = buffers
-        i, image_bands = blocks[b]
-        lo, hi = max(image_bands[0][0] - p, 0), min(image_bands[-1][1] + p, h)
+        i, j = divmod(b, len(bands))
+        r0, r1 = bands[j]
+        lo, hi = max(r0 - p, 0), min(r1 + p, h)
         flat = _padded_input(x[i], act, lo, hi, p, xp, temp).reshape(cin, -1)
-        for r0, r1 in image_bands:
-            conv.band(flat, (r0 - lo) * rs, rs, acc, 0, r1 - r0, w, buf)
-            out[i, :, r0:r1] = acc[:, :(r1 - r0) * rs].reshape(cout, r1 - r0, rs)[:, :, :w]
+        conv.band(flat, (r0 - lo) * rs, rs, acc, 0, r1 - r0, w, buf)
+        out[i, :, r0:r1] = acc[:, :(r1 - r0) * rs].reshape(cout, r1 - r0, rs)[:, :, :w]
 
-    _on_workers(len(blocks),
+    _on_workers(n * len(bands),
                 lambda: (np.empty((cout, rows * rs)), np.empty(conv.scratch(rows, rs)),
                          np.empty(cin * (held + 2 * p) * rs),
                          np.empty(_prologue_size(act, cin * held * w))), sums)
@@ -706,16 +702,10 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     rebuilt input, so ``d_x`` is the gradient at the pre-ReLU value
     ``a * x + b`` (``x`` without BN); the BN part is :func:`bn_relu_grad`'s.
 
-    Thin layers (:meth:`_Conv.forms`) unfold their thin operand for one
-    ``d_w`` GEMM where the taps would run k * k degenerate ones: a first
-    layer ``U`` against the ``k * k * Cin``-row unfold of the padded input,
-    an output head the padded input against the ring's ``k * k * Cout``-row
-    unfold, row (a, b, o) starting at ``a * (W + k - 1) + b``, so that
-    column (a, b, o) of ``d_w`` is tap (k - 1 - a, k - 1 - b).
-
     The images are the blocks of :func:`_on_workers`.  Each image gives one
-    partial of ``d_w`` and one row of ``d_bias``, and both are added in image
-    order, so the gradients do not depend on the worker count.  With
+    (k, k, Cout, Cin) partial of ``d_w``, its k * k tap GEMMs
+    (:func:`_tap_gemms`), and one row of ``d_bias``, and both are added in
+    image order, so the gradients do not depend on the worker count.  With
     ``input_grad=False`` ``d_x`` is None.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -729,21 +719,13 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     p, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
     cols = (h - 1) * wp + w
     u0 = (k - 1) * wp + k - 1
-    head, first = _Conv.forms(cout, cin, k)
     back = _Conv(np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)),
                  np.zeros(cin))
-    # one d_w partial per image: (Cin, (a, b, o)) for a head, (Cout, (ky, kx, c)) for a
-    # first layer, else (ky, kx, Cout, Cin)
-    if head:
-        parts, unfold_size = np.empty((n, cin, k * k * cout)), k * k * cout * hp * wp
-    elif first:
-        parts, unfold_size = np.empty((n, cout, k * k * cin)), k * k * cin * cols
-    else:
-        parts, unfold_size = np.empty((n, k, k, cout, cin)), 0
+    parts = np.empty((n, k, k, cout, cin))
     d_x = np.empty((n, cin, h, w)) if input_grad else None
     relu = input_grad and act is not None and act[2]
-    bands = _row_bands(hp, 8 * cin * wp, 1)
-    scratch = max(unfold_size, back.scratch(-(-hp // len(bands)), wp) if input_grad else 0)
+    bands = _row_bands(hp, 8 * cin * wp)
+    scratch = back.scratch(-(-hp // len(bands)), wp) if input_grad else 0
     d_bias = np.empty((n, cout))
 
     def grads(i: int, buffers) -> None:
@@ -753,13 +735,7 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
         ring_flat = ring.reshape(cout, -1)
         u = ring_flat[:, u0:u0 + cols]
         d_bias[i] = u.sum(axis=1)
-        xp_flat = xp.reshape(cin, -1)
-        if head:
-            _gemm(xp_flat, _unfold_taps(ring_flat, 0, k, wp, hp * wp, buf).T, parts[i], False)
-        elif first:
-            _gemm(u, _unfold_taps(xp_flat, 0, k, wp, cols, buf).T, parts[i], False)
-        else:
-            _tap_gemms(u, xp_flat, 0, wp, parts[i])
+        _tap_gemms(u, xp.reshape(cin, -1), 0, wp, parts[i])
         if d_x is None:
             return
         d_flat = d_xp.reshape(cin, -1)
@@ -777,13 +753,7 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
                             np.empty(cin * hp * wp), np.empty(_prologue_size(act, cin * h * w)),
                             np.empty((cin, h, w) if relu else 0, dtype=bool),
                             np.empty((cin, hp, wp) if input_grad else 0)), grads)
-    d_w = parts.sum(axis=0)
-    if head:
-        d_w = d_w.reshape(cin, k, k, cout)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
-    elif first:
-        d_w = d_w.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
-    else:
-        d_w = d_w.transpose(2, 3, 0, 1)
+    d_w = parts.sum(axis=0).transpose(2, 3, 0, 1)
     return d_x, np.ascontiguousarray(d_w), d_bias.sum(axis=0)
 
 

@@ -191,8 +191,9 @@ def _check_finite(value: float, term: str) -> None:
 def loss_eq1(model: NetworkModel, batch, config: TrainConfig):
     """Composite training loss and its exact gradients over one batch.
 
-    ``batch`` is ``(decoded, original, qps)``: two (M, H, W) patch stacks and
-    M QPs, M = ``config.batch_size``, checked by :func:`normalize_inputs`.
+    ``batch`` is ``(decoded, original, qps)``: two (M, H, W) patch stacks of
+    one shape and M QPs, M = ``config.batch_size``, each stack checked with
+    the QPs by :func:`cnnlf.network._check_inputs`.
     The MSE term is ``sum_i ||y_i - f(x_i)||^2 / (2 M)``; the filter
     decorrelation term covers all layers except the last.
     """
@@ -200,9 +201,12 @@ def loss_eq1(model: NetworkModel, batch, config: TrainConfig):
     m = len(decoded)
     if m != config.batch_size:
         raise ConfigError(f"batch has {m} samples, config expects {config.batch_size}")
-    out, caches = forward_network(model, normalize_inputs(decoded, qps, model.config),
-                                  keep_cache=True)
-    target = (np.asarray(original) / model.config.pixel_max)[:, None]
+    if np.shape(original) != np.shape(decoded):
+        raise ShapeError(f"original patches {np.shape(original)} do not match the decoded "
+                         f"{np.shape(decoded)}")
+    inp = normalize_inputs(decoded, qps, model.config)
+    target = (_check_inputs(original, qps, model.config) / model.config.pixel_max)[:, None]
+    out, caches = forward_network(model, inp, keep_cache=True)
     resid = out - target
     mse = float((resid * resid).sum() / (2.0 * m))
     _check_finite(mse, "mse")

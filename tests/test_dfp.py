@@ -480,7 +480,7 @@ def test_wavefront_waits_for_exactly_the_blocks_it_conflicts_with(h, band_bytes,
     # the other, plus the ring rows beyond them if it holds the first or the last row
     pad, rs = max(reaches), 9 + 2 * max(reaches)
     with mock.patch.object(tensor, "BAND_BYTES", band_bytes):
-        bands = tensor._row_bands(h, 8 * 64 * rs, 1, least=3)
+        bands = tensor._row_bands(h, 8 * 64 * rs, least=3)
     count = len(bands)
     assert count >= min(h, 3)
 

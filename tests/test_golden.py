@@ -50,6 +50,12 @@ def test_pairs_cover_the_layer_kinds():
         # layers with k*k*cout <= cin, among them a ReLU layer and the output head
         narrow = [i for i, (cout, cin, k, _) in enumerate(shapes) if k * k * cout <= cin]
         assert len(shapes) - 1 in narrow and any(model.layers[i].relu for i in narrow)
+        # and the other two band forms of _Conv: a first layer (k * k * cin <= cout) with
+        # k > 1, and a layer with one GEMM per tap
+        first = [i for i, (cout, cin, k, _) in enumerate(shapes)
+                 if i not in narrow and k * k * cin <= cout]
+        assert any(shapes[i][2] > 1 for i in first)
+        assert any(i not in narrow + first for i in range(len(shapes)))
         assert all(bshift > 0 for bshift, _ in model.shifts()[0])
         assert model.config.bit_depth == b
         assert {e.plane.shape for e in entries} == {(1, 12), (17, 9), (24, 24)}

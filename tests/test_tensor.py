@@ -48,8 +48,8 @@ def conv_case(draw):
     ``dgemm`` (else ``np.matmul``), for one random convolution.  Planes may be
     smaller than the kernel.  A third of the cases are output heads
     (``k * k * cout <= cin``, ``cout = 1`` unless k = 1) and a third first
-    layers (``cin <= 2``, ``k * k * cin <= cout``), the two thin forms that
-    unfold their thin operand; the rest run one GEMM per tap.  The prologue
+    layers (``cin <= 2``, ``k * k * cin <= cout``), the two thin band forms of
+    :class:`cnnlf.tensor._Conv`; the rest run one GEMM per tap.  The prologue
     is None, a ReLU, or a per-channel ``a * x + b`` of either sign with or
     without the ReLU.  Three workers exceed the images of every batch drawn
     and the bands of most planes."""
@@ -154,17 +154,39 @@ def test_gemm_refuses_views_blas_cannot_read_and_never_calls_it(rng):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_row_bands_split_a_plane_evenly_in_multiples_of_the_workers(workers):
+@pytest.mark.parametrize("least", [1, 2, 3])
+def test_row_bands_split_a_plane_evenly_into_bands_that_fit(least):
     row_bytes = 64 * 210 * 8  # a 64-channel accumulator row of a 208-pixel plane
     for h in (1, 2, 5, 35, 60, 120, 1000):
-        bands = tensor._row_bands(h, row_bytes, workers)
+        bands = tensor._row_bands(h, row_bytes, least)
         sizes = [r1 - r0 for r0, r1 in bands]
         assert bands[0][0] == 0 and bands[-1][1] == h
         assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
         assert max(sizes) - min(sizes) <= 1
-        assert len(bands) == h or len(bands) % workers == 0
+        count = len(bands)
+        assert count >= min(h, least)
+        # no fewer bands would do: one band fewer would not fit
+        assert count == min(h, least) or -(-h // (count - 1)) * row_bytes > tensor.BAND_BYTES
         assert max(sizes) == 1 or max(sizes) * row_bytes <= tensor.BAND_BYTES
+
+
+@pytest.mark.parametrize("prologue", [False, True], ids=["plain", "bn-relu"])
+@pytest.mark.parametrize("cout, cin", [(5, 6), (1, 12), (18, 2)], ids=["taps", "head", "first"])
+def test_an_image_alone_and_in_a_batch_gives_the_same_bits(rng, cout, cin, prologue):
+    # conv2d runs (image, band) blocks for one image and for a batch alike; a band
+    # buffer of 4 rows (accumulator and scratch) splits the 13-row image into 4 bands
+    params = ConvParams(rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout))
+    x = rng.normal(size=(3, cin, 13, 11))
+    act = ((rng.uniform(0.5, 2.0, size=(cin, 1, 1)), rng.normal(size=(cin, 1, 1)), True)
+           if prologue else None)
+    conv = tensor._Conv(params.weights, params.bias)
+    band_bytes = 4 * 8 * (cout * 13 + conv.scratch(1, 13))
+    with (mock.patch.object(tensor, "BAND_BYTES", band_bytes), blas_count(2),
+          tensor._spend_blas_threads()):
+        assert len(tensor._row_bands(13, band_bytes // 4)) == 4
+        batch = conv2d(x, params, act)
+        alone = conv2d(x[1:2], params, act)
+    assert alone.tobytes() == batch[1:2].tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -154,6 +154,22 @@ class TestLossEq1:
         with pytest.raises(ConfigError, match="batch"):
             loss_eq1(model, make_batch(rng, 3), train_cfg)
 
+    def test_original_of_another_shape_is_a_shape_error(self, rng, train_cfg):
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        decoded, original, qps = make_batch(rng, 4)
+        for other in (original[:, :, :7], original[:3], original[..., None]):
+            with pytest.raises(ShapeError, match="original patches"):
+                loss_eq1(build_cnnf(cfg, rng_seed=3), (decoded, other, qps), train_cfg)
+
+    @pytest.mark.parametrize("pixel", [300, -1])
+    def test_original_out_of_range_is_a_data_error(self, rng, train_cfg, pixel):
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        decoded, original, qps = make_batch(rng, 4)
+        original = original.astype(np.int64)
+        original[2, 3, 3] = pixel
+        with pytest.raises(DataError, match="patch 2: pixel values"):
+            loss_eq1(build_cnnf(cfg, rng_seed=3), (decoded, original, qps), train_cfg)
+
     def test_nonfinite_loss_names_term(self, rng, train_cfg):
         cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
         model = build_cnnf(cfg, rng_seed=3)
@@ -379,7 +395,7 @@ class TestTrain:
         assert all(a.total == b.total for a, b in zip(h1, h2))
 
     def test_two_workers_match_one_and_the_count_is_restored(self, rng):
-        # 2->18 and 10->1 are a first layer and a head, which unfold their thin operand
+        # 2->18 and 10->1 are a first layer and a head, the two thin band forms
         cfg = NetworkConfig(num_conv_layers=3, base_filters=18, per_layer_filters=(18, 10))
         ds = self._dataset(rng)
         tc = TrainConfig(batch_size=4, base_lr=0.005, epochs=2, lr_decay_epoch=2, rng_seed=17)
