@@ -139,7 +139,7 @@ def cmd_dataset(args, log):
 
 
 def _train_config(args) -> TrainConfig:
-    base = TrainConfig.desk() if args.preset == "desk" else TrainConfig.paper_scale()
+    base = TrainConfig.desk() if args.preset == "desk" else TrainConfig()
     overrides = {}
     for field, flag in [("batch_size", "batch_size"), ("base_lr", "lr"),
                         ("lambda_w", "lambda_w"), ("lambda_s", "lambda_s"),

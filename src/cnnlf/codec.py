@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .network import NetworkConfig, _check_inputs
+from .network import NetworkConfig, _check_inputs, pixel_dtype
 from .tensor import round_half_away
 
 BLOCK = 8
@@ -84,7 +84,7 @@ def encode_intra_plane(plane: np.ndarray, qp: int, bit_depth: int = 8):
     recon = np.einsum("ji,abjk,kl->abil", _DCT, q * qstep, _DCT)
     recon = _from_blocks(recon)[:h, :w]
     recon = np.clip(round_half_away(recon), 0, pmax)
-    return recon.astype(np.uint8 if bit_depth <= 8 else np.uint16), bits
+    return recon.astype(pixel_dtype(bit_depth)), bits
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def make_dataset(images, qps=DEFAULT_QPS, patch: int = PATCH_SIZE,
 
     def stacked(patches: list) -> np.ndarray:
         if not patches:
-            return np.zeros((0, patch, patch), np.uint8 if bit_depth <= 8 else np.uint16)
+            return np.zeros((0, patch, patch), pixel_dtype(bit_depth))
         return np.stack([patches[i] for i in order])
 
     return PatchSet(stacked(decoded_list), stacked(original_list),
@@ -313,13 +313,11 @@ def read_yuv_descriptor(path) -> dict:
     return desc
 
 
-def read_yuv420(path, descriptor_path=None) -> list:
-    """Raw planar YUV 4:2:0, 8-bit; returns [(Y, U, V), ...] per frame.
-
-    The descriptor defaults to ``<path>.txt``.
-    """
+def read_yuv420(path) -> list:
+    """Raw planar YUV 4:2:0, 8-bit, described by ``<path>.txt``; returns [(Y, U, V), ...]
+    per frame."""
     path = Path(path)
-    desc = read_yuv_descriptor(descriptor_path or str(path) + ".txt")
+    desc = read_yuv_descriptor(str(path) + ".txt")
     w, h, frames = desc["width"], desc["height"], desc["frames"]
     if w % 2 or h % 2:
         raise DataError(f"{path}: 4:2:0 requires even dimensions, got {w}x{h}")
@@ -355,21 +353,6 @@ def write_rd_csv(path, curve: RDCurve) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_rd_csv(path) -> RDCurve:
-    """Read a curve written by :func:`write_rd_csv`; raise DataError if malformed."""
-    points, where = [], "not UTF-8 text"
-    try:
-        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-            where = f"line {number + 1} {line[:40]!r} is not qp,bpp,psnr"
-            if number and line.strip():
-                qp, bpp, quality = line.split(",")
-                points.append(RDPoint(float(bpp), float(quality), int(qp) if qp else None))
-        where = "not an RD curve"
-        return RDCurve(points)
-    except ValueError as exc:  # UnicodeDecodeError and DataError are ValueErrors too
-        raise DataError(f"{path}: {where} ({exc})") from None
-
-
 def save_patchset(path, patchset: PatchSet) -> None:
     """Persist a PatchSet as a compressed npz archive with full provenance."""
     np.savez_compressed(
@@ -387,8 +370,9 @@ def load_patchset(path) -> PatchSet:
     """Read a patch set written by :func:`save_patchset`; raise DataError if malformed.
 
     Both patch stacks and the QPs must meet the input contract of
-    :func:`cnnlf.network._check_inputs`, at 16 bits for ``uint16`` pixels and
-    8 bits otherwise.  A file that cannot be opened raises ``OSError``.
+    :func:`cnnlf.network._check_inputs`, at 16 bits for 16-bit pixels
+    (:func:`cnnlf.network.pixel_dtype`) and 8 bits otherwise.  A file that
+    cannot be opened raises ``OSError``.
     """
     with open(path, "rb") as f:
         try:
@@ -409,7 +393,7 @@ def load_patchset(path) -> PatchSet:
     for name in ("qps", "y0", "x0"):
         if arrays[name].ndim != 1 or arrays[name].dtype.kind not in "iu":
             raise DataError(f"{path}: {name!r} is not a 1-d integer array")
-    config = NetworkConfig(bit_depth=16 if decoded.dtype == np.uint16 else 8)
+    config = NetworkConfig(bit_depth=16 if decoded.dtype == pixel_dtype(16) else 8)
     for name in ("decoded", "original"):
         if arrays[name].dtype.kind not in "iuf":
             raise DataError(f"{path}: {name!r} holds {arrays[name].dtype}, not numbers")

@@ -60,8 +60,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ModelFormatError, VerificationError
 from .network import (Layer, NetworkConfig, NetworkModel, _check_chain, _check_inputs,
-                      forward_network, normalize_inputs)
-from .tensor import (ConvParams, _Conv, _on_workers, _replicate_border, _row_bands,
+                      forward_network, normalize_inputs, pixel_dtype)
+from .tensor import (ConvParams, _check_conv, _Conv, _on_workers, _replicate_border, _row_bands,
                      _spend_blas_threads, round_half_away)
 
 WEIGHT_BITS = 8
@@ -133,28 +133,15 @@ class LayerFL:
     fl_o: int
 
 
-def _quantize_layer(conv: ConvParams, fl: LayerFL) -> tuple:
-    """Weight and bias mantissas of one conv layer on the grids ``fl`` names."""
-    return (quantize_value(conv.weights, DFPFormat(WEIGHT_BITS, fl.fl_w)),
-            quantize_value(conv.bias, DFPFormat(BIAS_BITS, fl.fl_b)))
-
-
-def _dequantize_layer(w_m: np.ndarray, b_m: np.ndarray, fl: LayerFL) -> ConvParams:
-    """The float parameters that weight and bias mantissas stand for under ``fl``."""
-    return ConvParams(dequantize_value(w_m, DFPFormat(WEIGHT_BITS, fl.fl_w)),
-                      dequantize_value(b_m, DFPFormat(BIAS_BITS, fl.fl_b)))
-
-
 @dataclass
 class FLTable:
-    """Per-layer fractional lengths plus the shared concat / summation fl.
-
-    Both shared fls must be ``INPUT_FL``, the grid of the input mantissas and the residual add.
+    """Per-layer fractional lengths, and the concat and summation fls, which are constants:
+    ``INPUT_FL``, the grid of the input mantissas and the residual add.
     """
 
     layers: list
-    fl_concat: int = INPUT_FL
-    fl_sum: int = INPUT_FL
+    fl_concat = INPUT_FL
+    fl_sum = INPUT_FL
 
     def check_complete(self, num_layers: int) -> None:
         if len(self.layers) != num_layers:
@@ -165,9 +152,6 @@ class FLTable:
                 v = getattr(e, name)
                 if not isinstance(v, (int, np.integer)):
                     raise ConfigError(f"layer {i + 1} {name} is not an integer: {v!r}")
-        for name, v in (("concat fl", self.fl_concat), ("summation fl", self.fl_sum)):
-            if v != INPUT_FL:
-                raise ConfigError(f"{name} {v!r} is not the input fl {INPUT_FL}")
 
     def to_dict(self) -> dict:
         return {
@@ -179,8 +163,11 @@ class FLTable:
     @classmethod
     def from_dict(cls, d: dict) -> "FLTable":
         # no int(): check_complete rejects a value that is not an integer
-        return cls([LayerFL(e["fl_w"], e["fl_b"], e["fl_o"]) for e in d["layers"]],
-                   d.get("fl_concat", INPUT_FL), d.get("fl_sum", INPUT_FL))
+        table = cls([LayerFL(e["fl_w"], e["fl_b"], e["fl_o"]) for e in d["layers"]])
+        for name in ("fl_concat", "fl_sum"):
+            if d.get(name, INPUT_FL) != INPUT_FL:
+                raise ConfigError(f"{name} {d[name]!r} is not the input fl {INPUT_FL}")
+        return table
 
 
 def reference_fl_8layer() -> FLTable:
@@ -274,6 +261,8 @@ class DFPModel:
     fl_table: FLTable
 
     def __post_init__(self):
+        for layer in self.layers:
+            _check_conv(layer.weights_m, layer.bias_m)
         _check_chain([layer.weights_m.shape[:2] for layer in self.layers])
         self.fl_table.check_complete(len(self.layers))
         if self.config.bit_depth > OUTPUT_BITS:
@@ -341,9 +330,12 @@ class DFPModel:
         return len(self.layers)
 
     def dequantized(self) -> NetworkModel:
-        """Float model carrying the exact values the integer path computes with."""
+        """The float model the integer path computes with; quantization-aware training
+        steps on it."""
         return NetworkModel(self.config, [
-            Layer(_dequantize_layer(layer.weights_m, layer.bias_m, fl), None, layer.relu)
+            Layer(ConvParams(dequantize_value(layer.weights_m, DFPFormat(WEIGHT_BITS, fl.fl_w)),
+                             dequantize_value(layer.bias_m, DFPFormat(BIAS_BITS, fl.fl_b))),
+                  None, layer.relu)
             for layer, fl in zip(self.layers, self.fl_table.layers)])
 
 
@@ -352,7 +344,8 @@ def quantize_model(model: NetworkModel, fl_table: FLTable) -> DFPModel:
     if model.has_bn:
         raise ConfigError("quantize_model expects a BN-folded model; call fold_batchnorm first")
     fl_table.check_complete(len(model.layers))
-    layers = [DFPLayer(*_quantize_layer(layer.conv, fl), layer.relu)
+    layers = [DFPLayer(quantize_value(layer.conv.weights, DFPFormat(WEIGHT_BITS, fl.fl_w)),
+                       quantize_value(layer.conv.bias, DFPFormat(BIAS_BITS, fl.fl_b)), layer.relu)
               for layer, fl in zip(model.layers, fl_table.layers)]
     return DFPModel(model.config, layers, fl_table)
 
@@ -497,13 +490,12 @@ def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -
     np.clip(total, 0, ACT_MAX, out=total)  # a negative sum denormalizes to pixel 0
     total *= cfg.pixel_max
     pixels = np.minimum(_round_shift(total, INPUT_FL), cfg.pixel_max)
-    return pixels.astype(np.uint8 if cfg.bit_depth <= 8 else np.uint16)
+    return pixels.astype(pixel_dtype(cfg.bit_depth))
 
 
 def plane_bytes(plane: np.ndarray, bit_depth: int) -> bytes:
     """Canonical little-endian byte serialization of an integer plane."""
-    dtype = "<u1" if bit_depth <= 8 else "<u2"
-    return np.ascontiguousarray(plane.astype(dtype)).tobytes()
+    return np.ascontiguousarray(plane.astype(pixel_dtype(bit_depth))).tobytes()
 
 
 @dataclass
@@ -529,7 +521,7 @@ def make_conformance(model: DFPModel, corpus) -> list:
 def corpus_digest(entries) -> str:
     digest = hashlib.new(HASH_NAME)
     for e in entries:
-        digest.update(plane_bytes(e.output, 8 if e.output.dtype == np.uint8 else 16))
+        digest.update(plane_bytes(e.output, 8 if e.output.dtype == pixel_dtype(8) else 16))
     return digest.hexdigest()
 
 
@@ -576,8 +568,8 @@ def read_conformance(path) -> list:
         for _ in range(count):
             wid, hgt, depth, qp = struct.unpack_from("<IIHH", data, pos)
             pos += 12
-            nbytes = wid * hgt * (1 if depth <= 8 else 2)
-            dtype = "<u1" if depth <= 8 else "<u2"
+            dtype = pixel_dtype(depth)
+            nbytes = wid * hgt * dtype.itemsize
             plane = np.frombuffer(data[pos:pos + nbytes], dtype=dtype).reshape(hgt, wid)
             pos += nbytes
             out_hash = data[pos:pos + 32]

@@ -73,9 +73,11 @@ class NetworkConfig:
     def pixel_max(self) -> int:
         return (1 << self.bit_depth) - 1
 
-    @property
-    def receptive_field(self) -> int:
-        return 1 + self.num_conv_layers * (self.kernel_size - 1)
+
+def pixel_dtype(bit_depth: int) -> np.dtype:
+    """The dtype of integer pixels of ``bit_depth`` bits: one byte up to 8, else two,
+    little-endian so that their bytes are the same on any host."""
+    return np.dtype("<u1" if bit_depth <= 8 else "<u2")
 
 
 @dataclass
@@ -232,9 +234,7 @@ def denormalize(output: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Back to integer pixels: scale, round half away from zero, clamp to range."""
     pmax = config.pixel_max
     pixels = tensor.round_half_away(np.asarray(output, dtype=np.float64) * pmax)
-    pixels = np.clip(pixels, 0, pmax)
-    dtype = np.uint8 if config.bit_depth <= 8 else np.uint16
-    return pixels.astype(dtype)
+    return np.clip(pixels, 0, pmax).astype(pixel_dtype(config.bit_depth))
 
 
 def filter_plane(model: NetworkModel, plane: np.ndarray, qp: int) -> np.ndarray:

@@ -111,6 +111,18 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
+def _check_conv(weights: np.ndarray, bias: np.ndarray) -> None:
+    """The shape rule of one convolution, float or fixed-point: (Cout, Cin, k, k)
+    weights with a square odd kernel, and a bias of length Cout."""
+    if weights.ndim != 4:
+        raise ShapeError(f"conv weights must be 4-d (Cout,Cin,Kh,Kw), got shape {weights.shape}")
+    cout, _, kh, kw = weights.shape
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"kernel must be square with odd side, got {kh}x{kw}")
+    if bias.shape != (cout,):
+        raise ShapeError(f"bias length {bias.shape} does not match Cout={cout}")
+
+
 @dataclass
 class ConvParams:
     """Weights (Cout, Cin, k, k) and per-channel bias of one convolution.
@@ -125,13 +137,7 @@ class ConvParams:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 4:
-            raise ShapeError(f"conv weights must be 4-d (Cout,Cin,Kh,Kw), got shape {self.weights.shape}")
-        cout, _, kh, kw = self.weights.shape
-        if kh != kw or kh % 2 == 0:
-            raise ShapeError(f"kernel must be square with odd side, got {kh}x{kw}")
-        if self.bias.shape != (cout,):
-            raise ShapeError(f"bias length {self.bias.shape} does not match Cout={cout}")
+        _check_conv(self.weights, self.bias)
 
     @property
     def out_channels(self) -> int:
@@ -694,13 +700,14 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     ``d_w[:, :, ky, kx] = U @ B^T`` with ``B`` the padded input's columns
     from ``ky * (W + k - 1) + kx`` on (the tap view of :meth:`_Conv.band`).
     The padded input's gradient is the ring's :meth:`_Conv.band` with the
-    flipped, transposed kernel and a zero bias, band by band at the full
-    padded width, where reads past a row's end wrap into zero columns, into
-    a third buffer of the worker; it is then folded onto the edge pixels the
-    replicate padding read, and its interior is the image's ``d_x``.  With a
-    ReLU in ``act`` that is multiplied by ``input > 0``, read from the
-    rebuilt input, so ``d_x`` is the gradient at the pre-ReLU value
-    ``a * x + b`` (``x`` without BN); the BN part is :func:`bn_relu_grad`'s.
+    flipped, transposed kernel and a zero bias, one call over all its
+    ``H + k - 1`` rows at the full padded width, where reads past a row's end
+    wrap into zero columns, into a third buffer of the worker; it is then
+    folded onto the edge pixels the replicate padding read, and its interior
+    is the image's ``d_x``.  With a ReLU in ``act`` that is multiplied by
+    ``input > 0``, read from the rebuilt input, so ``d_x`` is the gradient at
+    the pre-ReLU value ``a * x + b`` (``x`` without BN); the BN part is
+    :func:`bn_relu_grad`'s.
 
     The images are the blocks of :func:`_on_workers`.  Each image gives one
     (k, k, Cout, Cin) partial of ``d_w``, its k * k tap GEMMs
@@ -719,13 +726,13 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
     p, hp, wp = (k - 1) // 2, h + k - 1, w + k - 1
     cols = (h - 1) * wp + w
     u0 = (k - 1) * wp + k - 1
-    back = _Conv(np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)),
-                 np.zeros(cin))
     parts = np.empty((n, k, k, cout, cin))
     d_x = np.empty((n, cin, h, w)) if input_grad else None
     relu = input_grad and act is not None and act[2]
-    bands = _row_bands(hp, 8 * cin * wp)
-    scratch = back.scratch(-(-hp // len(bands)), wp) if input_grad else 0
+    back = _Conv(np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)),
+                 np.zeros(cin)) if input_grad else None
+    # never more floats than the ring (head form) or d_xp (first-layer form) holds
+    scratch = back.scratch(hp, wp) if input_grad else 0
     d_bias = np.empty((n, cout))
 
     def grads(i: int, buffers) -> None:
@@ -738,9 +745,7 @@ def conv2d_grad(x: np.ndarray, params: ConvParams, upstream: np.ndarray,
         _tap_gemms(u, xp.reshape(cin, -1), 0, wp, parts[i])
         if d_x is None:
             return
-        d_flat = d_xp.reshape(cin, -1)
-        for r0, r1 in bands:
-            back.band(ring_flat, r0 * wp, wp, d_flat, r0 * wp, r1 - r0, wp, buf)
+        back.band(ring_flat, 0, wp, d_xp.reshape(cin, -1), 0, hp, wp, buf)
         _fold_pad_grad(d_xp, h, w, p)
         d = d_xp[:, p:p + h, p:p + w]
         if relu:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from . import tensor
-from .network import Layer, NetworkModel, _check_inputs, forward_network, normalize_inputs
+from .dfp import quantize_model
+from .network import NetworkModel, _check_inputs, forward_network, normalize_inputs
 
 FILTER_NORM_EPSILON = 1e-12
 
@@ -56,10 +57,6 @@ class TrainConfig:
             raise ConfigError("grad_clip_norm must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
-
-    @classmethod
-    def paper_scale(cls) -> "TrainConfig":
-        return cls()
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
@@ -275,10 +272,11 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
     patch shape and checked once, so a bad patch is named by its dataset
     index before any step; each epoch's seeded permutation of the indices is
     gathered in ``floor(N / M)`` batches.  ``callbacks``, if given, is called as
-    ``callbacks(epoch, step, breakdown, lr)`` after every step.  With an
-    ``fl_table`` each step's loss and gradients come from
-    ``quantized_view(model, fl_table)`` while the updates land on the float
-    parameters (straight-through estimator).
+    ``callbacks(epoch, step, breakdown, lr)`` after every step.  Patches span at
+    least the layers' receptive field ``1 + sum(k_i - 1)``, except with an
+    ``fl_table``: each step's loss and gradients then come from
+    ``quantize_model(model, fl_table).dequantized()`` of the BN-folded model,
+    while the updates land on the float parameters (straight-through estimator).
     """
     n = len(dataset)
     if n < config.batch_size:
@@ -292,9 +290,8 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
     decoded, original, qps = patches[:n], patches[n:], np.asarray(qps)
     for planes in (decoded, original):
         _check_inputs(planes, qps, model.config)
-    rf = model.config.receptive_field
+    rf = 1 + sum(layer.conv.kernel_size - 1 for layer in model.layers)
     h, w = decoded.shape[1:]
-    # quantization-aware fine-tuning accepts patches of any size
     if fl_table is None and (h < rf or w < rf):
         raise ConfigError(f"patches {h}x{w} smaller than the receptive field {rf}")
     rng = np.random.default_rng(config.rng_seed)
@@ -309,7 +306,7 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
         epoch_terms = np.zeros(5)
         for step in range(steps_per_epoch):
             idx = order[step * config.batch_size:(step + 1) * config.batch_size]
-            view = model if fl_table is None else quantized_view(model, fl_table)
+            view = model if fl_table is None else quantize_model(model, fl_table).dequantized()
             with tensor._spend_blas_threads():
                 breakdown, grads = loss_eq1(view, (decoded[idx], original[idx], qps[idx]),
                                             config)
@@ -321,17 +318,6 @@ def train(model: NetworkModel, dataset, config: TrainConfig, callbacks=None, fl_
         mean = epoch_terms / steps_per_epoch
         history.append(LossBreakdown(*mean))
     return model, history
-
-
-def quantized_view(model: NetworkModel, fl_table) -> NetworkModel:
-    """The model with its convs snapped to their fixed-point grids, sharing ``bn`` and ``relu``."""
-    from .dfp import _dequantize_layer, _quantize_layer
-    if len(fl_table.layers) != len(model.layers):
-        raise ConfigError(
-            f"FL table covers {len(fl_table.layers)} layers, model has {len(model.layers)}")
-    return NetworkModel(model.config, [
-        Layer(_dequantize_layer(*_quantize_layer(layer.conv, fl), fl), layer.bn, layer.relu)
-        for layer, fl in zip(model.layers, fl_table.layers)])
 
 
 def quant_aware_finetune(model: NetworkModel, dataset, fl_table, config: TrainConfig):

@@ -3,8 +3,7 @@ import pytest
 
 from cnnlf.codec import (DEFAULT_QPS, RDCurve, RDPoint, _DCT, bd_rate, encode_intra_plane,
                          load_patchset, make_dataset, make_test_image, psnr, qstep_for_qp,
-                         read_pgm, read_rd_csv, read_yuv420, save_patchset, write_pgm,
-                         write_rd_csv, write_yuv420)
+                         read_pgm, read_yuv420, save_patchset, write_pgm, write_yuv420)
 from cnnlf.errors import DataError, ShapeError
 
 from .conftest import damaged
@@ -383,33 +382,3 @@ class TestPlaneIO:
                 assert len(again) == len(got) >= 1
                 assert all(np.array_equal(a, b) for fa, fb in zip(again, got)
                            for a, b in zip(fa, fb))
-
-    def test_damaged_rd_csv_reads_or_is_data_error(self, tmp_path):
-        write_rd_csv(tmp_path / "rd.csv", fixture_curves()[0])
-        for data in damaged((tmp_path / "rd.csv").read_bytes(), 1500):
-            (tmp_path / "hurt.csv").write_bytes(data)
-            try:
-                curve = read_rd_csv(tmp_path / "hurt.csv")
-            except DataError as exc:
-                assert "hurt.csv" in str(exc)
-            else:
-                assert RDCurve(curve.points).points == curve.points
-
-    @pytest.mark.parametrize("body, message", [
-        (b"22,0.5,30.0,1\n", "line 2"), (b"22,0.5\n", "line 2"), (b"22,abc,30.0\n", "line 2"),
-        (b"2.5,0.5,30.0\n", "line 2"), (b"22,0.5,30.0\n27,0.2,\xff\n", "UTF-8"),
-        (b"22,0.5,nan\n", "finite"), (b"22,inf,30.0\n", "finite")],
-        ids=["too many fields", "too few fields", "bpp not a number", "qp not an integer",
-             "not UTF-8", "psnr nan", "bpp inf"])
-    def test_rd_csv_malformed_is_data_error(self, tmp_path, body, message):
-        (tmp_path / "rd.csv").write_bytes(b"qp,bpp,psnr\n" + body)
-        with pytest.raises(DataError, match=f"rd.csv: .*{message}"):
-            read_rd_csv(tmp_path / "rd.csv")
-
-    def test_rd_csv_round_trip(self, tmp_path):
-        curve = fixture_curves()[0]
-        path = tmp_path / "rd.csv"
-        write_rd_csv(path, curve)
-        again = read_rd_csv(path)
-        assert [p.qp for p in again.points] == [p.qp for p in curve.points]
-        assert np.allclose(again.bitrates, curve.bitrates)

@@ -22,6 +22,7 @@ from cnnlf.dfp import (BIAS_BITS, INPUT_FL, OUTPUT_BITS, WEIGHT_BITS, DFPFormat,
                        make_conformance, quantize_model, quantize_value, read_conformance,
                        reference_fl_8layer, replay_conformance, write_conformance)
 from cnnlf.errors import ConfigError, ModelFormatError, ShapeError, VerificationError
+from cnnlf.model_io import load_model, save_model
 from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
 from cnnlf.codec import make_test_image, psnr
 
@@ -47,8 +48,7 @@ def quantized_small_model(rng_seed=5):
 
 def bias_fl_lowered(table, by):
     """``table`` with every layer's bias fl lowered by ``by``: bias shifts grow by ``by``."""
-    return FLTable([LayerFL(e.fl_w, e.fl_b - by, e.fl_o) for e in table.layers],
-                   table.fl_concat, table.fl_sum)
+    return FLTable([LayerFL(e.fl_w, e.fl_b - by, e.fl_o) for e in table.layers])
 
 
 def benchmark_shaped_model():
@@ -352,9 +352,10 @@ class TestFLTable:
     def test_concat_fl_other_than_input_fl_rejected(self):
         # input mantissas are always at INPUT_FL, so no other concat fl describes them;
         # load_model's rejection is the "fl-concat-not-input-fl" header defect in test_tooling
-        dm, _ = quantized_small_model()
-        with pytest.raises(ConfigError, match="concat fl 14"):
-            DFPModel(dm.config, dm.layers, FLTable(dm.fl_table.layers, fl_concat=14))
+        stored = reference_fl_8layer().to_dict()
+        assert stored["fl_concat"] == stored["fl_sum"] == INPUT_FL
+        with pytest.raises(ConfigError, match="fl_concat 14 is not the input fl"):
+            FLTable.from_dict({**stored, "fl_concat": 14})
 
 
 class TestQuantizeModel:
@@ -634,6 +635,22 @@ class TestDFPModelChain:
         with pytest.raises(ShapeError, match="layer 2 expects 6 input channels"):
             DFPModel(cfg, layers, table)
 
+    def test_layers_follow_the_float_kernel_rule(self, tmp_path):
+        # the shapes a ConvParams refuses: an even kernel, and a bias not of length Cout
+        dm, _ = quantized_small_model()
+        for layers, match in (
+                ([DFPLayer(l.weights_m[:, :, :2, :2], l.bias_m, l.relu) for l in dm.layers],
+                 "square with odd side, got 2x2"),
+                ([DFPLayer(l.weights_m, l.bias_m[:1], l.relu) for l in dm.layers],
+                 "bias length")):
+            with pytest.raises(ShapeError, match=match):
+                DFPModel(dm.config, layers, dm.fl_table)
+        # a container of 2x2 layers, written from the valid model with its layers swapped
+        dm.layers = [DFPLayer(l.weights_m[:, :, :2, :2], l.bias_m, l.relu) for l in dm.layers]
+        save_model(dm, tmp_path / "even.clf")
+        with pytest.raises(ModelFormatError, match="square with odd side"):
+            load_model(tmp_path / "even.clf")
+
 
 class TestAccumulatorBound:
     def test_crafted_fl_table_rejected(self):
@@ -650,8 +667,8 @@ class TestAccumulatorBound:
             table = FLTable([bad] + dm.fl_table.layers[1:])
             with pytest.raises(ConfigError, match=match):
                 DFPModel(dm.config, dm.layers, table)
-        with pytest.raises(ConfigError, match="summation fl"):
-            DFPModel(dm.config, dm.layers, FLTable(dm.fl_table.layers, fl_sum=40))
+        with pytest.raises(ConfigError, match="fl_sum 40"):
+            FLTable.from_dict({**dm.fl_table.to_dict(), "fl_sum": 40})
 
     def test_benchmark_shaped_model_passes(self):
         dm = benchmark_shaped_model()

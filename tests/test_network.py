@@ -3,8 +3,10 @@ import pytest
 
 from cnnlf.errors import ConfigError, DataError, ShapeError
 from cnnlf import tensor
+from cnnlf.compress import decompose_model, fold_batchnorm
 from cnnlf.network import (NetworkConfig, NetworkModel, build_cnnf, denormalize, filter_plane,
                            forward_network, normalize_inputs)
+from cnnlf.trainer import TrainConfig, train
 
 from .conftest import float_output
 from .oracles import bn_inference_forward
@@ -247,6 +249,16 @@ def test_filter_plane_folds_bn_without_touching_the_model(tiny_bn_model):
     assert not np.array_equal(out, plane)
 
 
-def test_receptive_field():
-    assert NetworkConfig().receptive_field == 17
-    assert NetworkConfig(num_conv_layers=3, per_layer_filters=(8, 8)).receptive_field == 7
+def test_decomposed_model_trains_on_patches_its_layers_see_whole(rng):
+    """The receptive field comes from the layers: the decomposed model's 14 layers are
+    eight 3x3 and six 1x1, so they see 17 pixels, and one desk step runs on 20x20 patches
+    (a field of 1 + 14 * 2 = 29 from the layer count would refuse them)."""
+    model = fold_batchnorm(build_cnnf(NetworkConfig(), rng_seed=1, zero_init_output=False))
+    model, _ = decompose_model(model, ranks=[64] + [8] * 6 + [1])
+    assert sorted(layer.conv.kernel_size for layer in model.layers) == [1] * 6 + [3] * 8
+    original = rng.integers(0, 256, size=(16, 20, 20))
+    decoded = np.clip(original + rng.integers(-6, 7, size=original.shape), 0, 255)
+    steps = []
+    train(model, list(zip(decoded, original, [22, 27, 32, 37] * 4)),
+          TrainConfig.desk(epochs=1), callbacks=lambda *step: steps.append(step))
+    assert len(steps) == 1 and np.isfinite(steps[0][2].total)

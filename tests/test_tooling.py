@@ -3,6 +3,7 @@ import json
 import struct
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from cnnlf.errors import ModelFormatError
 from cnnlf.model_io import load_model, model_hash, save_model
 from cnnlf.network import NetworkConfig, build_cnnf
 from cnnlf.tensor import worker_threads
+from cnnlf.trainer import TrainConfig
 
 from .conftest import damaged
 from .test_dfp import bias_fl_lowered, quantized_small_model
@@ -71,6 +73,7 @@ HEADER_DEFECTS = {
     "config-not-an-object": lambda h: {**h, "config": [3, 64]},
     "config-float-integer": lambda h: {**h, "config": {**h["config"], "bit_depth": 8.0}},
     "fl-concat-not-input-fl": lambda h: {**h, "fl_table": {**h["fl_table"], "fl_concat": 14}},
+    "fl-sum-not-input-fl": lambda h: {**h, "fl_table": {**h["fl_table"], "fl_sum": 14}},
     "fl-non-integer": lambda h: {**h, "fl_table": {**h["fl_table"], "layers": [
         {**h["fl_table"]["layers"][0], "fl_o": h["fl_table"]["layers"][0]["fl_o"] + 0.9},
         *h["fl_table"]["layers"][1:]]}},
@@ -489,6 +492,14 @@ class TestCli:
         (workspace / "run.json").write_text(json.dumps({"preset": "huge"}))
         assert self.run("train", "--config", "run.json", "--dataset", "nope.npz",
                         "--out", "m.clf") == 5
+
+    @pytest.mark.parametrize("preset, base", [("desk", TrainConfig.desk()),
+                                              ("paper", TrainConfig())], ids=["desk", "paper"])
+    def test_train_preset_resolves_with_flag_overrides(self, preset, base):
+        args = cli.build_parser().parse_args(
+            ["train", "--dataset", "d.npz", "--out", "m.clf", "--preset", preset,
+             "--lr", "0.2", "--epochs", "3", "--seed", "5"])
+        assert cli._train_config(args) == replace(base, base_lr=0.2, epochs=3, rng_seed=5)
 
     def test_damaged_run_config_runs_or_is_one_line_error(self, workspace, capsys):
         good = json.dumps({"synthetic": 1, "synthetic_size": "40x40", "qps": "22,37",

@@ -10,8 +10,9 @@ from cnnlf.errors import ConfigError, DataError, NonFiniteLossError, ShapeError
 from cnnlf.network import NetworkConfig, build_cnnf, forward_network, normalize_inputs
 from cnnlf.tensor import BNParams
 from cnnlf.model_io import model_hash
+from cnnlf.dfp import quantize_model
 from cnnlf.trainer import (LossBreakdown, TrainConfig, global_grad_norm, lda_regularizer,
-                           loss_eq1, quant_aware_finetune, quantized_view, sgd_step, train)
+                           loss_eq1, quant_aware_finetune, sgd_step, train)
 
 from .conftest import blas_count
 from .oracles import finite_difference, lda_pairwise, lda_pairwise_loops, max_relative_error
@@ -486,7 +487,7 @@ class TestQuantAwareFinetune:
         model = self._folded()
         table = self._fl_table(model)
         # snap parameters onto the grid first
-        for layer, q in zip(model.layers, quantized_view(model, table).layers):
+        for layer, q in zip(model.layers, quantize_model(model, table).dequantized().layers):
             layer.conv.weights = q.conv.weights
             layer.conv.bias = q.conv.bias
         before = model_hash(model)
@@ -496,23 +497,24 @@ class TestQuantAwareFinetune:
         assert model_hash(out) == before
 
     def test_quantized_forward_equals_round_then_forward(self, rng):
-        from cnnlf.dfp import quantize_model
         model = self._folded()
         before = model_hash(model)
         table = self._fl_table(model)
-        view = quantized_view(model, table)
+        view = quantize_model(model, table).dequantized()
         assert model_hash(model) == before
         assert [(l.bn, l.relu) for l in view.layers] == [(l.bn, l.relu) for l in model.layers]
-        # oracle: the float model the integer path computes with
-        dequantized = quantize_model(model, table).dequantized()
-        for got, want in zip(view.layers, dequantized.layers):
-            assert np.array_equal(got.conv.weights, want.conv.weights)
-            assert np.array_equal(got.conv.bias, want.conv.bias)
+        # oracle: each parameter rounded half away onto its grid and clipped to its bits
+        rounded = model.copy()
+        for layer, fl in zip(rounded.layers, table.layers):
+            for name, bits, frac in (("weights", 8, fl.fl_w), ("bias", 32, fl.fl_b)):
+                m = tensor.round_half_away(getattr(layer.conv, name) * 2.0 ** frac)
+                setattr(layer.conv, name,
+                        np.clip(m, -2.0 ** (bits - 1), 2.0 ** (bits - 1) - 1) * 2.0 ** -frac)
         decoded, _, qps = make_batch(rng, 4)
         inp = normalize_inputs(decoded, qps, model.config)
         out_view, _ = forward_network(view, inp)
-        out_dequantized, _ = forward_network(dequantized, inp)
-        assert np.array_equal(out_view, out_dequantized)
+        out_rounded, _ = forward_network(rounded, inp)
+        assert np.array_equal(out_view, out_rounded)
 
     def test_finetune_reduces_quantized_mse(self, rng):
         model = self._folded(rng_seed=11)
@@ -523,7 +525,7 @@ class TestQuantAwareFinetune:
                          lambda_w=0, lambda_s=0, lambda_lda=0, rng_seed=1)
 
         def quantized_mse(m):
-            out, _ = forward_network(quantized_view(m, table),
+            out, _ = forward_network(quantize_model(m, table).dequantized(),
                                      normalize_inputs(decoded, qps, m.config))
             return float(((out - original[:, None] / m.config.pixel_max) ** 2).sum())
 
@@ -540,7 +542,7 @@ class TestQuantAwareFinetune:
         seen = []
         train(model, list(zip(*batch)), tc, callbacks=lambda e, s, b, lr: seen.append(b.mse),
               fl_table=table)
-        quantized, _ = loss_eq1(quantized_view(model, table), batch, tc)
+        quantized, _ = loss_eq1(quantize_model(model, table).dequantized(), batch, tc)
         plain, _ = loss_eq1(model, batch, tc)
         assert seen == [pytest.approx(quantized.mse, rel=1e-12)]
         assert seen[0] != pytest.approx(plain.mse, rel=1e-9)
@@ -550,6 +552,13 @@ class TestQuantAwareFinetune:
         model = build_cnnf(cfg, rng_seed=3)
         with pytest.raises(ConfigError, match="BN-folded"):
             quant_aware_finetune(model, make_triples(rng, 4), None, TrainConfig(batch_size=4))
+
+    def test_straight_through_steps_need_a_bn_folded_model(self, rng):
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 3))
+        model = build_cnnf(cfg, rng_seed=3)
+        table = self._fl_table(self._folded())
+        with pytest.raises(ConfigError, match="BN-folded"):
+            train(model, make_triples(rng, 4), TrainConfig(batch_size=4), fl_table=table)
 
     def test_missing_fl_entries_rejected(self, rng):
         from cnnlf.dfp import FLTable, LayerFL
