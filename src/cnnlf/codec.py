@@ -8,6 +8,15 @@ arithmetic coder).  That is enough to produce realistically spaced RD
 points for QP 22..37 and matching compression artifacts to train and
 evaluate the loop filter on, at desk scale.
 
+The transform is separable, as real core transforms are (Budagavi et al.,
+"Core Transform Design in the HEVC Standard", IEEE JSTSP 2013): a row pass
+and a column pass of the 8x8 basis ``D``, each one matrix product over the
+whole plane in its own layout, so each block's coefficients ``D B D^T``
+sit where its pixels were.  Quantization and reconstruction round half
+away from zero after snapping to a 2^-24 grid, so that a value the exact
+transform puts on a tie (a DC of 4 at Qstep 8, say) rounds the same way
+on every platform and in every summation order.
+
 Also here: aligned patch extraction for training data, PSNR, the
 Bjontegaard delta-rate metric, plane file IO (PGM, raw YUV 4:2:0 with a
 text sidecar) and a procedural generator for natural-looking test
@@ -17,6 +26,7 @@ images.
 from __future__ import annotations
 
 import math
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -44,27 +54,45 @@ def _dct_matrix(n: int = BLOCK) -> np.ndarray:
     return c
 
 _DCT = _dct_matrix()
+_TIE_GRID = 2.0 ** -24
 
 
 def qstep_for_qp(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
-def _to_blocks(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    return plane.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).transpose(0, 2, 1, 3)
+def _dct_plane(x: np.ndarray) -> np.ndarray:
+    """Blockwise DCT-II of a plane whose sides are multiples of 8, in plane layout:
+    the coefficients ``D @ block @ D.T`` of each 8x8 block replace its pixels.
+    The row pass is one GEMM, the column pass one per block row."""
+    h, w = x.shape
+    rows = (x.reshape(-1, BLOCK) @ _DCT.T).reshape(h // BLOCK, BLOCK, w)
+    return (_DCT @ rows).reshape(h, w)
 
 
-def _from_blocks(blocks: np.ndarray) -> np.ndarray:
-    nbh, nbw = blocks.shape[:2]
-    return blocks.transpose(0, 2, 1, 3).reshape(nbh * BLOCK, nbw * BLOCK)
+def _idct_plane(c: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_dct_plane`: ``D.T @ coef @ D`` for each 8x8 block."""
+    h, w = c.shape
+    cols = (_DCT.T @ c.reshape(h // BLOCK, BLOCK, w)).reshape(-1, BLOCK)
+    return (cols @ _DCT).reshape(h, w)
+
+
+def _round_snapped(x: np.ndarray) -> np.ndarray:
+    """``round_half_away`` of ``x`` snapped to the 2^-24 grid, far above the transform's
+    rounding error (about 1e-9 at 16 bits) and far below 1: a tie that float noise
+    moved off 0.5 rounds away from zero, and no other value rounds differently."""
+    return round_half_away(np.round(x / _TIE_GRID) * _TIE_GRID)
 
 
 def encode_intra_plane(plane: np.ndarray, qp: int, bit_depth: int = 8):
     """Encode-decode one plane; returns (reconstruction, estimated bits).
 
     Dimensions that are not multiples of 8 are edge-padded for coding and
-    cropped back.  Deterministic: no randomness anywhere.
+    cropped back.  The padded plane goes through the separable transform
+    (:func:`_dct_plane`) and is quantized and reconstructed in plane layout;
+    both ``coef / Qstep`` and the reconstructed pixels round half away from
+    zero on the 2^-24 grid (:func:`_round_snapped`), so exact ties round as
+    exact arithmetic does.  Deterministic: no randomness anywhere.
     """
     # the network's input contract, whose QP range is the codec's
     plane = _check_inputs(plane, qp, NetworkConfig(bit_depth=bit_depth))
@@ -73,18 +101,14 @@ def encode_intra_plane(plane: np.ndarray, qp: int, bit_depth: int = 8):
     ph = (BLOCK - h % BLOCK) % BLOCK
     pw = (BLOCK - w % BLOCK) % BLOCK
     padded = np.pad(plane.astype(np.float64), ((0, ph), (0, pw)), mode="edge")
-    blocks = _to_blocks(padded)
-    coef = np.einsum("ij,abjk,lk->abil", _DCT, blocks, _DCT)
     qstep = qstep_for_qp(qp)
-    q = round_half_away(coef / qstep)
+    q = _round_snapped(_dct_plane(padded) / qstep)
     symbols, counts = np.unique(q.astype(np.int64), return_counts=True)
     probs = counts / counts.sum()
     entropy = float(-(probs * np.log2(probs)).sum())
     bits = entropy * q.size
-    recon = np.einsum("ji,abjk,kl->abil", _DCT, q * qstep, _DCT)
-    recon = _from_blocks(recon)[:h, :w]
-    recon = np.clip(round_half_away(recon), 0, pmax)
-    return recon.astype(pixel_dtype(bit_depth)), bits
+    recon = _round_snapped(_idct_plane(q * qstep)[:h, :w])
+    return np.clip(recon, 0, pmax).astype(pixel_dtype(bit_depth)), bits
 
 
 @dataclass(frozen=True)
@@ -100,13 +124,15 @@ class PatchSet:
     """Aligned (decoded, original) training patches with exact provenance.
 
     ``decoded`` and ``original`` are stacked (N, P, P) arrays; ``qps`` and
-    ``provenance`` are lists of N entries.
+    ``provenance`` are lists of N entries.  ``bit_depth`` is the bit depth
+    their pixels are coded at.
     """
 
     decoded: np.ndarray
     original: np.ndarray
     qps: list
     provenance: list
+    bit_depth: int = 8
 
     def __len__(self) -> int:
         return len(self.decoded)
@@ -123,12 +149,11 @@ def make_dataset(images, qps=DEFAULT_QPS, patch: int = PATCH_SIZE,
     """Encode every image at every QP and tile aligned decoded/original patches.
 
     ``images`` is a sequence of (image_id, plane).  Tiling is
-    non-overlapping from the top-left corner; images smaller than one
-    patch are skipped with a warning entry in the returned provenance-free
-    sense (a message on stderr via warnings).  The patch order is shuffled
-    with the seeded RNG.
+    non-overlapping from the top-left corner; an image smaller than one
+    patch adds no patches and issues a ``UserWarning`` that names it.  The
+    patch order is shuffled with the seeded RNG.  The set records
+    ``bit_depth``.
     """
-    import warnings as _warnings
     if patch < 1:
         raise ConfigError(f"patch size must be at least 1, got {patch}")
     decoded_list, original_list, qp_list, prov = [], [], [], []
@@ -136,7 +161,7 @@ def make_dataset(images, qps=DEFAULT_QPS, patch: int = PATCH_SIZE,
         plane = np.asarray(plane)
         h, w = plane.shape
         if h < patch or w < patch:
-            _warnings.warn(f"image {image_id!r} ({h}x{w}) smaller than patch {patch}; skipped")
+            warnings.warn(f"image {image_id!r} ({h}x{w}) smaller than patch {patch}; skipped")
             continue
         for qp in qps:
             recon, _ = encode_intra_plane(plane, qp, bit_depth)
@@ -156,7 +181,7 @@ def make_dataset(images, qps=DEFAULT_QPS, patch: int = PATCH_SIZE,
         return np.stack([patches[i] for i in order])
 
     return PatchSet(stacked(decoded_list), stacked(original_list),
-                    [qp_list[i] for i in order], [prov[i] for i in order])
+                    [qp_list[i] for i in order], [prov[i] for i in order], bit_depth)
 
 
 def psnr(a: np.ndarray, b: np.ndarray, bit_depth: int = 8) -> float:
@@ -354,7 +379,7 @@ def write_rd_csv(path, curve: RDCurve) -> None:
 
 
 def save_patchset(path, patchset: PatchSet) -> None:
-    """Persist a PatchSet as a compressed npz archive with full provenance."""
+    """Persist a PatchSet as a compressed npz archive with full provenance and its bit depth."""
     np.savez_compressed(
         path,
         decoded=patchset.decoded,
@@ -363,6 +388,7 @@ def save_patchset(path, patchset: PatchSet) -> None:
         image_ids=np.array([p.image_id for p in patchset.provenance]),
         y0=np.array([p.y0 for p in patchset.provenance], dtype=np.int64),
         x0=np.array([p.x0 for p in patchset.provenance], dtype=np.int64),
+        bit_depth=np.int64(patchset.bit_depth),
     )
 
 
@@ -370,9 +396,10 @@ def load_patchset(path) -> PatchSet:
     """Read a patch set written by :func:`save_patchset`; raise DataError if malformed.
 
     Both patch stacks and the QPs must meet the input contract of
-    :func:`cnnlf.network._check_inputs`, at 16 bits for 16-bit pixels
-    (:func:`cnnlf.network.pixel_dtype`) and 8 bits otherwise.  A file that
-    cannot be opened raises ``OSError``.
+    :func:`cnnlf.network._check_inputs` at the set's recorded bit depth, an
+    integer in [1, 16].  A file that records none is checked at 16 bits for
+    16-bit pixels (:func:`cnnlf.network.pixel_dtype`) and 8 bits otherwise.
+    A file that cannot be opened raises ``OSError``.
     """
     with open(path, "rb") as f:
         try:
@@ -393,7 +420,11 @@ def load_patchset(path) -> PatchSet:
     for name in ("qps", "y0", "x0"):
         if arrays[name].ndim != 1 or arrays[name].dtype.kind not in "iu":
             raise DataError(f"{path}: {name!r} is not a 1-d integer array")
-    config = NetworkConfig(bit_depth=16 if decoded.dtype == pixel_dtype(16) else 8)
+    bit_depth = arrays.get("bit_depth", np.int64(16 if decoded.dtype == pixel_dtype(16) else 8))
+    if bit_depth.shape != () or bit_depth.dtype.kind not in "iu" or not 1 <= bit_depth <= 16:
+        raise DataError(f"{path}: 'bit_depth' is not one integer in [1, 16]")
+    bit_depth = int(bit_depth)
+    config = NetworkConfig(bit_depth=bit_depth)
     for name in ("decoded", "original"):
         if arrays[name].dtype.kind not in "iuf":
             raise DataError(f"{path}: {name!r} holds {arrays[name].dtype}, not numbers")
@@ -404,7 +435,7 @@ def load_patchset(path) -> PatchSet:
     qps = [int(q) for q in arrays["qps"]]
     prov = [PatchProvenance(str(i), int(y), int(x), q)
             for i, y, x, q in zip(arrays["image_ids"], arrays["y0"], arrays["x0"], qps)]
-    return PatchSet(decoded, original, qps, prov)
+    return PatchSet(decoded, original, qps, prov, bit_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,37 @@ def bd_rate_trapezoid(anchor_rates, anchor_psnrs, test_rates, test_psnrs, sample
     return (10.0 ** avg - 1.0) * 100.0
 
 
+def encode_intra_blocks(plane, qp, bit_depth=8):
+    """Block-by-block ``codec.encode_intra_plane``: edge-pad to multiples of 8, then for
+    each 8x8 block ``B`` quantize ``D @ B @ D.T / Qstep`` and reconstruct
+    ``D.T @ (q * Qstep) @ D``, both rounded half away from zero after snapping to the
+    2^-24 grid.  The bits are the zeroth-order entropy of all q times their count."""
+    n = 8
+    k = np.arange(n)
+    d = (np.sqrt(np.where(k == 0, 1.0, 2.0) / n)[:, None]
+         * np.cos(np.pi * (2 * k[None, :] + 1) * k[:, None] / (2 * n)))
+
+    def rounded(v):
+        v = np.round(v * 2.0 ** 24) / 2.0 ** 24
+        return np.sign(v) * np.floor(np.abs(v) + 0.5)
+
+    h, w = plane.shape
+    padded = np.pad(np.asarray(plane, dtype=np.float64), ((0, -h % n), (0, -w % n)), mode="edge")
+    qstep = 2.0 ** ((qp - 4) / 6.0)
+    q = np.zeros_like(padded)
+    recon = np.zeros_like(padded)
+    for y in range(0, padded.shape[0], n):
+        for x in range(0, padded.shape[1], n):
+            qb = rounded(d @ padded[y:y + n, x:x + n] @ d.T / qstep)
+            q[y:y + n, x:x + n] = qb
+            recon[y:y + n, x:x + n] = rounded(d.T @ (qb * qstep) @ d)
+    _, counts = np.unique(q.astype(np.int64), return_counts=True)
+    probs = counts / counts.sum()
+    bits = float(-(probs * np.log2(probs)).sum()) * q.size
+    pixels = np.clip(recon[:h, :w], 0, (1 << bit_depth) - 1)
+    return pixels.astype(np.uint8 if bit_depth <= 8 else np.uint16), bits
+
+
 def round_half_away_int(value: int, shift: int) -> int:
     """Integer round-half-away-from-zero of value / 2**shift, via exact rationals."""
     if shift == 0:

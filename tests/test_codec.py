@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from cnnlf.codec import (DEFAULT_QPS, RDCurve, RDPoint, _DCT, bd_rate, encode_intra_plane,
-                         load_patchset, make_dataset, make_test_image, psnr, qstep_for_qp,
-                         read_pgm, read_yuv420, save_patchset, write_pgm, write_yuv420)
+from cnnlf.codec import (DEFAULT_QPS, RDCurve, RDPoint, _DCT, _dct_plane, _idct_plane,
+                         _round_snapped, bd_rate, encode_intra_plane, load_patchset,
+                         make_dataset, make_test_image, psnr, qstep_for_qp, read_pgm,
+                         read_yuv420, save_patchset, write_pgm, write_yuv420)
 from cnnlf.errors import DataError, ShapeError
 
 from .conftest import damaged
-from .oracles import bd_rate_trapezoid
+from .oracles import bd_rate_trapezoid, encode_intra_blocks
+
+ORACLE_SHAPES = [(120, 208), (60, 104), (37, 53), (1, 1)]
+
+
+def tie_plane():
+    """A 16x24 plane of six blocks, each zero but for one pixel of 32: at QP 22 its DC,
+    (0, 4), (4, 0) and (4, 4) coefficients over Qstep 8 are exactly +-0.5."""
+    plane = np.zeros((16, 24), dtype=np.uint8)
+    for j, (y, x) in enumerate([(0, 0), (1, 1), (3, 5), (7, 7), (2, 6), (6, 3)]):
+        plane[8 * (j // 3) + y, 8 * (j % 3) + x] = 32
+    return plane
 
 
 class TestDct:
@@ -25,6 +37,17 @@ class TestDct:
         coef = _DCT @ block @ _DCT.T
         back = _DCT.T @ coef @ _DCT
         assert np.abs(back - block).max() < 1e-9
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_plane_transforms_match_the_per_block_definition(self, shape):
+        img = make_test_image(*shape, seed=shape[0]).astype(np.float64)
+        padded = np.pad(img, ((0, -shape[0] % 8), (0, -shape[1] % 8)), mode="edge")
+        coef, back = _dct_plane(padded), _idct_plane(padded)
+        for y in range(0, padded.shape[0], 8):
+            for x in range(0, padded.shape[1], 8):
+                block = padded[y:y + 8, x:x + 8]
+                assert np.abs(coef[y:y + 8, x:x + 8] - _DCT @ block @ _DCT.T).max() < 1e-12
+                assert np.abs(back[y:y + 8, x:x + 8] - _DCT.T @ block @ _DCT).max() < 1e-12
 
 
 class TestEncodeIntraPlane:
@@ -69,6 +92,35 @@ class TestEncodeIntraPlane:
     def test_invalid_qp(self):
         with pytest.raises(DataError, match="qp"):
             encode_intra_plane(np.zeros((8, 8), dtype=np.uint8), 52)
+
+    @pytest.mark.parametrize("pixel, signs", [((0, 0), (1, 1, 1, 1)), ((1, 1), (1, -1, -1, 1)),
+                                              ((7, 7), (1, 1, 1, 1))])
+    def test_quantizer_ties_round_away_from_zero(self, pixel, signs):
+        # DC / 8 and the (0, 4), (4, 0), (4, 4) coefficients / 8 are exactly +-0.5
+        block = np.zeros((8, 8))
+        block[pixel] = 32
+        q = _round_snapped(_dct_plane(block) / qstep_for_qp(22))
+        assert (q[0, 0], q[0, 4], q[4, 0], q[4, 4]) == signs
+
+    @pytest.mark.parametrize("freq", [(0, 4), (4, 0), (4, 4)])
+    def test_reconstruction_ties_round_away_from_zero(self, freq):
+        # at Qstep 4 a DC of 2 adds 1 to each pixel and a (0, 4), (4, 0) or (4, 4) of 1
+        # adds exactly +-0.5, with the signs of the basis rows
+        q = np.zeros((8, 8))
+        q[0, 0], q[freq] = 2, 1
+        rows, cols = (np.sign(_DCT[f]) if f else np.ones(8) for f in freq)
+        exact = 1 + 0.5 * np.outer(rows, cols)
+        got = _round_snapped(_idct_plane(q * qstep_for_qp(16)))
+        assert np.array_equal(got, np.floor(exact + 0.5))
+
+    @pytest.mark.parametrize("qp", DEFAULT_QPS)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES + ["ties"])
+    def test_matches_the_per_block_reference(self, shape, qp):
+        img = tie_plane() if shape == "ties" else make_test_image(*shape, seed=shape[1])
+        recon, bits = encode_intra_plane(img, qp)
+        ref, ref_bits = encode_intra_blocks(img, qp)
+        assert np.array_equal(recon, ref) and recon.dtype == ref.dtype
+        assert bits == ref_bits
 
 
 class TestMakeTestImage:
@@ -331,12 +383,42 @@ class TestPlaneIO:
         save_patchset(tmp_path / "ds.npz", ds)
         with np.load(tmp_path / "ds.npz") as z:
             arrays = {k: z[k] for k in z.files}
-        np.savez(tmp_path / "empty.npz", **{k: v[:0] for k, v in arrays.items()})
+        np.savez(tmp_path / "empty.npz", **{k: v[:0] if v.ndim else v for k, v in arrays.items()})
         assert len(load_patchset(tmp_path / "empty.npz")) == 0
         for name in ("decoded", "original"):
             arrays[name] = arrays[name][:, :0]
         np.savez(tmp_path / "bad.npz", **arrays)
         with pytest.raises(DataError, match="bad.npz: 'decoded'.*hold no pixels"):
+            load_patchset(tmp_path / "bad.npz")
+
+    def test_patchset_pixels_are_checked_at_its_bit_depth(self, tmp_path):
+        img = make_test_image(40, 40, seed=2).astype(np.uint16) << 2
+        ds = make_dataset([("a", img)], qps=(22,), patch=16, bit_depth=10)
+        save_patchset(tmp_path / "ds.npz", ds)
+        assert load_patchset(tmp_path / "ds.npz").bit_depth == 10
+        with np.load(tmp_path / "ds.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["original"].flat[-1] = 1023
+        np.savez(tmp_path / "top.npz", **arrays)
+        assert load_patchset(tmp_path / "top.npz").original.flat[-1] == 1023
+        arrays["original"].flat[-1] = 1024
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(DataError, match="bad.npz: 'original'.*1023"):
+            load_patchset(tmp_path / "bad.npz")
+        # a set that records no bit depth keeps the dtype rule: 16 bits for uint16
+        del arrays["bit_depth"]
+        np.savez(tmp_path / "old.npz", **arrays)
+        assert load_patchset(tmp_path / "old.npz").bit_depth == 16
+
+    @pytest.mark.parametrize("value", [np.int64(0), np.int64(17), np.float64(8), np.array([8])])
+    def test_patchset_bad_bit_depth_is_data_error(self, tmp_path, value):
+        ds = make_dataset([("a", make_test_image(40, 40, seed=2))], qps=(22,), patch=16)
+        save_patchset(tmp_path / "ds.npz", ds)
+        with np.load(tmp_path / "ds.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["bit_depth"] = value
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(DataError, match="bad.npz: 'bit_depth'"):
             load_patchset(tmp_path / "bad.npz")
 
     def test_patchset_missing_file_is_os_error(self, tmp_path):
