@@ -160,7 +160,7 @@ def cmd_train(args, log):
     ds = load_patchset(args.dataset)
     config = _train_config(args)
     arch = NetworkConfig(num_conv_layers=args.layers, kernel_size=args.kernel,
-                         base_filters=args.filters,
+                         base_filters=args.filters, bit_depth=ds.bit_depth,
                          per_layer_filters=(args.filters,) * (args.layers - 1))
     model = build_cnnf(arch, rng_seed=args.seed)
     history_path = Path(str(args.out) + ".history.jsonl")
@@ -212,6 +212,8 @@ def cmd_lowrank(args, log):
 def cmd_quantize(args, log):
     model = fold_batchnorm(_require_float_model(load_model(args.model), "quantize"))
     ds = load_patchset(args.dataset)
+    if ds.bit_depth != model.config.bit_depth:
+        raise ConfigError(f"patch set is {ds.bit_depth}-bit, model {model.config.bit_depth}-bit")
     count = min(args.calib_count, len(ds)) if args.calib_count else len(ds)
     calibration = [(ds.decoded[i], ds.qps[i]) for i in range(count)]
     if args.fl_preset == "reference-8layer":

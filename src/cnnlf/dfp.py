@@ -33,19 +33,19 @@ contracts channels before taps (``k * k * Cout <= Cin``) first forms per-tap
 sums over the input channels and then adds the taps; each of those is a sum
 of a subset of the same products, bounded by the same figure.
 
-:func:`dfp_forward` runs the layers as (layer, band) blocks over two padded
-ping-pong buffers.  A block starts once the blocks of the layer before that
-write the rows it reads, or read the rows it overwrites, are done
-(:func:`_wavefront`), so a layer's first bands run while the layer before
-finishes its last ones and no worker waits at a layer boundary: the
-layer-fusion schedule of fused-layer CNN accelerators (Alwani et al., MICRO
-2016).  Whatever order the blocks run in, each sums the same integers from
-the same inputs.  The output is therefore bit-identical for any summation
-order, BLAS build, BLAS thread count, band split, worker count or
-schedule, which is the point: encoder and decoder agree across platforms
-by construction.  The blocks run inside
-:func:`cnnlf.tensor._spend_blas_threads`, with BLAS at one thread and the
-blocks on the process's worker pool.
+The plane runner :func:`_run_planes` runs the layers as (layer, band) blocks
+over two padded ping-pong buffers, on the process's worker pool with BLAS at
+one thread (:func:`cnnlf.tensor._spend_blas_threads`).  A block starts once
+the blocks of the layer before that write the rows it reads, or read the rows
+it overwrites, are done (:func:`_wavefront`), so a layer's first bands run
+while the layer before finishes its last ones and no worker waits at a layer
+boundary: the layer-fusion schedule of fused-layer CNN accelerators (Alwani
+et al., MICRO 2016).  Whatever order the blocks of :func:`dfp_forward` run
+in, each sums the same integers from the same inputs, so the output is
+bit-identical for any summation order, BLAS build, BLAS thread count, band
+split, worker count or schedule, which is the point: encoder and decoder
+agree across platforms by construction.  Calibration (:func:`build_fl_table`)
+runs the float layers with a max-abs epilogue over band interiors.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ModelFormatError, VerificationError
+# forward_network is not called here; perfbench's tracer test pins this binding
 from .network import (Layer, NetworkConfig, NetworkModel, _check_chain, _check_inputs,
                       forward_network, normalize_inputs, pixel_dtype)
 from .tensor import (ConvParams, _check_conv, _Conv, _on_workers, _replicate_border, _row_bands,
@@ -183,30 +184,35 @@ def reference_fl_8layer() -> FLTable:
 
 
 def _calibration_max_abs(model: NetworkModel, calibration) -> list:
-    """Max |conv output| per layer over all calibration planes.
-
-    Reads each layer's conv output ``z`` from the caches of
-    :func:`cnnlf.network.forward_network`; on a BN-folded model that is the
-    pre-ReLU activation.
+    """Max |pre-ReLU conv output| per layer of a BN-folded model over the calibration planes,
+    each run on the DFP wavefront (:func:`_run_planes`) with a float epilogue that keeps the
+    max |sum| of a block's interior, never the junk columns, in the block's own cell, then
+    applies the ReLU.  ``max`` is exact, so no schedule changes the result.
     """
-    maxima = [0.0] * len(model.layers)
-    count = 0
+    convs = [_Conv(layer.conv.weights, layer.conv.bias) for layer in model.layers]
+    maxima = []
     for plane, qp in calibration:
-        _, caches = forward_network(model, normalize_inputs(plane, qp, model.config),
-                                    keep_cache=True)
-        for i, cache in enumerate(caches):
-            maxima[i] = max(maxima[i], float(np.abs(cache["z"]).max()))
-        count += 1
-    if count == 0:
+        inp = normalize_inputs(plane, qp, model.config)[0]
+        cells = np.zeros((len(convs), inp.shape[1]))  # a plane has at most H bands
+
+        def observe(l: int, j: int, sums: np.ndarray, interior: np.ndarray) -> None:
+            cells[l, j] = np.abs(interior).max()
+            if model.layers[l].relu:
+                np.maximum(sums, 0.0, out=sums)
+
+        _run_planes(convs, inp, observe)
+        maxima.append(cells.max(axis=1))
+    if not maxima:
         raise ConfigError("calibration set is empty")
-    return maxima
+    return np.max(maxima, axis=0).tolist()
 
 
 def build_fl_table(model: NetworkModel, calibration) -> FLTable:
     """Estimate per-layer fractional lengths for a BN-folded model.
 
-    Weight and bias fl come from the parameter tensors, output fl from
-    the largest conv-output magnitude observed on the calibration planes.
+    Weight and bias fl come from the parameter tensors, output fl from the
+    largest conv-output magnitude on the calibration planes, which run on the
+    DFP wavefront with a float max-abs epilogue over band interiors only.
     Constraints forced by the integer pipeline: the bias fl never exceeds
     the accumulator fl (bias alignment must be an exact left shift), the
     output fl never exceeds the accumulator fl (requantization only
@@ -388,37 +394,27 @@ def _layer_conv(layer: DFPLayer, bshift: int, shift: int) -> _Conv:
     return _Conv(weights, bias)
 
 
-def _layer_band(conv: _Conv, relu: bool, shift: int, src: np.ndarray, dst: np.ndarray,
-                pad: int, r0: int, r1: int, buf: np.ndarray) -> None:
+def _layer_band(conv: _Conv, src: np.ndarray, dst: np.ndarray, pad: int, r0: int, r1: int,
+                buf: np.ndarray, epilogue) -> None:
     """One (layer, band) block: output rows ``r0:r1`` of one layer, from padded buffer ``src``
-    into padded buffer ``dst``.
+    into padded buffer ``dst``, then ``epilogue(sums, interior)`` on them in place.
 
     Both buffers are (C, H + 2 * pad, W + 2 * pad) with an edge-replicated
     ring of width ``pad``, at least the layer's ``(k - 1) / 2``.  The block
     reads rows ``r0 - p .. r1 + p`` of ``src`` and sums straight into
     ``dst``'s rows ``r0:r1`` (:meth:`cnnlf.tensor._Conv.band`), starting from
-    the aligned bias: accumulator column ``y * rs + x`` is ``dst``'s pixel
+    the bias: accumulator column ``y * rs + x`` is ``dst``'s pixel
     (pad + r0 + y, pad + x), so the junk columns land in the ring cells of
-    the band's own rows.  It then requantizes those sums in place and fills
+    the band's own rows, which ``interior`` leaves out.  The block then fills
     the ring of its rows, and the top or bottom ring rows if it holds the
-    first or the last row.  A ReLU layer's requantization is
-    ``floor(clip(acc, 1/2, ACT_MAX))`` (see :func:`_layer_conv`); other layers
-    round half away from zero and saturate.
+    first or the last row.
     """
     depth, _, rs = src.shape
     p = (conv.k - 1) // 2
     sums = conv.band(src.reshape(depth, -1)[:conv.cin], (pad + r0 - p) * rs + pad - p, rs,
                      dst.reshape(depth, -1)[:conv.cout], (pad + r0) * rs + pad, r1 - r0,
                      rs - 2 * pad, buf)
-    if relu:
-        # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1)) is
-        # non-negative, so rounding half away is floor(max(acc, 1/2)); at s = 0 that is
-        # max(a, 0) for integer a.  floor(min(v, ACT_MAX)) = min(floor(v), ACT_MAX) for the
-        # integer ACT_MAX, so one clip applies both bounds.
-        np.clip(sums, 0.5, ACT_MAX, out=sums)
-        np.floor(sums, out=sums)
-    else:
-        np.clip(_round_shift(sums, shift), ACT_MIN, ACT_MAX, out=sums)
+    epilogue(sums, dst[:conv.cout, pad + r0:pad + r1, pad:rs - pad])
     _replicate_border(dst[:conv.cout], pad, r0, r1)
 
 
@@ -447,44 +443,61 @@ def _wavefront(bands: list, reaches: list) -> list:
     return after
 
 
-def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
-    """Integer-exact filtering of one plane; bit-identical for any BLAS thread count.
-
-    The layers run as (layer, band) blocks of :func:`_layer_band` over two
-    padded ping-pong buffers, each block starting once the blocks it depends
-    on (:func:`_wavefront`) are done, on ``T`` workers of the process's pool
-    with BLAS at one thread (:func:`cnnlf.tensor._spend_blas_threads`); ``T``
-    is restored after.  ``threads`` is unused; it stays only because
-    ``perfbench`` still passes it.
+def _run_planes(convs: list, planes, epilogue) -> np.ndarray:
+    """The plane runner of inference and calibration: the layers ``convs`` over one plane's
+    input channels ``planes``, (H, W) arrays or scalars, as (layer, band) blocks of
+    :func:`_layer_band` with ``epilogue(l, j, sums, interior)`` in :func:`_wavefront` order,
+    on ``T`` workers with BLAS at one thread (:func:`cnnlf.tensor._spend_blas_threads`).
+    Returns the (H, W) view of the last layer's output.
     """
-    cfg = model.config
-    recon_m, qp_m = input_mantissas(plane, qp, cfg)
-    h, w = recon_m.shape
-    reaches = [(layer.weights_m.shape[2] - 1) // 2 for layer in model.layers]
+    h, w = np.shape(planes[0])
+    reaches = [(conv.k - 1) // 2 for conv in convs]
     pad = max(reaches)
-    depth = max(max(layer.weights_m.shape[:2]) for layer in model.layers)
+    depth = max(max(conv.cout, conv.cin) for conv in convs)
     rs = w + 2 * pad
     buffers = [np.empty((depth, h + 2 * pad, rs)) for _ in range(2)]
-    buffers[0][0, pad:pad + h, pad:pad + w] = recon_m
-    buffers[0][1, pad:pad + h, pad:pad + w] = qp_m
-    _replicate_border(buffers[0][:2], pad)
-    layer_shifts, sum_shift = model.shifts()
-    layers = [(_layer_conv(layer, bshift, shift), layer.relu, shift)
-              for layer, (bshift, shift) in zip(model.layers, layer_shifts)]
+    for c, plane in enumerate(planes):
+        buffers[0][c, pad:pad + h, pad:pad + w] = plane
+    _replicate_border(buffers[0][:len(planes)], pad)
     # at least 3 bands, so that even a small plane's layers overlap
     bands = _row_bands(h, 8 * depth * rs, least=3)
-    rows = max(r1 - r0 for r0, r1 in bands)
-    scratch = max(conv.scratch(rows, rs) for conv, _, _ in layers)
+    scratch = max(conv.scratch(-(-h // len(bands)), rs) for conv in convs)
 
     def block(b: int, buf: np.ndarray) -> None:
         l, j = divmod(b, len(bands))
-        _layer_band(*layers[l], buffers[l % 2], buffers[1 - l % 2], pad, *bands[j], buf)
+        _layer_band(convs[l], buffers[l % 2], buffers[1 - l % 2], pad, *bands[j], buf,
+                    lambda sums, interior: epilogue(l, j, sums, interior))
 
     with _spend_blas_threads():
-        _on_workers(len(layers) * len(bands), lambda: np.empty(scratch), block,
+        _on_workers(len(convs) * len(bands), lambda: np.empty(scratch), block,
                     _wavefront(bands, reaches))
+    return buffers[len(convs) % 2][0, pad:pad + h, pad:pad + w]
+
+
+def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
+    """Integer-exact filtering of one plane on the plane runner :func:`_run_planes`, each
+    block requantizing its sums; bit-identical for any BLAS thread count.  ``threads`` is
+    unused; it stays only because ``perfbench`` still passes it.
+    """
+    cfg = model.config
+    recon_m, qp_m = input_mantissas(plane, qp, cfg)
+    layer_shifts, sum_shift = model.shifts()
+    convs = [_layer_conv(layer, bshift, shift)
+             for layer, (bshift, shift) in zip(model.layers, layer_shifts)]
+
+    def requantize(l: int, j: int, sums: np.ndarray, interior: np.ndarray) -> None:
+        if model.layers[l].relu:  # floor(clip(acc, 1/2, ACT_MAX)), see _layer_conv:
+            # acc = (a + 2^(s-1)) 2^-s, and max(a, 0) + 2^(s-1) = max(a + 2^(s-1), 2^(s-1))
+            # is non-negative, so rounding half away is floor(max(acc, 1/2)); at s = 0 that
+            # is max(a, 0) for integer a.  floor(min(v, ACT_MAX)) = min(floor(v), ACT_MAX)
+            # for the integer ACT_MAX, so one clip applies both bounds.
+            np.clip(sums, 0.5, ACT_MAX, out=sums)
+            np.floor(sums, out=sums)
+        else:
+            np.clip(_round_shift(sums, layer_shifts[l][1]), ACT_MIN, ACT_MAX, out=sums)
+
+    resid = _run_planes(convs, (recon_m, qp_m), requantize)
     # summation layer: bring the residual down to the input grid and add, saturating
-    resid = buffers[len(layers) % 2][0, pad:pad + h, pad:pad + w]
     total = np.clip(_round_shift(resid, sum_shift), ACT_MIN, ACT_MAX)
     total += recon_m
     np.clip(total, 0, ACT_MAX, out=total)  # a negative sum denormalizes to pixel 0

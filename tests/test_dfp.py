@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import multiprocessing
 import os
 import struct
@@ -15,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnlf import dfp, tensor
-from cnnlf.compress import fold_batchnorm
+from cnnlf.compress import decompose_model, fold_batchnorm
 from cnnlf.dfp import (BIAS_BITS, INPUT_FL, OUTPUT_BITS, WEIGHT_BITS, DFPFormat, DFPLayer,
                        DFPModel, FLTable, LayerFL, build_fl_table, corpus_digest,
                        dequantize_value, dfp_forward, estimate_fl, input_mantissas,
                        make_conformance, quantize_model, quantize_value, read_conformance,
                        reference_fl_8layer, replay_conformance, write_conformance)
-from cnnlf.errors import ConfigError, ModelFormatError, ShapeError, VerificationError
+from cnnlf.errors import ConfigError, DataError, ModelFormatError, ShapeError, VerificationError
 from cnnlf.model_io import load_model, save_model
-from cnnlf.network import NetworkConfig, build_cnnf, filter_plane
+from cnnlf.network import NetworkConfig, build_cnnf, filter_plane, forward_network, normalize_inputs
 from cnnlf.codec import make_test_image, psnr
 
 from .conftest import blas_count, schedule_shaker
@@ -341,8 +342,9 @@ class TestFLTable:
         assert e.fl_b <= e.fl_w + INPUT_FL
 
     def test_empty_calibration_rejected(self):
-        with pytest.raises(ConfigError, match="empty"):
-            build_fl_table(small_weight_model(), [])
+        for calibration in ([], iter([])):
+            with pytest.raises(ConfigError, match="empty"):
+                build_fl_table(small_weight_model(), calibration)
 
     def test_dict_round_trip(self):
         table = reference_fl_8layer()
@@ -356,6 +358,114 @@ class TestFLTable:
         assert stored["fl_concat"] == stored["fl_sum"] == INPUT_FL
         with pytest.raises(ConfigError, match="fl_concat 14 is not the input fl"):
             FLTable.from_dict({**stored, "fl_concat": 14})
+
+
+def make_golden_module():
+    """``tests/data/make_golden.py``, which builds the golden float models."""
+    path = Path(__file__).resolve().parent / "data" / "make_golden.py"
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def forward_network_max_abs(model, calibration):
+    """Each layer's max |conv output| over ``calibration``, read from the caches of the
+    training forward at one BLAS thread: the oracle of ``dfp._calibration_max_abs``."""
+    maxima = np.zeros(model.num_layers)
+    with blas_count(1):
+        for plane, qp in calibration:
+            _, caches = forward_network(model, normalize_inputs(plane, qp, model.config),
+                                        keep_cache=True)
+            maxima = np.maximum(maxima, [np.abs(cache["z"]).max() for cache in caches])
+    return maxima.tolist()
+
+
+def calibration_model(kind):
+    """A BN-folded float model: a golden model of ``tests/data``, or a small one split into
+    3x3 and 1x1 layers, or one whose output layer has a ReLU."""
+    if kind in ("golden8", "golden16"):
+        return make_golden_module().golden_float_model(int(kind[6:]))
+    model = small_weight_model()
+    if kind == "decomposed":
+        # 3x3 bases of ranks 2 and 2, each followed by a 1x1 combine layer
+        model, _ = decompose_model(model, ranks=[2, 2, 1])
+        assert [layer.conv.weights.shape[2] for layer in model.layers] == [3, 1, 3, 1, 3]
+    elif kind == "relu-head":
+        model.layers[-1].relu = True
+        model.layers[-1].conv.bias[:] = -0.02  # so the ReLU clips some of the head's sums
+    return model
+
+
+CALIBRATION_SHAPES = {"1x12": [(1, 12)], "12x1": [(12, 1)], "2x2": [(2, 2)],
+                      "35x35": [(35, 35)], "mixed": [(35, 35), (1, 12), (12, 1), (2, 2), (9, 17)]}
+
+
+def calibration_set(shapes, bit_depth):
+    planes = [make_test_image(h, w, seed=30 + i) for i, (h, w) in enumerate(shapes)]
+    if bit_depth > 8:
+        planes = [plane.astype(np.uint16) * 257 for plane in planes]
+    return [(plane, (22, 37)[i % 2]) for i, plane in enumerate(planes)]
+
+
+class TestCalibration:
+    """``build_fl_table`` reads each layer's max |pre-ReLU output| from the DFP wavefront."""
+
+    @pytest.mark.parametrize("shapes", list(CALIBRATION_SHAPES))
+    @pytest.mark.parametrize("kind", ["golden8", "golden16", "decomposed", "relu-head"])
+    def test_maxima_and_table_match_the_training_forward(self, kind, shapes):
+        model = calibration_model(kind)
+        calibration = calibration_set(CALIBRATION_SHAPES[shapes], model.config.bit_depth)
+        want = forward_network_max_abs(model, calibration)
+        got = dfp._calibration_max_abs(model, calibration)
+        assert min(want) > 0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        with mock.patch.object(dfp, "_calibration_max_abs", forward_network_max_abs):
+            oracle_table = build_fl_table(model, calibration)
+        assert build_fl_table(model, calibration).layers == oracle_table.layers
+
+    def test_maxima_do_not_depend_on_workers_schedule_or_bands(self):
+        model = calibration_model("golden8")
+        calibration = calibration_set(CALIBRATION_SHAPES["mixed"], 8)
+        with blas_count(1):
+            want = dfp._calibration_max_abs(model, calibration)
+            table = build_fl_table(model, calibration)
+        for workers in (1, 2, 3):
+            with blas_count(workers):
+                assert dfp._calibration_max_abs(model, calibration) == want, workers
+                assert build_fl_table(model, calibration).layers == table.layers
+                for seed in range(3):
+                    with schedule_shaker(seed):
+                        assert dfp._calibration_max_abs(model, calibration) == want, seed
+        # one-row bands: the GEMMs change shape, so the maxima may move in the last place
+        # and the table must stay the same
+        layer_band, starts = dfp._layer_band, set()
+
+        def spy(conv, src, dst, pad, r0, *rest):
+            starts.add(r0)
+            layer_band(conv, src, dst, pad, r0, *rest)
+
+        with mock.patch.object(tensor, "BAND_BYTES", 1), blas_count(2), \
+                mock.patch.object(dfp, "_layer_band", spy):
+            np.testing.assert_allclose(dfp._calibration_max_abs(model, calibration), want,
+                                       rtol=1e-12, atol=0)
+            assert build_fl_table(model, calibration).layers == table.layers
+        assert starts == set(range(35))
+
+    def test_never_runs_the_training_conv(self):
+        model = calibration_model("decomposed")
+        calibration = calibration_set(CALIBRATION_SHAPES["mixed"], 8)
+        with mock.patch.object(tensor, "conv2d", side_effect=AssertionError("conv2d ran")):
+            build_fl_table(model, calibration)
+
+    @pytest.mark.parametrize("pixel, qp, message", [(256, 27, r"pixel values outside \[0, 255\]"),
+                                                     (255, 52, r"qp 52 outside \[0, 51\]")])
+    def test_bad_input_is_data_error_before_any_block(self, pixel, qp, message):
+        plane = make_test_image(12, 12, seed=3).astype(np.uint16)
+        plane[5, 7] = pixel
+        with mock.patch.object(dfp, "_layer_band", side_effect=AssertionError("a block ran")):
+            with pytest.raises(DataError, match=message):
+                build_fl_table(small_weight_model(), [(plane, qp)])
 
 
 class TestQuantizeModel:

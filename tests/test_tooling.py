@@ -11,7 +11,8 @@ import pytest
 
 from cnnlf import cli, compress
 from cnnlf.cli import main
-from cnnlf.codec import load_patchset, make_test_image, read_pgm, write_pgm
+from cnnlf.codec import (load_patchset, make_dataset, make_test_image, read_pgm, save_patchset,
+                         write_pgm)
 from cnnlf.compress import decompose_model, fold_batchnorm, prune_by_bn_scale
 from cnnlf.dfp import (build_fl_table, dfp_forward, make_conformance, quantize_model,
                        read_conformance, write_conformance)
@@ -227,6 +228,38 @@ class TestCli:
                         "--batch-size", "8", "--lr", "0.002", "--seed", "2") == 0
         assert self.run("quantize", "--model", "m.clf", "--dataset", "ds.npz",
                         "--out", "md.clf", "--calib-count", "4") == 0
+
+    @staticmethod
+    def _save_patchset(path, bit_depth):
+        img = make_test_image(40, 40, seed=2).astype(np.uint16) << (bit_depth - 8)
+        save_patchset(path, make_dataset([("a", img)], qps=(22, 37), patch=16,
+                                         bit_depth=bit_depth))
+
+    def test_train_on_a_10_bit_set_makes_a_10_bit_model(self, workspace):
+        self._save_patchset("ds.npz", 10)
+        assert self.run("train", "--dataset", "ds.npz", "--out", "m.clf", "--layers", "3",
+                        "--filters", "4", "--epochs", "1", "--batch-size", "4",
+                        "--lr", "0.002", "--seed", "2") == 0
+        assert load_model("m.clf").config.bit_depth == 10
+
+    @pytest.mark.parametrize("model_depth, set_depth", [(10, 8), (8, 10)])
+    def test_quantize_on_a_set_of_another_bit_depth_exit_code(self, workspace, capsys, monkeypatch,
+                                                              model_depth, set_depth):
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 4),
+                            bit_depth=model_depth)
+        save_model(build_cnnf(cfg, rng_seed=1), "m.clf")
+        self._save_patchset("ds.npz", set_depth)
+
+        def calibrate(*args):
+            raise AssertionError("calibrated")
+
+        monkeypatch.setattr(cli, "build_fl_table", calibrate)
+        assert self.run("quantize", "--model", "m.clf", "--dataset", "ds.npz",
+                        "--out", "q.clf") == 5
+        err = capsys.readouterr().err
+        assert err.count("cnnlf:") == 1
+        assert f"patch set is {set_depth}-bit, model {model_depth}-bit" in err
+        assert not (workspace / "q.clf").exists()
 
     def test_dataset_train_quantize_chain(self, workspace):
         self._make_pipeline(workspace)
