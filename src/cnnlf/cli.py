@@ -210,12 +210,13 @@ def cmd_lowrank(args, log):
 
 
 def cmd_quantize(args, log):
+    if args.calib_count is not None and args.calib_count < 1:
+        raise ConfigError(f"--calib-count must be at least 1, got {args.calib_count}")
     model = fold_batchnorm(_require_float_model(load_model(args.model), "quantize"))
     ds = load_patchset(args.dataset)
     if ds.bit_depth != model.config.bit_depth:
         raise ConfigError(f"patch set is {ds.bit_depth}-bit, model {model.config.bit_depth}-bit")
-    count = min(args.calib_count, len(ds)) if args.calib_count else len(ds)
-    calibration = [(ds.decoded[i], ds.qps[i]) for i in range(count)]
+    calibration = list(zip(ds.decoded, ds.qps))[:args.calib_count]
     if args.fl_preset == "reference-8layer":
         table = reference_fl_8layer()
         table.check_complete(len(model.layers))
@@ -241,9 +242,11 @@ def cmd_quantize(args, log):
 
 
 def _load_for_inference(path):
-    """The model at ``path``, a float model with its BN folded once, here, rather than
-    by every :func:`cnnlf.network.filter_plane` call."""
+    """The model at ``path`` for 8-bit planes, a float model with its BN folded once, here,
+    rather than by every :func:`cnnlf.network.filter_plane` call."""
     model = load_model(path)
+    if model.config.bit_depth != 8:
+        raise ConfigError(f"input planes are 8-bit, model {model.config.bit_depth}-bit")
     return fold_batchnorm(model) if isinstance(model, NetworkModel) else model
 
 

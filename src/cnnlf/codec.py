@@ -307,7 +307,8 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, plane: np.ndarray) -> None:
-    plane = np.asarray(plane, dtype=np.uint8)
+    """Binary 8-bit PGM; pixels outside [0, 255] are a :class:`DataError`, not wrapped."""
+    plane = _check_inputs(plane, 0, NetworkConfig()).astype(np.uint8)
     h, w = plane.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -348,7 +349,7 @@ def read_yuv420(path) -> list:
         raise DataError(f"{path}: 4:2:0 requires even dimensions, got {w}x{h}")
     frame_bytes = w * h * 3 // 2
     data = path.read_bytes()
-    if len(data) < frame_bytes * frames:
+    if len(data) != frame_bytes * frames:
         raise DataError(f"{path}: file holds {len(data)} bytes, descriptor implies "
                         f"{frame_bytes * frames}")
     out = []

@@ -33,24 +33,16 @@ contracts channels before taps (``k * k * Cout <= Cin``) first forms per-tap
 sums over the input channels and then adds the taps; each of those is a sum
 of a subset of the same products, bounded by the same figure.
 
-The plane runner :func:`_run_planes` runs the layers as (layer, band) blocks
-over two padded ping-pong buffers, on the process's worker pool with BLAS at
-one thread (:func:`cnnlf.tensor._spend_blas_threads`).  A block starts once
-the blocks of the layer before that write the rows it reads, or read the rows
-it overwrites, are done (:func:`_wavefront`), so a layer's first bands run
-while the layer before finishes its last ones and no worker waits at a layer
-boundary: the layer-fusion schedule of fused-layer CNN accelerators (Alwani
-et al., MICRO 2016).  Whatever order the blocks of :func:`dfp_forward` run
-in, each sums the same integers from the same inputs, so the output is
-bit-identical for any summation order, BLAS build, BLAS thread count, band
-split, worker count or schedule, which is the point: encoder and decoder
-agree across platforms by construction.  Calibration (:func:`build_fl_table`)
-runs the float layers with a max-abs epilogue over band interiors.
+:func:`dfp_forward` runs on the plane runner (:func:`cnnlf.tensor._run_planes`)
+with an epilogue that requantizes each block's sums.  Whatever order the
+blocks run in, each sums the same integers from the same inputs, so the
+output is bit-identical for any summation order, BLAS build, BLAS thread
+count, band split, worker count or schedule, which is the point: encoder and
+decoder agree across platforms by construction.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -62,8 +54,7 @@ from .errors import ConfigError, DataError, ModelFormatError, VerificationError
 # forward_network is not called here; perfbench's tracer test pins this binding
 from .network import (Layer, NetworkConfig, NetworkModel, _check_chain, _check_inputs,
                       forward_network, normalize_inputs, pixel_dtype)
-from .tensor import (ConvParams, _check_conv, _Conv, _on_workers, _replicate_border, _row_bands,
-                     _spend_blas_threads, round_half_away)
+from .tensor import ConvParams, _check_conv, _run_planes, round_half_away
 
 WEIGHT_BITS = 8
 BIAS_BITS = 32
@@ -185,22 +176,21 @@ def reference_fl_8layer() -> FLTable:
 
 def _calibration_max_abs(model: NetworkModel, calibration) -> list:
     """Max |pre-ReLU conv output| per layer of a BN-folded model over the calibration planes,
-    each run on the DFP wavefront (:func:`_run_planes`) with a float epilogue that keeps the
-    max |sum| of a block's interior, never the junk columns, in the block's own cell, then
-    applies the ReLU.  ``max`` is exact, so no schedule changes the result.
+    each run on the plane runner (:func:`cnnlf.tensor._run_planes`) with a float epilogue
+    that keeps the max |sum| of a block's interior, never the junk columns, in the block's
+    own cell, then applies the ReLU.  ``max`` is exact, so no schedule changes the result.
     """
-    convs = [_Conv(layer.conv.weights, layer.conv.bias) for layer in model.layers]
     maxima = []
     for plane, qp in calibration:
         inp = normalize_inputs(plane, qp, model.config)[0]
-        cells = np.zeros((len(convs), inp.shape[1]))  # a plane has at most H bands
+        cells = np.zeros((model.num_layers, inp.shape[1]))  # a plane has at most H bands
 
         def observe(l: int, j: int, sums: np.ndarray, interior: np.ndarray) -> None:
             cells[l, j] = np.abs(interior).max()
             if model.layers[l].relu:
                 np.maximum(sums, 0.0, out=sums)
 
-        _run_planes(convs, inp, observe)
+        _run_planes([layer.conv for layer in model.layers], inp, observe)
         maxima.append(cells.max(axis=1))
     if not maxima:
         raise ConfigError("calibration set is empty")
@@ -212,7 +202,7 @@ def build_fl_table(model: NetworkModel, calibration) -> FLTable:
 
     Weight and bias fl come from the parameter tensors, output fl from the
     largest conv-output magnitude on the calibration planes, which run on the
-    DFP wavefront with a float max-abs epilogue over band interiors only.
+    plane runner with a float max-abs epilogue over band interiors only.
     Constraints forced by the integer pipeline: the bias fl never exceeds
     the accumulator fl (bias alignment must be an exact left shift), the
     output fl never exceeds the accumulator fl (requantization only
@@ -376,7 +366,7 @@ def _round_shift(a: np.ndarray, shift: int) -> np.ndarray:
     return round_half_away(a * 2.0 ** -shift) if shift else a
 
 
-def _layer_conv(layer: DFPLayer, bshift: int, shift: int) -> _Conv:
+def _layer_conv(layer: DFPLayer, bshift: int, shift: int) -> ConvParams:
     """The float64 convolution that sums one layer's accumulators.
 
     The bias is aligned by ``2^bshift``.  A ReLU layer folds the rounding
@@ -391,99 +381,20 @@ def _layer_conv(layer: DFPLayer, bshift: int, shift: int) -> _Conv:
             bias += 2.0 ** (shift - 1)
         weights *= 2.0 ** -shift
         bias *= 2.0 ** -shift
-    return _Conv(weights, bias)
-
-
-def _layer_band(conv: _Conv, src: np.ndarray, dst: np.ndarray, pad: int, r0: int, r1: int,
-                buf: np.ndarray, epilogue) -> None:
-    """One (layer, band) block: output rows ``r0:r1`` of one layer, from padded buffer ``src``
-    into padded buffer ``dst``, then ``epilogue(sums, interior)`` on them in place.
-
-    Both buffers are (C, H + 2 * pad, W + 2 * pad) with an edge-replicated
-    ring of width ``pad``, at least the layer's ``(k - 1) / 2``.  The block
-    reads rows ``r0 - p .. r1 + p`` of ``src`` and sums straight into
-    ``dst``'s rows ``r0:r1`` (:meth:`cnnlf.tensor._Conv.band`), starting from
-    the bias: accumulator column ``y * rs + x`` is ``dst``'s pixel
-    (pad + r0 + y, pad + x), so the junk columns land in the ring cells of
-    the band's own rows, which ``interior`` leaves out.  The block then fills
-    the ring of its rows, and the top or bottom ring rows if it holds the
-    first or the last row.
-    """
-    depth, _, rs = src.shape
-    p = (conv.k - 1) // 2
-    sums = conv.band(src.reshape(depth, -1)[:conv.cin], (pad + r0 - p) * rs + pad - p, rs,
-                     dst.reshape(depth, -1)[:conv.cout], (pad + r0) * rs + pad, r1 - r0,
-                     rs - 2 * pad, buf)
-    epilogue(sums, dst[:conv.cout, pad + r0:pad + r1, pad:rs - pad])
-    _replicate_border(dst[:conv.cout], pad, r0, r1)
-
-
-def _wavefront(bands: list, reaches: list) -> list:
-    """The predecessors of each (layer, band) block, block ``l * len(bands) + j``.
-
-    Layer ``l`` reads one buffer and writes the other, the next layer the
-    reverse, and every layer uses the same bands.  So block (l, j) waits for
-    the blocks of layer ``l - 1`` that write rows it reads, and for those that
-    read rows it writes, before it overwrites them.  Both are the bands that
-    hold a row within ``max(p, q)`` of band j, ``p`` and ``q`` the two
-    layers' reaches ``(k - 1) / 2``; the ring rows belong to the first and
-    the last band, which hold the rows they replicate.  A block waits for
-    nothing earlier: whatever it overwrites was last written by block
-    (l - 2, j), which block (l - 1, j) read first.
-    """
-    starts = [r0 for r0, _ in bands]
-    h, count = bands[-1][1], len(bands)
-    after = [()] * count
-    for l in range(1, len(reaches)):
-        reach = max(reaches[l - 1], reaches[l])
-        for r0, r1 in bands:
-            lo = bisect.bisect_right(starts, max(r0 - reach, 0)) - 1
-            hi = bisect.bisect_right(starts, min(r1 + reach, h) - 1)
-            after.append(range((l - 1) * count + lo, (l - 1) * count + hi))
-    return after
-
-
-def _run_planes(convs: list, planes, epilogue) -> np.ndarray:
-    """The plane runner of inference and calibration: the layers ``convs`` over one plane's
-    input channels ``planes``, (H, W) arrays or scalars, as (layer, band) blocks of
-    :func:`_layer_band` with ``epilogue(l, j, sums, interior)`` in :func:`_wavefront` order,
-    on ``T`` workers with BLAS at one thread (:func:`cnnlf.tensor._spend_blas_threads`).
-    Returns the (H, W) view of the last layer's output.
-    """
-    h, w = np.shape(planes[0])
-    reaches = [(conv.k - 1) // 2 for conv in convs]
-    pad = max(reaches)
-    depth = max(max(conv.cout, conv.cin) for conv in convs)
-    rs = w + 2 * pad
-    buffers = [np.empty((depth, h + 2 * pad, rs)) for _ in range(2)]
-    for c, plane in enumerate(planes):
-        buffers[0][c, pad:pad + h, pad:pad + w] = plane
-    _replicate_border(buffers[0][:len(planes)], pad)
-    # at least 3 bands, so that even a small plane's layers overlap
-    bands = _row_bands(h, 8 * depth * rs, least=3)
-    scratch = max(conv.scratch(-(-h // len(bands)), rs) for conv in convs)
-
-    def block(b: int, buf: np.ndarray) -> None:
-        l, j = divmod(b, len(bands))
-        _layer_band(convs[l], buffers[l % 2], buffers[1 - l % 2], pad, *bands[j], buf,
-                    lambda sums, interior: epilogue(l, j, sums, interior))
-
-    with _spend_blas_threads():
-        _on_workers(len(convs) * len(bands), lambda: np.empty(scratch), block,
-                    _wavefront(bands, reaches))
-    return buffers[len(convs) % 2][0, pad:pad + h, pad:pad + w]
+    return ConvParams(weights, bias)
 
 
 def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -> np.ndarray:
-    """Integer-exact filtering of one plane on the plane runner :func:`_run_planes`, each
-    block requantizing its sums; bit-identical for any BLAS thread count.  ``threads`` is
+    """Integer-exact filtering of one plane on the plane runner :func:`cnnlf.tensor._run_planes`,
+    each block requantizing its sums; bit-identical for any BLAS thread count.  ``threads`` is
     unused; it stays only because ``perfbench`` still passes it.
     """
     cfg = model.config
     recon_m, qp_m = input_mantissas(plane, qp, cfg)
     layer_shifts, sum_shift = model.shifts()
-    convs = [_layer_conv(layer, bshift, shift)
-             for layer, (bshift, shift) in zip(model.layers, layer_shifts)]
+    # a generator, so that each layer's pre-scaled weights are freed once the runner lays them out
+    layers = (_layer_conv(layer, bshift, shift)
+              for layer, (bshift, shift) in zip(model.layers, layer_shifts))
 
     def requantize(l: int, j: int, sums: np.ndarray, interior: np.ndarray) -> None:
         if model.layers[l].relu:  # floor(clip(acc, 1/2, ACT_MAX)), see _layer_conv:
@@ -496,7 +407,7 @@ def dfp_forward(model: DFPModel, plane: np.ndarray, qp: int, threads: int = 1) -
         else:
             np.clip(_round_shift(sums, layer_shifts[l][1]), ACT_MIN, ACT_MAX, out=sums)
 
-    resid = _run_planes(convs, (recon_m, qp_m), requantize)
+    resid = _run_planes(layers, (recon_m, qp_m), requantize)
     # summation layer: bring the residual down to the input grid and add, saturating
     total = np.clip(_round_shift(resid, sum_shift), ACT_MIN, ACT_MAX)
     total += recon_m

@@ -31,15 +31,25 @@ rows and ``kx`` columns into the band.  Accumulator column ``y * rs + x`` is
 output (y, x), so ``N = (rows - 1) * rs + W``; the columns ``x >= W`` are
 junk sums that wrap into the next row, which no output takes, and no view
 reaches past its image.  Float :func:`conv2d` keeps the accumulator in
-scratch and copies it out; the DFP forward places it on the next layer's
-padded buffer, where the junk lands in the band's own ring cells.  Thin
-layers, where the k * k tap GEMMs would be degenerate, unfold their thin
-operand instead (kn2row's rule for thin channel counts): if
-``k * k * Cout <= Cin`` (an output head) one GEMM contracts the channels of
-a band and its ``k - 1`` halo rows for all taps at once, and the k * k
+scratch and copies it out; the plane runner places it on the next layer's
+padded buffer.  Thin layers, where the k * k tap GEMMs would be degenerate,
+unfold their thin operand instead (kn2row's rule for thin channel counts):
+if ``k * k * Cout <= Cin`` (an output head) one GEMM contracts the channels
+of a band and its ``k - 1`` halo rows for all taps at once, and the k * k
 shifted tap planes are added; if ``k * k * Cin <= Cout`` (a first layer)
-the input is unfolded to ``k * k * Cin`` rows for one GEMM.  :mod:`cnnlf.dfp`
-runs the same band body on integer mantissas and requantizes the sums.
+the input is unfolded to ``k * k * Cin`` rows for one GEMM.
+
+The plane runner, :func:`_run_planes`, filters one plane through a chain of
+convolutions: the DFP forward of :mod:`cnnlf.dfp` on integer mantissas, and
+its float calibration.  Over two padded ping-pong buffers, its (layer, band)
+blocks (:func:`_layer_band`) each sum a band of output rows into the other
+buffer, the junk into the band's own ring cells, run the caller's epilogue on
+the sums in place and fill the ring of their rows.  A block is ready once the
+blocks of the layer before that write the rows it reads, or read the rows it
+overwrites, are done (:func:`_wavefront`), so a layer's first bands run while
+the layer before finishes its last ones and no worker waits at a layer
+boundary: the layer-fusion schedule of fused-layer CNN accelerators (Alwani
+et al., MICRO 2016).
 
 The backward pass rebuilds each image's padded input from the conv output
 and the prologue, as the forward built it, and puts the image's upstream
@@ -52,18 +62,15 @@ gradient of tap (ky, kx) is one GEMM of the upstream against the tap view
 of the padded input, ``d_w[:, :, ky, kx] = U @ B_tap^T`` with ``U`` the
 (Cout, N) upstream, for thin layers too.
 
-A DFP forward and a training step spend the process's BLAS thread count
+The plane runner and a training step spend the process's BLAS thread count
 ``T`` on workers (:func:`_spend_blas_threads`): BLAS runs at one thread and
 blocks run on ``min(T, blocks)`` threads of the process's one pool, each
 claiming the lowest-numbered ready block (:func:`_on_workers`).  The blocks
 of a training step's forward convolutions are (image, row band) pairs, those
-of its backward convolutions and BN passes its images.  The
-blocks of a DFP forward are (layer, band) pairs with dependencies: a block
-is ready once the blocks of the layer before that write the rows it reads,
-or read the rows it overwrites, are done, so no worker waits at a layer
-boundary.  The calling thread allocates the workers' buffers.  Elsewhere,
-and when no OpenBLAS thread control is found, everything runs on the
-calling thread and BLAS threads each GEMM.
+of its backward convolutions and BN passes its images.  The calling thread
+allocates the workers' buffers.  Elsewhere, and when no OpenBLAS thread
+control is found, everything runs on the calling thread and BLAS threads
+each GEMM.
 
 The GEMM's summation order belongs to the BLAS build and its thread
 count, and without BLAS's ``dgemm`` each tap's products are formed by
@@ -79,6 +86,7 @@ not of this one.
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 import ctypes
 import functools
@@ -99,7 +107,7 @@ BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
 # One worker's band buffer: the (Cout, rows, row stride) accumulator of a
 # convolution's row band, into which its tap GEMMs add.  Sized to a 2 MiB L2:
-# 19 rows of a 64-channel 208-pixel plane, so the DFP forward splits a
+# 19 rows of a 64-channel 208-pixel plane, so the plane runner splits a
 # 120-row luma plane into 7 bands.  Fewer, longer GEMMs pay less call
 # overhead, which rules out smaller bands.
 BAND_BYTES = 2 << 20
@@ -564,9 +572,9 @@ def _row_bands(h: int, row_bytes: int, least: int = 1) -> list:
 class _Conv:
     """One convolution's weights laid out for its band form, and the band body.
 
-    The float forward (:func:`conv2d`), the DFP forward (:mod:`cnnlf.dfp`) and
-    the input gradient (:func:`conv2d_grad`) run :meth:`band`, one row band of
-    one image at a time.  A band takes one of three forms.  With
+    The float forward (:func:`conv2d`), the plane runner (:func:`_run_planes`)
+    and the input gradient (:func:`conv2d_grad`) run :meth:`band`, one row band
+    of one image at a time.  A band takes one of three forms.  With
     ``k * k * Cout <= Cin`` (an output head) one GEMM contracts the channels
     for every tap at once.  Else, with ``k * k * Cin <= Cout`` (a first
     layer), the few input channels are unfolded to ``k * k * Cin`` rows
@@ -629,6 +637,82 @@ class _Conv:
         else:
             _tap_gemms(self.mat, flat, start, rs, sums)
         return sums
+
+
+def _layer_band(conv: _Conv, src: np.ndarray, dst: np.ndarray, pad: int, r0: int, r1: int,
+                buf: np.ndarray, epilogue) -> None:
+    """One (layer, band) block: output rows ``r0:r1`` of one layer, from padded buffer ``src``
+    into padded buffer ``dst``, then ``epilogue(sums, interior)`` on them in place.
+
+    Both buffers are (C, H + 2 * pad, W + 2 * pad) with an edge-replicated
+    ring of width ``pad``, at least the layer's ``(k - 1) / 2``.  The block
+    reads rows ``r0 - p .. r1 + p`` of ``src``, and :meth:`_Conv.band` sums from
+    the bias into ``dst``'s pixel (pad + r0 + y, pad + x) at accumulator column
+    ``y * rs + x``, so the junk columns land in the ring cells of the band's
+    rows, outside ``interior``.  The block then fills the ring of its rows, and
+    the top or bottom ring rows if it holds the first or the last row.
+    """
+    depth, _, rs = src.shape
+    p = (conv.k - 1) // 2
+    sums = conv.band(src.reshape(depth, -1)[:conv.cin], (pad + r0 - p) * rs + pad - p, rs,
+                     dst.reshape(depth, -1)[:conv.cout], (pad + r0) * rs + pad, r1 - r0,
+                     rs - 2 * pad, buf)
+    epilogue(sums, dst[:conv.cout, pad + r0:pad + r1, pad:rs - pad])
+    _replicate_border(dst[:conv.cout], pad, r0, r1)
+
+
+def _wavefront(bands: list, reaches: list) -> list:
+    """The predecessors of each (layer, band) block, block ``l * len(bands) + j``.
+
+    Layer ``l`` reads one buffer and writes the other, the next layer the
+    reverse, and every layer uses the same bands.  So block (l, j) waits for
+    the blocks of layer ``l - 1`` that write rows it reads, and for those that
+    read rows it writes, before it overwrites them.  Both are the bands that
+    hold a row within ``max(p, q)`` of band j, ``p`` and ``q`` the two
+    layers' reaches ``(k - 1) / 2``; the ring rows belong to the first and
+    the last band, which hold the rows they replicate.  A block waits for
+    nothing earlier: whatever it overwrites was last written by block
+    (l - 2, j), which block (l - 1, j) read first.
+    """
+    starts = [r0 for r0, _ in bands]
+    h, count = bands[-1][1], len(bands)
+    after = [()] * count
+    for l in range(1, len(reaches)):
+        reach = max(reaches[l - 1], reaches[l])
+        for r0, r1 in bands:
+            lo = bisect.bisect_right(starts, max(r0 - reach, 0)) - 1
+            hi = bisect.bisect_right(starts, min(r1 + reach, h) - 1)
+            after.append(range((l - 1) * count + lo, (l - 1) * count + hi))
+    return after
+
+
+def _run_planes(layers, planes, epilogue) -> np.ndarray:
+    """The plane runner: the convolutions ``layers``, any iterable of :class:`ConvParams`, over
+    one plane's input channels ``planes``, (H, W) arrays or scalars, as :func:`_layer_band`
+    blocks with ``epilogue(l, j, sums, interior)``; returns the last layer's (H, W) output."""
+    convs = [_Conv(layer.weights, layer.bias) for layer in layers]
+    h, w = np.shape(planes[0])
+    reaches = [(conv.k - 1) // 2 for conv in convs]
+    pad = max(reaches)
+    depth = max(max(conv.cout, conv.cin) for conv in convs)
+    rs = w + 2 * pad
+    buffers = [np.empty((depth, h + 2 * pad, rs)) for _ in range(2)]
+    for c, plane in enumerate(planes):
+        buffers[0][c, pad:pad + h, pad:pad + w] = plane
+    _replicate_border(buffers[0][:len(planes)], pad)
+    # at least 3 bands, so that even a small plane's layers overlap
+    bands = _row_bands(h, 8 * depth * rs, least=3)
+    scratch = max(conv.scratch(-(-h // len(bands)), rs) for conv in convs)
+
+    def block(b: int, buf: np.ndarray) -> None:
+        l, j = divmod(b, len(bands))
+        _layer_band(convs[l], buffers[l % 2], buffers[1 - l % 2], pad, *bands[j], buf,
+                    lambda sums, interior: epilogue(l, j, sums, interior))
+
+    with _spend_blas_threads():
+        _on_workers(len(convs) * len(bands), lambda: np.empty(scratch), block,
+                    _wavefront(bands, reaches))
+    return buffers[len(convs) % 2][0, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: np.ndarray, params: ConvParams, act=None) -> np.ndarray:

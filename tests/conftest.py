@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cnnlf import dfp, tensor
+from cnnlf import tensor
 from cnnlf.compress import fold_batchnorm
 from cnnlf.network import NetworkConfig, build_cnnf, forward_network, normalize_inputs
 
@@ -97,8 +97,7 @@ def schedule_shaker(seed, longest=0.02):
 
         on_workers(blocks, scratch, run, after)
 
-    with mock.patch.object(tensor, "_on_workers", shaken), \
-            mock.patch.object(dfp, "_on_workers", shaken):
+    with mock.patch.object(tensor, "_on_workers", shaken):
         yield
 
 

@@ -263,6 +263,14 @@ class TestPlaneIO:
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
 
+    @pytest.mark.parametrize("value", [1000, 256, -1, np.nan])
+    def test_pgm_write_of_pixels_outside_8_bits_is_data_error(self, tmp_path, value):
+        plane = make_test_image(4, 5, seed=8).astype(np.float64)
+        plane[2, 3] = value
+        with pytest.raises(DataError, match=r"pixel values outside \[0, 255\]"):
+            write_pgm(tmp_path / "x.pgm", plane)
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_pgm_with_comment(self, tmp_path):
         img = np.arange(6, dtype=np.uint8).reshape(2, 3)
         (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n3 2\n255\n" + img.tobytes())
@@ -304,6 +312,18 @@ class TestPlaneIO:
         assert len(frames) == 1
         for a, b in zip(frames[0], (y, u, v)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("extra", [5, -5, 24], ids=["5-bytes-over", "5-bytes-short",
+                                                       "one-frame-over"])
+    def test_yuv420_of_another_size_than_described_is_data_error(self, tmp_path, extra):
+        path = tmp_path / "clip.yuv"
+        write_yuv420(path, [tuple(make_test_image(h, w, seed=c) for c, (h, w)
+                                  in enumerate(((4, 4), (2, 2), (2, 2))))])
+        data = path.read_bytes()
+        path.write_bytes(data + bytes(extra) if extra > 0 else data[:extra])
+        with pytest.raises(DataError, match=f"clip.yuv: file holds {24 + extra} bytes, "
+                                            f"descriptor implies 24"):
+            read_yuv420(path)
 
     def test_yuv_missing_descriptor_key(self, tmp_path):
         path = tmp_path / "c.yuv"

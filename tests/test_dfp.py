@@ -52,10 +52,16 @@ def bias_fl_lowered(table, by):
     return FLTable([LayerFL(e.fl_w, e.fl_b - by, e.fl_o) for e in table.layers])
 
 
-def benchmark_shaped_model():
-    """The paper's 8-layer 64-filter model, BN-folded, calibrated and quantized."""
+def benchmark_shaped_float_model():
+    """The paper's 8-layer 64-filter model, BN-folded, with its output head scaled down."""
     model = fold_batchnorm(build_cnnf(NetworkConfig(), rng_seed=1, zero_init_output=False))
     model.layers[-1].conv.weights *= 0.1
+    return model
+
+
+def benchmark_shaped_model():
+    """:func:`benchmark_shaped_float_model`, calibrated and quantized."""
+    model = benchmark_shaped_float_model()
     calib = [(make_test_image(24, 24, seed=3), 32)]
     return quantize_model(model, build_fl_table(model, calib))
 
@@ -110,14 +116,14 @@ from tests.test_dfp import benchmark_shaped_model
 blas = tensor._openblas()
 if blas is not None:
     blas.set(int(os.environ["OPENBLAS_NUM_THREADS"]))
-model, layer_band, count = benchmark_shaped_model(), dfp._layer_band, itertools.count()
+model, layer_band, count = benchmark_shaped_model(), tensor._layer_band, itertools.count()
 
 def failing(*args):
     if next(count) == 12:  # of 8 layers x 3 bands
         raise RuntimeError("block 12 failed")
     layer_band(*args)
 
-with schedule_shaker(5), mock.patch.object(dfp, "_layer_band", failing):
+with schedule_shaker(5), mock.patch.object(tensor, "_layer_band", failing):
     try:
         dfp.dfp_forward(model, make_test_image(48, 64, seed=13), 32)
     except RuntimeError as exc:
@@ -439,14 +445,14 @@ class TestCalibration:
                         assert dfp._calibration_max_abs(model, calibration) == want, seed
         # one-row bands: the GEMMs change shape, so the maxima may move in the last place
         # and the table must stay the same
-        layer_band, starts = dfp._layer_band, set()
+        layer_band, starts = tensor._layer_band, set()
 
         def spy(conv, src, dst, pad, r0, *rest):
             starts.add(r0)
             layer_band(conv, src, dst, pad, r0, *rest)
 
         with mock.patch.object(tensor, "BAND_BYTES", 1), blas_count(2), \
-                mock.patch.object(dfp, "_layer_band", spy):
+                mock.patch.object(tensor, "_layer_band", spy):
             np.testing.assert_allclose(dfp._calibration_max_abs(model, calibration), want,
                                        rtol=1e-12, atol=0)
             assert build_fl_table(model, calibration).layers == table.layers
@@ -463,9 +469,34 @@ class TestCalibration:
     def test_bad_input_is_data_error_before_any_block(self, pixel, qp, message):
         plane = make_test_image(12, 12, seed=3).astype(np.uint16)
         plane[5, 7] = pixel
-        with mock.patch.object(dfp, "_layer_band", side_effect=AssertionError("a block ran")):
+        with mock.patch.object(tensor, "_layer_band", side_effect=AssertionError("a block ran")):
             with pytest.raises(DataError, match=message):
                 build_fl_table(small_weight_model(), [(plane, qp)])
+
+
+@pytest.mark.parametrize("shape", [(1, 12), (12, 1), (2, 2), (35, 35)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("kind", ["benchmark", "decomposed", "relu-head"])
+def test_plane_runner_with_relu_epilogue_matches_forward_network(kind, shape):
+    """The float oracle of the plane runner: ``tensor._run_planes`` over a folded model's
+    convolutions, with a ReLU epilogue and plus the normalized reconstruction, is
+    ``forward_network``'s output, at 1, 2 and 3 workers and with one-row bands."""
+    model = benchmark_shaped_float_model() if kind == "benchmark" else calibration_model(kind)
+    ((plane, qp),) = calibration_set([shape], model.config.bit_depth)
+    inp = normalize_inputs(plane, qp, model.config)
+    with blas_count(1):
+        want = forward_network(model, inp)[0][0, 0]
+
+    def relu(l, j, sums, interior):
+        if model.layers[l].relu:
+            np.maximum(sums, 0.0, out=sums)
+
+    for workers, band_bytes in [(1, tensor.BAND_BYTES), (2, tensor.BAND_BYTES),
+                                (3, tensor.BAND_BYTES), (2, 1)]:
+        with blas_count(workers), mock.patch.object(tensor, "BAND_BYTES", band_bytes):
+            resid = tensor._run_planes([layer.conv for layer in model.layers], inp[0], relu)
+        np.testing.assert_allclose(resid + inp[0, 0], want, rtol=1e-12, atol=0,
+                                   err_msg=f"{workers} workers, BAND_BYTES {band_bytes}")
 
 
 class TestQuantizeModel:
@@ -602,7 +633,7 @@ def test_wavefront_waits_for_exactly_the_blocks_it_conflicts_with(h, band_bytes,
         r0, r1 = bands[j]
         return set(range(r0 - pad if j == 0 else r0, r1 + pad if j == count - 1 else r1))
 
-    after = dfp._wavefront(bands, reaches)
+    after = tensor._wavefront(bands, reaches)
     assert len(after) == len(reaches) * count
     for l in range(len(reaches)):
         for j in range(count):
@@ -625,18 +656,18 @@ class TestWorkers:
         dm, _ = quantized_small_model()
         plane = make_test_image(40, 40, seed=9)
         seen = []
-        layer_band = dfp._layer_band
+        layer_band = tensor._layer_band
 
         def spy(*args):
             seen.append((blas_get(), tensor._workers()))
             layer_band(*args)
 
         with blas_count(3):
-            with mock.patch.object(dfp, "_layer_band", spy):
+            with mock.patch.object(tensor, "_layer_band", spy):
                 dfp_forward(dm, plane, 32)
             assert blas_get() == 3 and tensor.worker_threads() == 3
             assert set(seen) == {(1, 3)}
-            with mock.patch.object(dfp, "_layer_band", side_effect=RuntimeError("layer")):
+            with mock.patch.object(tensor, "_layer_band", side_effect=RuntimeError("layer")):
                 with pytest.raises(RuntimeError, match="layer"):
                     dfp_forward(dm, plane, 32)
             assert blas_get() == 3 and tensor._workers() == 1 and tensor._inside == 0

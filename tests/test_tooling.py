@@ -12,7 +12,7 @@ import pytest
 from cnnlf import cli, compress
 from cnnlf.cli import main
 from cnnlf.codec import (load_patchset, make_dataset, make_test_image, read_pgm, save_patchset,
-                         write_pgm)
+                         write_pgm, write_yuv420)
 from cnnlf.compress import decompose_model, fold_batchnorm, prune_by_bn_scale
 from cnnlf.dfp import (build_fl_table, dfp_forward, make_conformance, quantize_model,
                        read_conformance, write_conformance)
@@ -260,6 +260,58 @@ class TestCli:
         assert err.count("cnnlf:") == 1
         assert f"patch set is {set_depth}-bit, model {model_depth}-bit" in err
         assert not (workspace / "q.clf").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_quantize_calib_count_below_one_exit_code(self, workspace, capsys, monkeypatch,
+                                                     count):
+        save_model(build_cnnf(NetworkConfig(num_conv_layers=3, base_filters=4,
+                                            per_layer_filters=(4, 4)), rng_seed=1), "m.clf")
+        self._save_patchset("ds.npz", 8)
+
+        def calibrate(*args):
+            raise AssertionError("calibrated")
+
+        monkeypatch.setattr(cli, "build_fl_table", calibrate)
+        assert self.run("quantize", "--model", "m.clf", "--dataset", "ds.npz",
+                        "--out", "q.clf", f"--calib-count={count}") == 5
+        err = capsys.readouterr().err
+        assert err.count("cnnlf:") == 1
+        assert f"--calib-count must be at least 1, got {count}" in err
+        assert not (workspace / "q.clf").exists()
+
+    @staticmethod
+    def _save_10_bit_model(path, quantized):
+        cfg = NetworkConfig(num_conv_layers=3, base_filters=4, per_layer_filters=(4, 4),
+                            bit_depth=10)
+        model = fold_batchnorm(build_cnnf(cfg, rng_seed=1))
+        if quantized:
+            calib = [(make_test_image(16, 16, seed=3).astype(np.uint16) << 2, 27)]
+            model = quantize_model(model, build_fl_table(model, calib))
+        save_model(model, path)
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "dfp"])
+    def test_infer_with_a_model_of_another_bit_depth_exit_code(self, workspace, capsys,
+                                                               quantized):
+        self._save_10_bit_model("m.clf", quantized)
+        write_pgm("in.pgm", make_test_image(16, 16, seed=1))
+        assert self.run("infer", "--model", "m.clf", "--input", "in.pgm", "--qp", "27",
+                        "--out", "o.pgm", *(["--dfp"] if quantized else [])) == 5
+        err = capsys.readouterr().err
+        assert err.count("cnnlf:") == 1 and "input planes are 8-bit, model 10-bit" in err
+        assert not list(workspace.glob("o.pgm*"))
+
+    @pytest.mark.parametrize("source", ["synthetic", "yuv"])
+    def test_eval_with_a_model_of_another_bit_depth_exit_code(self, workspace, capsys, source):
+        self._save_10_bit_model("m.clf", False)
+        write_yuv420("clip.yuv", [tuple(make_test_image(h, w, seed=c) for c, (h, w)
+                                        in enumerate(((16, 16), (8, 8), (8, 8))))])
+        inputs = (["--images", "clip.yuv"] if source == "yuv"
+                  else ["--synthetic", "1", "--synthetic-size", "16x16"])
+        assert self.run("eval", "--model", "m.clf", *inputs, "--qps", "22,27,32,37",
+                        "--out-dir", "ev") == 5
+        err = capsys.readouterr().err
+        assert err.count("cnnlf:") == 1 and "input planes are 8-bit, model 10-bit" in err
+        assert not (workspace / "ev").exists()
 
     def test_dataset_train_quantize_chain(self, workspace):
         self._make_pipeline(workspace)
